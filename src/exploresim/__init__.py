@@ -6,6 +6,7 @@ from .errors import (
     ExternalPredictorError,
     InvalidStateError,
     PgmParseError,
+    RecordMismatchError,
 )
 from .frontier import (
     SCORER_KINDS,
@@ -13,7 +14,6 @@ from .frontier import (
     ScoreContext,
     extract_frontiers,
     score_frontier,
-    select_frontier,
 )
 from .grid import (
     FREE,
@@ -21,11 +21,9 @@ from .grid import (
     UNKNOWN,
     GridPose,
     OccupancyGrid,
-    grid_to_world,
     load_pgm,
     new_grid,
     save_pgm,
-    world_to_grid,
 )
 from .infogain import (
     RaycastConfig,
@@ -38,21 +36,18 @@ from .infogain import (
 from .metrics import (
     auc,
     building_footprint,
-    coverage,
+    coverage_of,
     iou_occupied,
     topological_understanding,
 )
-from .planner import EpisodeConfig, EpisodeRecord, astar, path_cost, run_episode, waypoint_valid
+from .planner import EpisodeConfig, EpisodeRecord, astar, run_episode, waypoint_valid
 from .predict import (
     ExternalPredictor,
     NoisyOraclePredictor,
     PassThroughPredictor,
     PatchInpaintingPredictor,
     PredictionSet,
-    PredictorEnsemble,
     ensemble_predict,
-    external_predict,
-    predict,
 )
 from .world import (
     ACTIONS,

@@ -5,13 +5,17 @@ Subcommands:
     explore run <config> [--workers N]     batch episodes + results CSV
     explore generate-maps ...              emit procedural floor plans
     explore score-map <observed> <gt>      metrics for a pair of maps
-    explore replay <record.jsonl> ...      re-emit snapshots from a record
+    explore replay <record.jsonl> ...      verify a record by re-running it,
+                                           then re-emit its snapshots
 
 Each episode writes a line-delimited JSON record (header line, one line per
 timestep, replan lines, end line) plus checkpoint PGM snapshots of the
 observed/mean/variance maps. Records contain no wall-clock data, so a rerun
 with the same config and seed is byte-identical. The batch is resumable:
-rows whose outputs already exist are not re-executed.
+rows whose outputs already exist are not re-executed. The header line
+alone determines the episode: `replay` rebuilds it from the header, checks
+that the re-run reproduces every line of the record, then re-emits the
+snapshots.
 """
 
 from __future__ import annotations
@@ -24,14 +28,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, MapSource, PredictorSpec, parse_config
-from .errors import ConfigError
+from .errors import ConfigError, RecordMismatchError
 from .grid import GridPose, OccupancyGrid, load_pgm, save_pgm
+from .infogain import RaycastConfig
 from .metrics import (
     auc,
     building_footprint,
@@ -45,10 +51,8 @@ from .predict import (
     NoisyOraclePredictor,
     PassThroughPredictor,
     PatchInpaintingPredictor,
-    PredictorEnsemble,
-    ensemble_predict,
 )
-from .world import SensorSpec, generate_floorplan, integrate_scan, simulate_scan
+from .world import SensorSpec, generate_floorplan
 
 CSV_COLUMNS = [
     "map", "start_x", "start_y", "scorer", "seed", "status", "end_reason", "steps",
@@ -89,16 +93,8 @@ def materialize_maps(maps: MapSource) -> list[tuple[str, OccupancyGrid]]:
             raise ConfigError(f"[maps] glob: {maps.glob!r} matched no files")
         return [(Path(p).stem, _binarized(load_pgm(p, resolution=maps.resolution)))
                 for p in paths]
-    out = []
-    for i in range(maps.count):
-        seed = maps.map_seed + i
-        gt = generate_floorplan(
-            seed, width=maps.width, height=maps.height,
-            room_count_range=(maps.rooms_min, maps.rooms_max),
-            corridor_width=maps.corridor_width, resolution=maps.resolution,
-        )
-        out.append((f"gen{seed:04d}", gt))
-    return out
+    return [(f"gen{maps.map_seed + i:04d}", _gt_from_descriptor(_map_descriptor(maps, i)))
+            for i in range(maps.count)]
 
 
 def member_seed(row_seed: int, map_index: int, member: int) -> int:
@@ -107,28 +103,21 @@ def member_seed(row_seed: int, map_index: int, member: int) -> int:
     return int(np.random.SeedSequence((row_seed, map_index, member)).generate_state(1)[0])
 
 
-def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> PredictorEnsemble:
+def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> list:
     if spec.kind == "passthrough":
-        return PredictorEnsemble([PassThroughPredictor() for _ in range(spec.ensemble)])
+        return [PassThroughPredictor() for _ in range(spec.ensemble)]
     if spec.kind == "noisy_oracle":
-        return PredictorEnsemble(
-            [NoisyOraclePredictor(gt, spec.flip_rate, s) for s in seeds]
-        )
+        return [NoisyOraclePredictor(gt, spec.flip_rate, s) for s in seeds]
     if spec.kind == "patch":
         paths = sorted(globmod.glob(spec.corpus))
         if not paths:
             raise ConfigError(f"[predictor] corpus: {spec.corpus!r} matched no files")
         corpus = [load_pgm(p, resolution=gt.resolution) for p in paths]
-        members = []
-        for i in range(spec.ensemble):
-            subset = corpus[i::spec.ensemble] or corpus
-            members.append(PatchInpaintingPredictor(subset, spec.block, spec.ring))
-        return PredictorEnsemble(members)
+        return [PatchInpaintingPredictor(corpus[i::spec.ensemble] or corpus, spec.block, spec.ring)
+                for i in range(spec.ensemble)]
     if spec.kind == "external":
         commands = [c.strip() for c in spec.command.split(";") if c.strip()]
-        members = [ExternalPredictor(commands[i % len(commands)])
-                   for i in range(spec.ensemble)]
-        return PredictorEnsemble(members)
+        return [ExternalPredictor(commands[i % len(commands)]) for i in range(spec.ensemble)]
     raise ConfigError(f"unknown predictor kind {spec.kind!r}")
 
 
@@ -174,7 +163,7 @@ def record_lines(record: EpisodeRecord, header: dict) -> list[str]:
     return lines
 
 
-def _map_descriptor(cfg_maps: MapSource, label: str, map_index: int) -> dict:
+def _map_descriptor(cfg_maps: MapSource, map_index: int) -> dict:
     if cfg_maps.kind == "files":
         paths = sorted(globmod.glob(cfg_maps.glob))
         return {"kind": "file", "path": paths[map_index], "resolution": cfg_maps.resolution}
@@ -196,39 +185,20 @@ def _gt_from_descriptor(desc: dict) -> OccupancyGrid:
     )
 
 
-def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> None:
+def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
+    written = []
     for cp in record.checkpoints:
-        save_pgm(cp.observed, row_dir / f"obs_t{cp.t:05d}.pgm")
-        if cp.mean is not None:
-            save_pgm(cp.mean, row_dir / f"mean_t{cp.t:05d}.pgm")
-        if cp.variance is not None:
-            save_pgm(cp.variance, row_dir / f"var_t{cp.t:05d}.pgm")
+        for prefix, grid in (("obs", cp.observed), ("mean", cp.mean), ("var", cp.variance)):
+            if grid is not None:
+                written.append(row_dir / f"{prefix}_t{cp.t:05d}.pgm")
+                save_pgm(grid, written[-1])
+    return written
 
 
-def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Path) -> dict:
-    """Execute one experiment row and write its outputs. Returns CSV values."""
-    row_dir = out_dir / spec.name
-    metrics_path = row_dir / "metrics.json"
-    record_path = row_dir / "record.jsonl"
-    if metrics_path.exists() and record_path.exists():
-        with open(metrics_path) as fh:
-            return json.load(fh)
-
-    row_dir.mkdir(parents=True, exist_ok=True)
+def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
     seeds = [member_seed(spec.seed, spec.map_index, i) for i in range(cfg.predictor.ensemble)]
-    ensemble = build_ensemble(cfg.predictor, gt, seeds)
-    ep_cfg = EpisodeConfig(
-        budget_t=cfg.budget, scorer=spec.scorer, sensor=cfg.sensor, raycast=cfg.raycast,
-        min_cluster_size=cfg.min_cluster_size, max_waypoint_age=cfg.max_waypoint_age,
-        checkpoint_every=cfg.checkpoint_every, collect_checkpoints=True,
-    )
-
-    t0 = time.monotonic()
-    record = run_episode(gt, spec.start, ep_cfg, ensemble)
-    wall = time.monotonic() - t0
-
-    header = {
-        "map": _map_descriptor(cfg.maps, spec.map_label, spec.map_index),
+    return {
+        "map": _map_descriptor(cfg.maps, spec.map_index),
         "map_label": spec.map_label,
         "start": [spec.start.x, spec.start.y],
         "scorer": spec.scorer,
@@ -245,6 +215,45 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
         "max_waypoint_age": cfg.max_waypoint_age,
         "checkpoint_every": cfg.checkpoint_every,
     }
+
+
+def _episode_inputs(header: dict, gt: OccupancyGrid) -> tuple[EpisodeConfig, list]:
+    """The episode config and predictor ensemble a record header describes.
+
+    `run_row` and `replay` both build their episode here, so a record's
+    header is all it takes to re-run the row.
+    """
+    pred, sensor, raycast = header["predictor"], header["sensor"], header["raycast"]
+    ep_cfg = EpisodeConfig(
+        budget_t=header["budget"], scorer=header["scorer"],
+        sensor=SensorSpec(range_lambda=sensor["range"], n_rays=sensor["rays"]),
+        raycast=RaycastConfig(epsilon=raycast["epsilon"], n_rays=raycast["rays"],
+                              range_lambda=raycast["range"]),
+        min_cluster_size=header["min_cluster_size"],
+        max_waypoint_age=header["max_waypoint_age"],
+        checkpoint_every=header["checkpoint_every"],
+    )
+    spec = PredictorSpec(**{f.name: pred[f.name] for f in fields(PredictorSpec)})
+    return ep_cfg, build_ensemble(spec, gt, pred["member_seeds"])
+
+
+def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Path) -> dict:
+    """Execute one experiment row and write its outputs. Returns CSV values."""
+    row_dir = out_dir / spec.name
+    metrics_path = row_dir / "metrics.json"
+    record_path = row_dir / "record.jsonl"
+    if metrics_path.exists() and record_path.exists():
+        with open(metrics_path) as fh:
+            return json.load(fh)
+
+    row_dir.mkdir(parents=True, exist_ok=True)
+    header = _row_header(cfg, spec)
+    ep_cfg, ensemble = _episode_inputs(header, gt)
+
+    t0 = time.monotonic()
+    record = run_episode(gt, spec.start, ep_cfg, ensemble)
+    wall = time.monotonic() - t0
+
     with open(record_path, "w") as fh:
         fh.write("\n".join(record_lines(record, header)) + "\n")
     if cfg.snapshots:
@@ -314,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[di
     tasks = []
     for mi, (label, gt) in enumerate(maps):
         starts = corner_starts(gt) if cfg.starts == "corners" else cfg.starts
-        desc = _map_descriptor(cfg.maps, label, mi)
+        desc = _map_descriptor(cfg.maps, mi)
         for si, start in enumerate(starts):
             if not gt.in_bounds(start.x, start.y) or gt.at(start) != 0.0:
                 raise ConfigError(f"start {start} is not a free cell of map {label}")
@@ -339,52 +348,26 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[di
 
 
 def replay(record_path, out_dir) -> list[Path]:
-    """Re-emit checkpoint snapshots by re-simulating the recorded episode."""
+    """Re-run a recorded episode from its header line, check that the re-run
+    reproduces every line of the record, then re-emit its checkpoint
+    snapshots. Raises RecordMismatchError naming the first line that differs."""
     record_path = Path(record_path)
+    lines = record_path.read_text().splitlines()
+    header = json.loads(lines[0]) if lines else {}
+    if header.pop("type", None) != "header":
+        raise ValueError(f"{record_path} has no header line")
+    gt = _gt_from_descriptor(header["map"])
+    ep_cfg, ensemble = _episode_inputs(header, gt)
+    record = run_episode(gt, GridPose(*header["start"]), ep_cfg, ensemble)
+    for n, (old, new) in enumerate(zip_longest(lines, record_lines(record, header)), 1):
+        if old != new:
+            obj = json.loads(new if new is not None else old)
+            where = f"t={obj['t']}" if "t" in obj else obj["type"]
+            raise RecordMismatchError(
+                f"{record_path}: line {n} ({where}) differs from the re-run")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    steps, replan_ts = [], set()
-    header = None
-    with open(record_path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            if obj["type"] == "header":
-                header = obj
-            elif obj["type"] == "step":
-                steps.append(obj)
-            elif obj["type"] == "replan":
-                replan_ts.add(obj["t"])
-    if header is None:
-        raise ValueError(f"{record_path} has no header line")
-
-    gt = _gt_from_descriptor(header["map"])
-    pspec = PredictorSpec(**{k: header["predictor"][k] for k in
-                             ("kind", "ensemble", "flip_rate", "command", "corpus",
-                              "block", "ring")})
-    ensemble = build_ensemble(pspec, gt, header["predictor"]["member_seeds"])
-    sensor = SensorSpec(range_lambda=header["sensor"]["range"], n_rays=header["sensor"]["rays"])
-    every = header["checkpoint_every"]
-
-    from .grid import new_grid
-
-    observed = new_grid(gt.width, gt.height, gt.resolution)
-    latest = None
-    written = []
-    for row in steps:
-        scan = simulate_scan(gt, GridPose(row["x"], row["y"]), sensor)
-        integrate_scan(observed, scan)
-        if row["t"] in replan_ts:
-            latest = ensemble_predict(ensemble, observed)
-        if every > 0 and (row["t"] + 1) % every == 0:
-            t = row["t"] + 1
-            save_pgm(observed, out_dir / f"obs_t{t:05d}.pgm")
-            written.append(out_dir / f"obs_t{t:05d}.pgm")
-            if latest is not None:
-                save_pgm(latest.mean, out_dir / f"mean_t{t:05d}.pgm")
-                save_pgm(latest.variance, out_dir / f"var_t{t:05d}.pgm")
-                written += [out_dir / f"mean_t{t:05d}.pgm", out_dir / f"var_t{t:05d}.pgm"]
-    return written
+    return _write_snapshots(out_dir, record)
 
 
 def _cmd_run(args) -> int:
@@ -399,17 +382,18 @@ def _cmd_run(args) -> int:
     return 1 if bad else 0
 
 
+# generate-maps takes one flag per generator field, defaulting to the field's
+# default ("--seed" sets map_seed).
+_GENERATOR_FIELDS = [f for f in fields(MapSource) if f.name not in ("kind", "glob")]
+
+
 def _cmd_generate_maps(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
-        seed = args.seed + i
-        gt = generate_floorplan(
-            seed, width=args.width, height=args.height,
-            room_count_range=(args.rooms_min, args.rooms_max),
-            corridor_width=args.corridor_width, resolution=args.resolution,
-        )
-        path = out / f"gen{seed:04d}.pgm"
+    maps = MapSource(kind="generate",
+                     **{f.name: getattr(args, f.name) for f in _GENERATOR_FIELDS})
+    for label, gt in materialize_maps(maps):
+        path = out / f"{label}.pgm"
         save_pgm(gt, path)
         print(path)
     return 0
@@ -430,7 +414,11 @@ def _cmd_score_map(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    written = replay(args.record, args.out)
+    try:
+        written = replay(args.record, args.out)
+    except RecordMismatchError as exc:
+        print(f"replay failed: {exc}", file=sys.stderr)
+        return 1
     for p in written:
         print(p)
     return 0
@@ -449,25 +437,21 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("generate-maps", help="write procedural floor plans")
     p.add_argument("--out", default="maps")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--width", type=int, default=200)
-    p.add_argument("--height", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rooms-min", type=int, default=6)
-    p.add_argument("--rooms-max", type=int, default=12)
-    p.add_argument("--corridor-width", type=int, default=8)
-    p.add_argument("--resolution", type=float, default=0.1)
+    for f in _GENERATOR_FIELDS:
+        flag = "--seed" if f.name == "map_seed" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
     p.set_defaults(func=_cmd_generate_maps)
 
     p = sub.add_parser("score-map", help="metrics for an observed/ground-truth pair")
     p.add_argument("observed")
     p.add_argument("gt")
     p.add_argument("--tu-start", default=None, help="x,y for plan-success metric")
-    p.add_argument("--tu-goals", type=int, default=100)
+    p.add_argument("--tu-goals", type=int, default=ExperimentConfig.tu_goals)
     p.add_argument("--tu-seed", type=int, default=0)
     p.set_defaults(func=_cmd_score_map)
 
-    p = sub.add_parser("replay", help="re-emit snapshots from a record log")
+    p = sub.add_parser("replay", help="verify a record log by re-running it, "
+                                      "then re-emit its snapshots")
     p.add_argument("record")
     p.add_argument("--out", default="replay")
     p.set_defaults(func=_cmd_replay)

@@ -1,90 +1,39 @@
 """Experiment configuration: a flat INI file with sections, validated
-against a fixed schema with the simulator defaults applied.
+against the fields of the config dataclasses.
 
-Defaults are the standard operating point: budget 1000 timesteps, sensor
-range 20 m with 2500 rays, raycast threshold 0.8, ensemble size 3.
+Each key sets one dataclass field and takes that field's type; a key the
+file leaves out keeps the field's default. The dataclasses below (and
+`SensorSpec`, `RaycastConfig`) are the one place the defaults are written:
+they are the standard operating point.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .frontier import SCORER_KINDS
-from .grid import GridPose
+from .grid import DEFAULT_RESOLUTION, GridPose
 from .infogain import RaycastConfig
-from .world import SensorSpec
+from .world import CORRIDOR_WIDTH, ROOM_COUNT_RANGE, SensorSpec
 
 PREDICTOR_KINDS = ("passthrough", "noisy_oracle", "patch", "external")
-
-# section -> {key: (type, default)}; type "str"/"int"/"float"/"bool".
-_SCHEMA = {
-    "maps": {
-        "source": ("str", None),  # "files" or "generate"; inferred when absent
-        "glob": ("str", None),
-        "count": ("int", 10),
-        "width": ("int", 200),
-        "height": ("int", 200),
-        "map_seed": ("int", 0),
-        "rooms_min": ("int", 6),
-        "rooms_max": ("int", 12),
-        "corridor_width": ("int", 8),
-        "resolution": ("float", 0.1),
-    },
-    "starts": {
-        "policy": ("str", "corners"),
-        "poses": ("str", None),
-    },
-    "episode": {
-        "budget": ("int", 1000),
-        "scorer": ("str", "mapex"),
-        "min_cluster_size": ("int", 10),
-        "max_waypoint_age": ("int", 50),
-    },
-    "sensor": {
-        "range": ("float", 20.0),
-        "rays": ("int", 2500),
-    },
-    "raycast": {
-        "epsilon": ("float", 0.8),
-        "rays": ("int", 60),
-        "range": ("float", 20.0),
-    },
-    "predictor": {
-        "kind": ("str", "passthrough"),
-        "ensemble": ("int", 3),
-        "flip_rate": ("float", 0.05),
-        "command": ("str", None),
-        "corpus": ("str", None),
-        "block": ("int", 16),
-        "ring": ("int", 2),
-    },
-    "metrics": {
-        "checkpoint_every": ("int", 100),
-        "tu_goals": ("int", 100),
-    },
-    "output": {
-        "dir": ("str", "results"),
-        "seeds": ("str", "0"),
-        "snapshots": ("bool", True),
-    },
-}
 
 
 @dataclass
 class MapSource:
-    kind: str  # "files" | "generate"
+    kind: str  # "files" | "generate"; inferred from `glob` when the file omits it
     glob: str | None = None
     count: int = 10
     width: int = 200
     height: int = 200
     map_seed: int = 0
-    rooms_min: int = 6
-    rooms_max: int = 12
-    corridor_width: int = 8
-    resolution: float = 0.1
+    rooms_min: int = ROOM_COUNT_RANGE[0]
+    rooms_max: int = ROOM_COUNT_RANGE[1]
+    corridor_width: int = CORRIDOR_WIDTH
+    resolution: float = DEFAULT_RESOLUTION
 
 
 @dataclass
@@ -101,8 +50,8 @@ class PredictorSpec:
 @dataclass
 class ExperimentConfig:
     maps: MapSource
-    starts: str | list[GridPose]  # "corners" or explicit poses
-    scorers: list[str]
+    starts: str | list[GridPose] = "corners"  # "corners" or explicit poses
+    scorers: list[str] = field(default_factory=lambda: ["mapex"])
     budget: int = 1000
     min_cluster_size: int = 10
     max_waypoint_age: int = 50
@@ -114,6 +63,32 @@ class ExperimentConfig:
     output_dir: str = "results"
     seeds: list[int] = field(default_factory=lambda: [0])
     snapshots: bool = True
+
+
+# section -> (the dataclass its keys set, its keys)
+_SECTIONS = {
+    "maps": (MapSource, ("source", "glob", "count", "width", "height", "map_seed",
+                         "rooms_min", "rooms_max", "corridor_width", "resolution")),
+    "starts": (ExperimentConfig, ("policy", "poses")),
+    "episode": (ExperimentConfig, ("budget", "scorer", "min_cluster_size", "max_waypoint_age")),
+    "sensor": (SensorSpec, ("range", "rays")),
+    "raycast": (RaycastConfig, ("epsilon", "rays", "range")),
+    "predictor": (PredictorSpec, ("kind", "ensemble", "flip_rate", "command", "corpus",
+                                  "block", "ring")),
+    "metrics": (ExperimentConfig, ("checkpoint_every", "tu_goals")),
+    "output": (ExperimentConfig, ("dir", "seeds", "snapshots")),
+}
+# Keys whose field has another name; every other key names its field.
+# [starts] policy and poses together set ExperimentConfig.starts.
+_FIELD = {"source": "kind", "range": "range_lambda", "rays": "n_rays",
+          "dir": "output_dir", "scorer": "scorers"}
+
+
+def _kind(cls, key: str) -> str:
+    """Type name of the field a key sets, read off the field's default."""
+    name = _FIELD.get(key, key)
+    default = next((f.default for f in fields(cls) if f.name == name), None)
+    return type(default).__name__ if isinstance(default, (bool, int, float)) else "str"
 
 
 def _convert(section: str, key: str, kind: str, raw: str):
@@ -161,121 +136,82 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    values: dict[str, dict] = {}
+    given: dict[str, dict] = {section: {} for section in _SECTIONS}  # field -> value
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        values[section] = {}
+        cls, keys = _SECTIONS[section]
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            values[section][key] = _convert(section, key, _SCHEMA[section][key][0], raw)
+            given[section][_FIELD.get(key, key)] = _convert(section, key, _kind(cls, key), raw)
 
-    def get(section, key):
-        if section in values and key in values[section]:
-            return values[section][key]
-        return _SCHEMA[section][key][1]
-
-    source = get("maps", "source")
-    glob = get("maps", "glob")
+    maps = given["maps"]
+    source = maps.pop("kind", None)
     if source is None:
-        source = "files" if glob else "generate"
+        source = "files" if maps.get("glob") else "generate"
     if source not in ("files", "generate"):
         raise ConfigError(f"[maps] source: must be 'files' or 'generate', got {source!r}")
-    if source == "files" and not glob:
+    if source == "files" and not maps.get("glob"):
         raise ConfigError("[maps] glob: required when maps come from files")
-    if get("maps", "count") < 1:
+    maps = MapSource(kind=source, **maps)
+    if maps.count < 1:
         raise ConfigError("[maps] count: must be >= 1")
-    maps = MapSource(
-        kind=source,
-        glob=glob,
-        count=get("maps", "count"),
-        width=get("maps", "width"),
-        height=get("maps", "height"),
-        map_seed=get("maps", "map_seed"),
-        rooms_min=get("maps", "rooms_min"),
-        rooms_max=get("maps", "rooms_max"),
-        corridor_width=get("maps", "corridor_width"),
-        resolution=get("maps", "resolution"),
-    )
 
-    policy = get("starts", "policy")
-    if policy == "corners":
-        starts: str | list[GridPose] = "corners"
-    elif policy == "explicit":
-        raw = get("starts", "poses")
+    # ExperimentConfig's own fields that the file sets
+    top = given["episode"] | given["metrics"] | given["output"]
+    policy = given["starts"].get("policy")
+    if policy == "explicit":
+        raw = given["starts"].get("poses")
         if raw is None:
             raise ConfigError("[starts] poses: required for explicit starts")
-        starts = _parse_poses(raw)
-    else:
-        raise ConfigError(f"[starts] policy: must be 'corners' or 'explicit', got {policy!r}")
+        top["starts"] = _parse_poses(raw)
+    elif policy is not None:
+        if policy != "corners":
+            raise ConfigError(
+                f"[starts] policy: must be 'corners' or 'explicit', got {policy!r}")
+        top["starts"] = policy
 
-    scorers = [s.strip() for s in get("episode", "scorer").split(",") if s.strip()]
-    if not scorers:
-        raise ConfigError("[episode] scorer: at least one scorer required")
-    for s in scorers:
-        if s not in SCORER_KINDS:
-            raise ConfigError(f"[episode] scorer: unknown kind {s!r}")
+    if "scorers" in top:
+        top["scorers"] = [s.strip() for s in top["scorers"].split(",") if s.strip()]
+        if not top["scorers"]:
+            raise ConfigError("[episode] scorer: at least one scorer required")
+        for s in top["scorers"]:
+            if s not in SCORER_KINDS:
+                raise ConfigError(f"[episode] scorer: unknown kind {s!r}")
 
-    budget = get("episode", "budget")
-    if budget < 0:
+    if "budget" in top and top["budget"] < 0:
         raise ConfigError("[episode] budget: must be >= 0")
 
     try:
-        sensor = SensorSpec(range_lambda=get("sensor", "range"), n_rays=get("sensor", "rays"))
+        sensor = SensorSpec(**given["sensor"])
     except ValueError as exc:
         raise ConfigError(f"[sensor] {exc}") from exc
     try:
-        raycast = RaycastConfig(
-            epsilon=get("raycast", "epsilon"),
-            n_rays=get("raycast", "rays"),
-            range_lambda=get("raycast", "range"),
-        )
+        raycast = RaycastConfig(**given["raycast"])
     except ValueError as exc:
         raise ConfigError(f"[raycast] {exc}") from exc
 
-    kind = get("predictor", "kind")
-    if kind not in PREDICTOR_KINDS:
-        raise ConfigError(f"[predictor] kind: unknown kind {kind!r}")
-    if get("predictor", "ensemble") < 1:
+    predictor = PredictorSpec(**given["predictor"])
+    if predictor.kind not in PREDICTOR_KINDS:
+        raise ConfigError(f"[predictor] kind: unknown kind {predictor.kind!r}")
+    if predictor.ensemble < 1:
         raise ConfigError("[predictor] ensemble: must be >= 1")
-    if kind == "external" and not get("predictor", "command"):
+    if predictor.kind == "external" and not predictor.command:
         raise ConfigError("[predictor] command: required for the external predictor")
-    if kind == "patch" and not get("predictor", "corpus"):
+    if predictor.kind == "patch" and not predictor.corpus:
         raise ConfigError("[predictor] corpus: required for the patch predictor")
-    if not 0.0 <= get("predictor", "flip_rate") <= 1.0:
+    if not 0.0 <= predictor.flip_rate <= 1.0:
         raise ConfigError("[predictor] flip_rate: must be in [0, 1]")
-    predictor = PredictorSpec(
-        kind=kind,
-        ensemble=get("predictor", "ensemble"),
-        flip_rate=get("predictor", "flip_rate"),
-        command=get("predictor", "command"),
-        corpus=get("predictor", "corpus"),
-        block=get("predictor", "block"),
-        ring=get("predictor", "ring"),
-    )
 
-    seeds_raw = get("output", "seeds")
-    try:
-        seeds = [int(s) for s in str(seeds_raw).split(",") if s.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"[output] seeds: cannot parse {seeds_raw!r}") from None
-    if not seeds:
-        raise ConfigError("[output] seeds: at least one seed required")
+    if "seeds" in top:
+        raw = top["seeds"]
+        try:
+            top["seeds"] = [int(s) for s in raw.split(",") if s.strip() != ""]
+        except ValueError:
+            raise ConfigError(f"[output] seeds: cannot parse {raw!r}") from None
+        if not top["seeds"]:
+            raise ConfigError("[output] seeds: at least one seed required")
 
-    return ExperimentConfig(
-        maps=maps,
-        starts=starts,
-        scorers=scorers,
-        budget=budget,
-        min_cluster_size=get("episode", "min_cluster_size"),
-        max_waypoint_age=get("episode", "max_waypoint_age"),
-        sensor=sensor,
-        raycast=raycast,
-        predictor=predictor,
-        checkpoint_every=get("metrics", "checkpoint_every"),
-        tu_goals=get("metrics", "tu_goals"),
-        output_dir=get("output", "dir"),
-        seeds=seeds,
-        snapshots=get("output", "snapshots"),
-    )
+    return ExperimentConfig(maps=maps, sensor=sensor, raycast=raycast, predictor=predictor,
+                            **top)

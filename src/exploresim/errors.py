@@ -27,3 +27,7 @@ class ExternalPredictorError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid experiment or scorer configuration."""
+
+
+class RecordMismatchError(ValueError):
+    """Re-running an episode from its record header did not reproduce the record."""

@@ -67,9 +67,6 @@ class FrontierCluster:
     centroid: GridPose
     size: int
 
-    def cell_set(self) -> set[GridPose]:
-        return {GridPose(int(x), int(y)) for x, y in self.cells}
-
 
 @dataclass
 class ScoreContext:
@@ -88,7 +85,7 @@ def frontier_mask(observed: OccupancyGrid) -> np.ndarray:
     return free & ndimage.binary_dilation(unknown, structure=_EIGHT)
 
 
-def extract_frontiers(observed: OccupancyGrid, min_cluster_size: int = 10) -> list[FrontierCluster]:
+def extract_frontiers(observed: OccupancyGrid, min_cluster_size: int) -> list[FrontierCluster]:
     """8-connected frontier clusters of at least `min_cluster_size` cells."""
     if not observed.is_three_label():
         raise ValueError("frontiers are defined on a three-label observed map")
@@ -198,17 +195,3 @@ def rank_frontiers(clusters: list[FrontierCluster], scores: list[float],
         d = float(np.hypot(cl.centroid.x - robot_pose.x, cl.centroid.y - robot_pose.y))
         keys.append((-s, d, cl.centroid.y, cl.centroid.x, i))
     return [k[-1] for k in sorted(keys)]
-
-
-def select_frontier(clusters: list[FrontierCluster], scores: list[float],
-                    robot_pose: GridPose) -> FrontierCluster | None:
-    """Argmax-score cluster, or None when there is nothing left to explore.
-
-    Ties break toward the smaller robot distance, then the smaller (y, x)
-    centroid.
-    """
-    if not clusters:
-        return None
-    if len(scores) != len(clusters):
-        raise ValueError("scores and clusters differ in length")
-    return clusters[rank_frontiers(clusters, scores, robot_pose)[0]]

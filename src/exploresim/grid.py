@@ -1,4 +1,4 @@
-"""Occupancy grids, grid/world coordinates, and binary PGM raster IO.
+"""Occupancy grids, grid coordinates, and binary PGM raster IO.
 
 Conventions used everywhere in this package:
 
@@ -100,22 +100,6 @@ def new_grid(width: int, height: int, resolution: float = DEFAULT_RESOLUTION) ->
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
     return OccupancyGrid(np.full((height, width), UNKNOWN), resolution)
-
-
-def world_to_grid(wx: float, wy: float, grid: OccupancyGrid) -> GridPose:
-    """Meters to cell indices (floor division by resolution)."""
-    x = int(np.floor(wx / grid.resolution))
-    y = int(np.floor(wy / grid.resolution))
-    if not grid.in_bounds(x, y) or wx < 0 or wy < 0:
-        raise ValueError(f"world point ({wx}, {wy}) is outside the grid extent")
-    return GridPose(x, y)
-
-
-def grid_to_world(pose: GridPose, grid: OccupancyGrid) -> tuple[float, float]:
-    """Cell indices to the cell-center world point, in meters."""
-    if not grid.in_bounds(pose.x, pose.y):
-        raise ValueError(f"cell {pose} is outside the grid")
-    return ((pose.x + 0.5) * grid.resolution, (pose.y + 0.5) * grid.resolution)
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:

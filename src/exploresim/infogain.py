@@ -57,9 +57,6 @@ class VisibilityMask:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def cell_set(self) -> set[GridPose]:
-        return {GridPose(int(x), int(y)) for x, y in self.cells}
-
 
 def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, term_fn):
     if not grid.in_bounds(viewpoint.x, viewpoint.y):

@@ -31,15 +31,10 @@ def building_footprint(gt: OccupancyGrid) -> np.ndarray:
     return ~exterior
 
 
-def coverage(observed: OccupancyGrid, gt: OccupancyGrid) -> float:
-    """Percentage of footprint cells known in the observed map."""
-    if observed.shape != gt.shape:
-        raise ValueError(f"observed {observed.shape} vs ground truth {gt.shape}")
-    return coverage_of(observed, building_footprint(gt))
-
-
 def coverage_of(observed: OccupancyGrid, footprint: np.ndarray) -> float:
-    """Coverage against a precomputed footprint mask."""
+    """Percentage of footprint cells known in the observed map."""
+    if observed.shape != footprint.shape:
+        raise ValueError(f"observed {observed.shape} vs footprint {footprint.shape}")
     total = int(footprint.sum())
     if total == 0:
         return 100.0
@@ -65,8 +60,9 @@ def topological_understanding(
     predicted: OccupancyGrid,
     gt: OccupancyGrid,
     start: GridPose,
-    n_goals: int = 100,
-    seed: int = 0,
+    *,
+    n_goals: int,
+    seed: int,
 ) -> float:
     """Fraction of random in-footprint goals reached by planning on the
     predicted map without touching a ground-truth wall.

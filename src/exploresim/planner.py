@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .frontier import ScoreContext, extract_frontiers, rank_frontiers, score_frontier
 from .grid import OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
 from .infogain import RaycastConfig
-from .predict import PredictorEnsemble, ensemble_predict
+from .predict import ensemble_predict
 from .world import RobotState, SensorSpec, apply_action, integrate_scan, simulate_scan
 
 SQRT2 = math.sqrt(2.0)
@@ -29,12 +29,6 @@ _NEIGHBORS = (
     (1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
     (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2),
 )
-
-
-def octile(ax: int, ay: int, bx: int, by: int) -> float:
-    dx = abs(ax - bx)
-    dy = abs(ay - by)
-    return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
 
 
 def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose] | None:
@@ -66,7 +60,7 @@ def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose
     start_i = start.y * w + start.x
     goal_i = gy * w + gx
     gscore[start_i] = 0.0
-    heap = [(octile(start.x, start.y, gx, gy), 0.0, 0, start.x, start.y)]
+    heap = [(0.0, 0.0, 0, start.x, start.y)]  # popped alone: its f is never compared
     seq = 0
     pop = heapq.heappop
     push = heapq.heappush
@@ -105,14 +99,6 @@ def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose
     return None
 
 
-def path_cost(path: list[GridPose]) -> float:
-    """Octile cost of an 8-connected path."""
-    cost = 0.0
-    for a, b in zip(path, path[1:]):
-        cost += SQRT2 if (a.x != b.x and a.y != b.y) else 1.0
-    return cost
-
-
 def waypoint_valid(
     state: RobotState,
     waypoint: GridPose | None,
@@ -121,7 +107,7 @@ def waypoint_valid(
     *,
     path_index: int = 0,
     age: int = 0,
-    max_age: int = 50,
+    max_age: int,
 ) -> bool:
     """False when the current waypoint should be replanned.
 
@@ -147,14 +133,16 @@ def waypoint_valid(
 
 @dataclass
 class EpisodeConfig:
-    budget_t: int = 1000
-    scorer: str = "mapex"
-    sensor: SensorSpec = field(default_factory=SensorSpec)
-    raycast: RaycastConfig = field(default_factory=RaycastConfig)
-    min_cluster_size: int = 10
-    max_waypoint_age: int = 50
-    checkpoint_every: int = 100
-    collect_checkpoints: bool = False
+    """Everything one episode needs; the experiment config supplies the
+    defaults. Checkpoints are taken every `checkpoint_every` steps (0: never)."""
+
+    budget_t: int
+    scorer: str
+    sensor: SensorSpec
+    raycast: RaycastConfig
+    min_cluster_size: int
+    max_waypoint_age: int
+    checkpoint_every: int
 
     def __post_init__(self):
         if self.budget_t < 0:
@@ -213,7 +201,7 @@ def run_episode(
     gt: OccupancyGrid,
     start: GridPose,
     cfg: EpisodeConfig,
-    ensemble: PredictorEnsemble,
+    ensemble: list,
 ) -> EpisodeRecord:
     """Frontier exploration under a fixed timestep budget.
 
@@ -223,14 +211,13 @@ def run_episode(
     budget, when no frontiers remain ("complete"), or when none of the
     scored frontiers is reachable ("stuck").
     """
-    from .metrics import building_footprint  # local import breaks the module cycle
+    from .metrics import building_footprint, coverage_of  # local import breaks the module cycle
 
     if not gt.in_bounds(start.x, start.y) or gt.at(start) != 0.0:
         raise ValueError(f"start {start} must be a free ground-truth cell")
 
     observed = new_grid(gt.width, gt.height, gt.resolution)
     footprint = building_footprint(gt)
-    fp_count = int(footprint.sum())
 
     state = RobotState(pose=start, t=0)
     rows: list[StepRow] = []
@@ -243,15 +230,10 @@ def run_episode(
     latest_pset = None
     end_reason = "budget"
 
-    def coverage_now() -> float:
-        if fp_count == 0:
-            return 100.0
-        known = (observed.cells != UNKNOWN) & footprint
-        return 100.0 * int(np.count_nonzero(known)) / fp_count
-
     for t in range(cfg.budget_t):
         scan = simulate_scan(gt, state.pose, cfg.sensor)
         integrate_scan(observed, scan)
+        coverage = coverage_of(observed, footprint)
 
         replanned = False
         if not waypoint_valid(
@@ -263,8 +245,7 @@ def run_episode(
             clusters = extract_frontiers(observed, cfg.min_cluster_size)
             if not clusters:
                 end_reason = "complete"
-                rows.append(StepRow(t, state.pose.x, state.pose.y, coverage_now(),
-                                    True, None, None))
+                rows.append(StepRow(t, state.pose.x, state.pose.y, coverage, True, None, None))
                 break
             latest_pset = ensemble_predict(ensemble, observed)
             ctx = ScoreContext(
@@ -292,11 +273,10 @@ def run_episode(
             ))
             if waypoint is None:
                 end_reason = "stuck"
-                rows.append(StepRow(t, state.pose.x, state.pose.y, coverage_now(),
-                                    True, None, None))
+                rows.append(StepRow(t, state.pose.x, state.pose.y, coverage, True, None, None))
                 break
 
-        rows.append(StepRow(t, state.pose.x, state.pose.y, coverage_now(),
+        rows.append(StepRow(t, state.pose.x, state.pose.y, coverage,
                             replanned, waypoint.x, waypoint.y))
 
         if path is not None and path_index + 1 < len(path):
@@ -311,8 +291,7 @@ def run_episode(
             state = apply_action(state, (0, 0), gt)
         age += 1
 
-        if cfg.collect_checkpoints and cfg.checkpoint_every > 0 and \
-                (t + 1) % cfg.checkpoint_every == 0:
+        if cfg.checkpoint_every > 0 and (t + 1) % cfg.checkpoint_every == 0:
             checkpoints.append(Checkpoint(
                 t=t + 1,
                 observed=observed.copy(),

@@ -2,11 +2,12 @@
 ensemble with its mean/variance maps, and a file-protocol hook for plugging
 in an external predictor process.
 
-Every predictor agrees with the observation on known cells; the ensemble
-re-clamps each member before computing statistics, so variance is zero
-wherever the observed map is known. Variance is the population
-(divide-by-n) variance, which is well defined for a single member and
-bounded by 0.25 for values in [0, 1].
+Predictors fill the unknown cells; the ensemble is the one clamp:
+`ensemble_predict` overrides each member's prediction with the known
+observed cells before computing statistics, so every member agrees with
+the observation and variance is zero wherever the observed map is known.
+Variance is the population (divide-by-n) variance, which is well defined
+for a single member and bounded by 0.25 for values in [0, 1].
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class NoisyOraclePredictor:
         rng = np.random.default_rng(self.seed)
         flip = rng.random(self.gt.shape) < self.flip_rate
         filled = np.where(flip, 1.0 - self.gt.cells, self.gt.cells)
-        return OccupancyGrid(clamp_to_observed(filled, observed), observed.resolution)
+        return OccupancyGrid(filled, observed.resolution)
 
 
 class PatchInpaintingPredictor:
@@ -72,7 +73,7 @@ class PatchInpaintingPredictor:
     resolve to the lowest patch index, so prediction is deterministic.
     """
 
-    def __init__(self, corpus: list[OccupancyGrid], block_size: int = 16, ring: int = 2,
+    def __init__(self, corpus: list[OccupancyGrid], block_size: int, ring: int,
                  stride: int | None = None):
         if block_size < 1 or ring < 1:
             raise ValueError("block_size and ring must be positive")
@@ -122,11 +123,15 @@ class PatchInpaintingPredictor:
                 w = min(b, observed.width - bx)
                 target = out[by : by + h, bx : bx + w]
                 target[blk[:h, :w]] = interior[:h, :w][blk[:h, :w]]
-        return OccupancyGrid(clamp_to_observed(out, observed), observed.resolution)
+        return OccupancyGrid(out, observed.resolution)
 
 
 class ExternalPredictor:
-    """Runs `<command> <input.pgm> <output.pgm>` to produce a prediction."""
+    """Runs `<command> <input.pgm> <output.pgm>` to produce a prediction.
+
+    The command gets the observed map as a P5 file and must write its
+    prediction (same dimensions) to the output path, exiting 0.
+    """
 
     def __init__(self, command):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
@@ -134,35 +139,26 @@ class ExternalPredictor:
             raise ValueError("external predictor command is empty")
 
     def predict(self, observed: OccupancyGrid) -> OccupancyGrid:
-        return external_predict(self.command, observed)
-
-
-def external_predict(command, observed: OccupancyGrid) -> OccupancyGrid:
-    """Invoke an external predictor over the PGM file protocol.
-
-    The command gets the observed map as a P5 file and must write its
-    prediction (same dimensions) to the output path, exiting 0.
-    """
-    cmd = shlex.split(command) if isinstance(command, str) else list(command)
-    with tempfile.TemporaryDirectory(prefix="exploresim-") as tmp:
-        in_path = Path(tmp) / "observed.pgm"
-        out_path = Path(tmp) / "predicted.pgm"
-        save_pgm(observed, in_path)
-        proc = subprocess.run(
-            [*cmd, str(in_path), str(out_path)], capture_output=True, text=True
-        )
-        if proc.returncode != 0:
-            raise ExternalPredictorError(
-                f"{cmd[0]} exited {proc.returncode}; stderr: {proc.stderr.strip()[-500:]}"
+        cmd = self.command
+        with tempfile.TemporaryDirectory(prefix="exploresim-") as tmp:
+            in_path = Path(tmp) / "observed.pgm"
+            out_path = Path(tmp) / "predicted.pgm"
+            save_pgm(observed, in_path)
+            proc = subprocess.run(
+                [*cmd, str(in_path), str(out_path)], capture_output=True, text=True
             )
-        if not out_path.exists():
-            raise ExternalPredictorError(f"{cmd[0]} wrote no output file")
-        prediction = load_pgm(out_path, resolution=observed.resolution)
-    if prediction.shape != observed.shape:
-        raise ExternalPredictorError(
-            f"prediction is {prediction.shape}, observed is {observed.shape}"
-        )
-    return OccupancyGrid(clamp_to_observed(prediction.cells, observed), observed.resolution)
+            if proc.returncode != 0:
+                raise ExternalPredictorError(
+                    f"{cmd[0]} exited {proc.returncode}; stderr: {proc.stderr.strip()[-500:]}"
+                )
+            if not out_path.exists():
+                raise ExternalPredictorError(f"{cmd[0]} wrote no output file")
+            prediction = load_pgm(out_path, resolution=observed.resolution)
+        if prediction.shape != observed.shape:
+            raise ExternalPredictorError(
+                f"prediction is {prediction.shape}, observed is {observed.shape}"
+            )
+        return prediction
 
 
 @dataclass
@@ -175,34 +171,16 @@ class PredictionSet:
     variance: OccupancyGrid
 
 
-class PredictorEnsemble:
-    """A bag of predictors evaluated together on the same observation."""
-
-    def __init__(self, members):
-        members = list(members)
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        self.members = members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def predict(predictor, observed: OccupancyGrid) -> OccupancyGrid:
-    """Run one predictor; the output agrees with every known observed cell."""
-    if not observed.is_three_label():
-        raise ValueError("predictors take a three-label observed map")
-    out = predictor.predict(observed)
-    return OccupancyGrid(clamp_to_observed(out.cells, observed), observed.resolution)
-
-
-def ensemble_predict(ensemble: PredictorEnsemble, observed: OccupancyGrid) -> PredictionSet:
-    """Run every member and compute the mean and variance maps."""
+def ensemble_predict(members: list, observed: OccupancyGrid) -> PredictionSet:
+    """Run every member, clamp each prediction to the known observed cells,
+    and compute the mean and variance maps."""
+    if not members:
+        raise ValueError("ensemble needs at least one member")
     if not observed.is_three_label():
         raise ValueError("predictors take a three-label observed map")
     stacks = []
     predictions = []
-    for i, member in enumerate(ensemble.members):
+    for i, member in enumerate(members):
         try:
             p = member.predict(observed)
         except Exception as exc:

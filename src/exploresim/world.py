@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidStateError
-from .grid import FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid
+from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, GridPose, OccupancyGrid
 from .trace import first_true_index, gather_values, ray_cell_table
 
 # Action name -> (dx, dy); y grows downward, so N is y-1.
@@ -29,6 +29,10 @@ ACTIONS = {
     "NW": (-1, -1),
     "STAY": (0, 0),
 }
+
+# Floor-plan generator defaults, shared with the [maps] config section.
+ROOM_COUNT_RANGE = (6, 12)
+CORRIDOR_WIDTH = 8  # cells
 
 
 @dataclass(frozen=True)
@@ -57,13 +61,6 @@ class Scan:
     endpoints: np.ndarray  # (n_rays, 2) int, columns (x, y)
     hits: np.ndarray  # (n_rays,) bool
     free_cells: np.ndarray = field(repr=False)  # (m, 2) int, columns (x, y)
-
-    @property
-    def rays(self) -> list[tuple[GridPose, bool]]:
-        return [
-            (GridPose(int(x), int(y)), bool(h))
-            for (x, y), h in zip(self.endpoints, self.hits)
-        ]
 
 
 @dataclass(frozen=True)
@@ -150,11 +147,11 @@ def apply_action(state: RobotState, action, gt: OccupancyGrid) -> RobotState:
 
 def generate_floorplan(
     seed: int,
-    width: int = 200,
-    height: int = 200,
-    room_count_range: tuple[int, int] = (6, 12),
-    corridor_width: int = 8,
-    resolution: float = 0.1,
+    width: int,
+    height: int,
+    room_count_range: tuple[int, int] = ROOM_COUNT_RANGE,
+    corridor_width: int = CORRIDOR_WIDTH,
+    resolution: float = DEFAULT_RESOLUTION,
 ) -> OccupancyGrid:
     """Procedural binary floor plan: two strips of rectangular rooms joined
     by a horizontal corridor spine, behind a closed boundary ring.

@@ -1,12 +1,35 @@
 import json
-import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exploresim import ConfigError, FREE, OCCUPIED, GridPose, OccupancyGrid, load_pgm, save_pgm
-from exploresim.cli import corner_starts, main, replay, run_experiment
-from exploresim.config import parse_config
+from exploresim import (
+    FREE,
+    OCCUPIED,
+    SCORER_KINDS,
+    ConfigError,
+    GridPose,
+    OccupancyGrid,
+    RaycastConfig,
+    RecordMismatchError,
+    SensorSpec,
+    load_pgm,
+    save_pgm,
+)
+from exploresim.cli import (
+    RowSpec,
+    corner_starts,
+    main,
+    materialize_maps,
+    replay,
+    run_experiment,
+    run_row,
+)
+from exploresim.config import ExperimentConfig, MapSource, PredictorSpec, parse_config
 
 
 def write_config(path, text):
@@ -30,6 +53,8 @@ glob = {tmp_path}/room.pgm
     assert cfg.scorers == ["mapex"]
     assert cfg.starts == "corners"
     assert cfg.seeds == [0]
+    # every key the file leaves out takes the dataclass default
+    assert cfg == ExperimentConfig(maps=MapSource(kind="files", glob=f"{tmp_path}/room.pgm"))
 
 
 def test_config_rejects_bad_epsilon(tmp_path):
@@ -248,19 +273,121 @@ def test_record_log_structure(tmp_path):
     assert any(l["type"] == "replan" for l in lines)
 
 
+# A row that ends "complete" at t=93, so t+1 is a multiple of checkpoint_every
+# and the episode stops before its checkpoint at 94.
+COMPLETES_ON_A_CHECKPOINT = """
+[maps]
+source = generate
+count = 1
+width = 60
+height = 60
+
+[starts]
+policy = explicit
+poses = 1,1
+
+[episode]
+budget = 2000
+scorer = nearest
+
+[sensor]
+range = 4.0
+rays = 200
+
+[predictor]
+kind = passthrough
+ensemble = 2
+
+[metrics]
+checkpoint_every = 1
+tu_goals = 0
+
+[output]
+dir = {out}
+"""
+
+
+def _first_row_dir(results):
+    return sorted(results.glob("*/record.jsonl"))[0].parent
+
+
 def test_replay_reemits_identical_snapshots(tmp_path):
+    configs = [
+        _write_experiment(tmp_path),
+        write_config(tmp_path / "complete.ini",
+                     COMPLETES_ON_A_CHECKPOINT.format(out=tmp_path / "complete")),
+    ]
+    for i, cfg_path in enumerate(configs):
+        cfg = parse_config(cfg_path)
+        run_experiment(cfg)
+        row_dir = _first_row_dir(Path(cfg.output_dir))
+        originals = sorted(row_dir.glob("*.pgm"))
+        assert originals  # checkpoint snapshots were written
+        out = tmp_path / f"replayed{i}"
+        written = replay(row_dir / "record.jsonl", out)
+        assert written
+        assert {p.name for p in out.iterdir()} == {p.name for p in originals}
+        assert {p.name for p in written} == {p.name for p in originals}
+        for orig in originals:
+            assert (out / orig.name).read_bytes() == orig.read_bytes()
+    end = json.loads((row_dir / "record.jsonl").read_text().splitlines()[-1])
+    assert (end["reason"], end["t"]) == ("complete", 93)
+
+
+def _tampered_copy(record, dest, kind):
+    """Copy of a record with one step's coverage or one replan's chosen
+    frontier changed; returns the t of the changed line."""
+    lines = record.read_text().splitlines()
+    for i, line in enumerate(lines):
+        obj = json.loads(line)
+        if kind == "step" and obj["type"] == "step" and obj["t"] >= 3:
+            obj["coverage"] += 1.0
+        elif kind == "replan" and obj["type"] == "replan" and obj["chosen"] is not None:
+            obj["chosen"][0] += 1
+        else:
+            continue
+        lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        dest.write_text("\n".join(lines) + "\n")
+        return obj["t"]
+    raise AssertionError(f"record has no {kind} line to change")
+
+
+def test_replay_verifies_the_record(tmp_path, capsys):
     cfg = parse_config(_write_experiment(tmp_path))
     run_experiment(cfg)
-    row_dir = sorted((tmp_path / "results").glob("*/record.jsonl"))[0].parent
-    originals = sorted(row_dir.glob("*.pgm"))
-    assert originals  # checkpoint snapshots were written
-    out = tmp_path / "replayed"
-    written = replay(row_dir / "record.jsonl", out)
-    assert written
-    for orig in originals:
-        again = out / orig.name
-        assert again.exists()
-        assert again.read_bytes() == orig.read_bytes()
+    record = _first_row_dir(tmp_path / "results") / "record.jsonl"
+    for kind in ("step", "replan"):
+        bad = tmp_path / f"bad_{kind}.jsonl"
+        t = _tampered_copy(record, bad, kind)
+        with pytest.raises(RecordMismatchError, match=rf"\(t={t}\) differs"):
+            replay(bad, tmp_path / "out")
+        capsys.readouterr()
+        assert main(["replay", str(bad), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and f"t={t}" in err
+    assert main(["replay", str(record), "--out", str(tmp_path / "out")]) == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(map_seed=st.integers(0, 99), corner=st.integers(0, 3),
+       scorer=st.sampled_from(SCORER_KINDS),
+       predictor=st.sampled_from(["passthrough", "noisy_oracle"]))
+def test_replay_reproduces_any_record(map_seed, corner, scorer, predictor):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        cfg = ExperimentConfig(
+            maps=MapSource(kind="generate", count=1, width=60, height=60, map_seed=map_seed),
+            scorers=[scorer], budget=30, sensor=SensorSpec(3.0, 120),
+            raycast=RaycastConfig(n_rays=16, range_lambda=3.0),
+            predictor=PredictorSpec(kind=predictor, ensemble=2), checkpoint_every=7,
+            tu_goals=0, output_dir=tmp,
+        )
+        label, gt = materialize_maps(cfg.maps)[0]
+        spec = RowSpec(label, 0, corner_starts(gt)[corner], corner, scorer, 0)
+        assert run_row(cfg, spec, gt, out)["status"] == "ok"
+        originals = sorted(p.name for p in (out / spec.name).glob("*.pgm"))
+        written = replay(out / spec.name / "record.jsonl", out / "replayed")
+        assert sorted(p.name for p in written) == originals
 
 
 def test_cli_generate_maps_and_score_map(tmp_path, capsys):

@@ -8,14 +8,12 @@ from exploresim import (
     ConfigError,
     GridPose,
     OccupancyGrid,
-    PredictorEnsemble,
     RaycastConfig,
     ScoreContext,
     ensemble_predict,
     extract_frontiers,
     new_grid,
     score_frontier,
-    select_frontier,
 )
 from exploresim.frontier import rank_frontiers
 from exploresim.predict import PredictionSet, PassThroughPredictor
@@ -57,12 +55,13 @@ def test_revealed_disc_rim_is_one_cluster():
     clusters = extract_frontiers(observed, 1)
     assert len(clusters) == 1
     cl = clusters[0]
-    assert cl.cell_set() == {GridPose(x, y) for x, y in brute_force_frontier_cells(observed)}
+    members = {(int(x), int(y)) for x, y in cl.cells}
+    assert members == brute_force_frontier_cells(observed)
     # rim cells only: every member is on the free/unknown boundary
     mx = cl.cells[:, 0].mean()
     my = cl.cells[:, 1].mean()
     assert abs(mx - 15) <= 1.0 and abs(my - 15) <= 1.0  # coordinate mean is central
-    assert cl.centroid in cl.cell_set()  # snapped to a member cell
+    assert tuple(cl.centroid) in members  # snapped to a member cell
 
 
 def test_extraction_matches_definition_scan_on_random_maps():
@@ -181,20 +180,20 @@ def test_missing_prediction_set_is_config_error():
         score_frontier(_cluster_at(8, 8), "bogus", ctx)
 
 
+# The episode selects the first frontier rank_frontiers returns.
 def test_select_single_cluster():
-    cl = _cluster_at(3, 3)
-    assert select_frontier([cl], [1.0], GridPose(0, 0)) is cl
+    assert rank_frontiers([_cluster_at(3, 3)], [1.0], GridPose(0, 0)) == [0]
 
 
 def test_select_empty_signals_completion():
-    assert select_frontier([], [], GridPose(0, 0)) is None
+    assert rank_frontiers([], [], GridPose(0, 0)) == []
 
 
 def test_select_prefers_higher_score_from_distance_division():
     # Equal raw gain, distances 5 and 9: division by distance picks the near one.
     near, far = _cluster_at(5, 0), _cluster_at(9, 0)
     pose = GridPose(0, 0)
-    assert select_frontier([far, near], [10.0 / 9.0, 10.0 / 5.0], pose) is near
+    assert rank_frontiers([far, near], [10.0 / 9.0, 10.0 / 5.0], pose)[0] == 1
 
 
 def test_select_tie_breaks_lexicographically():
@@ -202,7 +201,7 @@ def test_select_tie_breaks_lexicographically():
     a = _cluster_at(5, 0)  # centroid (y=0, x=5)
     b = _cluster_at(0, 5)  # centroid (y=5, x=0)
     # same score, same distance: smaller (y, x) wins -> a
-    assert select_frontier([b, a], [1.0, 1.0], pose) is a
+    assert rank_frontiers([b, a], [1.0, 1.0], pose)[0] == 1
 
 
 def test_rank_is_deterministic_and_total():

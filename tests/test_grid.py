@@ -8,11 +8,9 @@ from exploresim import (
     GridPose,
     OccupancyGrid,
     PgmParseError,
-    grid_to_world,
     load_pgm,
     new_grid,
     save_pgm,
-    world_to_grid,
 )
 
 
@@ -45,38 +43,6 @@ def test_grid_rejects_out_of_range_values():
         OccupancyGrid(np.full((2, 2), 1.5))
     with pytest.raises(ValueError):
         OccupancyGrid(np.full((2, 2), -0.1))
-
-
-def test_world_to_grid_floor_division():
-    g = new_grid(10, 10, 0.1)
-    assert world_to_grid(0.55, 0.19, g) == GridPose(5, 1)
-
-
-def test_world_to_grid_origin():
-    g = new_grid(10, 10, 0.1)
-    assert world_to_grid(0.0, 0.0, g) == GridPose(0, 0)
-
-
-def test_world_to_grid_out_of_extent():
-    g = new_grid(10, 10, 0.1)
-    with pytest.raises(ValueError):
-        world_to_grid(-0.1, 0.0, g)
-    with pytest.raises(ValueError):
-        world_to_grid(1.0, 0.5, g)  # 1.0 m is one past the last column
-
-
-def test_grid_to_world_returns_cell_center():
-    g = new_grid(10, 10, 0.1)
-    wx, wy = grid_to_world(GridPose(5, 1), g)
-    assert wx == pytest.approx(0.55) and wy == pytest.approx(0.15)
-
-
-def test_world_grid_round_trip_is_identity():
-    g = new_grid(17, 9, 0.25)
-    for x in range(g.width):
-        for y in range(g.height):
-            wx, wy = grid_to_world(GridPose(x, y), g)
-            assert world_to_grid(wx, wy, g) == GridPose(x, y)
 
 
 def test_pgm_pixel_conventions(tmp_path):

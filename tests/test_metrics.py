@@ -11,7 +11,7 @@ from exploresim import (
     OccupancyGrid,
     auc,
     building_footprint,
-    coverage,
+    coverage_of,
     iou_occupied,
     new_grid,
     topological_understanding,
@@ -82,13 +82,13 @@ def test_footprint_matches_reachability_oracle_on_random_maps():
 
 def test_coverage_all_unknown_is_zero():
     gt, _ = _room_with_margin()
-    assert coverage(new_grid(30, 30), gt) == 0.0
+    assert coverage_of(new_grid(30, 30), building_footprint(gt)) == 0.0
 
 
 def test_coverage_complete_is_100():
     gt, _ = _room_with_margin()
     observed = OccupancyGrid(gt.cells.copy(), 0.1)
-    assert coverage(observed, gt) == pytest.approx(100.0)
+    assert coverage_of(observed, building_footprint(gt)) == pytest.approx(100.0)
 
 
 def test_coverage_half_split_exact():
@@ -98,20 +98,22 @@ def test_coverage_half_split_exact():
     gt = OccupancyGrid(cells, 0.1)
     observed = new_grid(20, 20)
     observed.cells[5:10, 5:15] = OCCUPIED  # 50 footprint cells known
-    assert coverage(observed, gt) == pytest.approx(50.0)
+    assert coverage_of(observed, building_footprint(gt)) == pytest.approx(50.0)
 
 
 def test_coverage_dimension_mismatch():
     gt, _ = _room_with_margin()
     with pytest.raises(ValueError):
-        coverage(new_grid(10, 10), gt)
+        coverage_of(new_grid(10, 10), building_footprint(gt))
+    with pytest.raises(ValueError):  # would broadcast without the shape check
+        coverage_of(new_grid(30, 1), building_footprint(gt))
 
 
 def test_coverage_ignores_exterior_cells():
     gt, (lo, hi) = _room_with_margin()
     observed = new_grid(30, 30)
     observed.cells[0:3, 0:3] = FREE  # exterior-only knowledge
-    assert coverage(observed, gt) == 0.0
+    assert coverage_of(observed, building_footprint(gt)) == 0.0
 
 
 def test_iou_identical_maps():

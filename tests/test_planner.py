@@ -12,18 +12,21 @@ from exploresim import (
     GridPose,
     OccupancyGrid,
     PassThroughPredictor,
-    PredictorEnsemble,
     RaycastConfig,
     RobotState,
     SensorSpec,
     astar,
     new_grid,
-    path_cost,
     run_episode,
     waypoint_valid,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def path_cost(path):
+    """Octile cost of an 8-connected path."""
+    return sum(SQRT2 if (a.x != b.x and a.y != b.y) else 1.0 for a, b in zip(path, path[1:]))
 
 
 def ucs_cost_oracle(blocked, start, goal):
@@ -137,7 +140,7 @@ def test_waypoint_invalid_on_arrival():
     state = RobotState(GridPose(5, 5))
     observed.cells[:, :] = UNKNOWN
     observed.cells[5, 6] = FREE
-    assert not waypoint_valid(state, GridPose(6, 5), path, observed)
+    assert not waypoint_valid(state, GridPose(6, 5), path, observed, max_age=50)
 
 
 def test_waypoint_invalid_when_new_wall_crosses_path():
@@ -145,9 +148,9 @@ def test_waypoint_invalid_when_new_wall_crosses_path():
     path = [GridPose(1, 1), GridPose(2, 1), GridPose(3, 1), GridPose(4, 1)]
     observed.cells[1, 3] = OCCUPIED
     state = RobotState(GridPose(1, 1))
-    assert not waypoint_valid(state, GridPose(4, 1), path, observed)
+    assert not waypoint_valid(state, GridPose(4, 1), path, observed, max_age=50)
     # cells already passed do not invalidate the plan
-    assert waypoint_valid(state, GridPose(4, 1), path, observed, path_index=3)
+    assert waypoint_valid(state, GridPose(4, 1), path, observed, path_index=3, max_age=50)
 
 
 def test_waypoint_invalid_when_frontier_dissolves():
@@ -155,7 +158,7 @@ def test_waypoint_invalid_when_frontier_dissolves():
     observed.cells[:, :] = FREE  # fully known: waypoint has no unknown neighbor
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4), GridPose(5, 5)]
     state = RobotState(GridPose(1, 1))
-    assert not waypoint_valid(state, GridPose(5, 5), path, observed)
+    assert not waypoint_valid(state, GridPose(5, 5), path, observed, max_age=50)
 
 
 def test_waypoint_invalid_when_too_old():
@@ -174,7 +177,7 @@ def test_waypoint_valid_fresh_plan():
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4),
             GridPose(5, 5), GridPose(6, 6)]
     state = RobotState(GridPose(1, 1))
-    assert waypoint_valid(state, GridPose(6, 6), path, observed, age=3)
+    assert waypoint_valid(state, GridPose(6, 6), path, observed, age=3, max_age=50)
 
 
 def _single_room(n=29):
@@ -185,17 +188,18 @@ def _single_room(n=29):
 
 
 def _passthrough_ensemble(n=3):
-    return PredictorEnsemble([PassThroughPredictor() for _ in range(n)])
+    return [PassThroughPredictor() for _ in range(n)]
 
 
-def _small_cfg(budget, scorer="nearest", **kw):
+def _small_cfg(budget, scorer="nearest", checkpoint_every=0):
     return EpisodeConfig(
         budget_t=budget,
         scorer=scorer,
         sensor=SensorSpec(range_lambda=3.0, n_rays=360),
         raycast=RaycastConfig(epsilon=0.8, n_rays=24, range_lambda=3.0),
         min_cluster_size=1,
-        **kw,
+        max_waypoint_age=50,
+        checkpoint_every=checkpoint_every,
     )
 
 
@@ -258,7 +262,9 @@ def test_episode_checkpoints_collected():
     gt = _single_room(41)
     gt.cells[20, 5:35] = 1.0
     gt.cells[20, 18:22] = 0.0
-    cfg = _small_cfg(25, checkpoint_every=10, collect_checkpoints=True)
+    cfg = _small_cfg(25, checkpoint_every=10)
     rec = run_episode(gt, GridPose(5, 5), cfg, _passthrough_ensemble())
     ts = [cp.t for cp in rec.checkpoints]
     assert ts == [t for t in (10, 20) if t <= rec.final_t]
+    rec = run_episode(gt, GridPose(5, 5), _small_cfg(25), _passthrough_ensemble())
+    assert rec.checkpoints == []  # checkpoint_every 0 takes none

@@ -13,14 +13,17 @@ from exploresim import (
     NoisyOraclePredictor,
     OccupancyGrid,
     PassThroughPredictor,
+    ExternalPredictor,
     PatchInpaintingPredictor,
-    PredictorEnsemble,
     ensemble_predict,
-    external_predict,
     new_grid,
-    predict,
     save_pgm,
 )
+
+
+def predict(predictor, observed):
+    """One predictor run through the ensemble, the one clamp to the observation."""
+    return ensemble_predict([predictor], observed).predictions[0]
 
 
 def random_three_label(rng, n=24):
@@ -123,7 +126,7 @@ def test_patch_inpainter_selection_matches_exhaustive_search():
 def test_ensemble_identical_members_zero_variance():
     rng = np.random.default_rng(6)
     observed = random_three_label(rng)
-    ens = PredictorEnsemble([PassThroughPredictor() for _ in range(3)])
+    ens = [PassThroughPredictor() for _ in range(3)]
     ps = ensemble_predict(ens, observed)
     assert (ps.variance.cells == 0.0).all()
     assert ps.mean == ps.predictions[0]
@@ -139,7 +142,7 @@ class _ConstantPredictor:
 
 def test_ensemble_two_member_spread():
     observed = new_grid(4, 4)
-    ens = PredictorEnsemble([_ConstantPredictor(0.0), _ConstantPredictor(1.0)])
+    ens = [_ConstantPredictor(0.0), _ConstantPredictor(1.0)]
     ps = ensemble_predict(ens, observed)
     assert (ps.mean.cells == 0.5).all()
     assert (ps.variance.cells == 0.25).all()
@@ -147,7 +150,7 @@ def test_ensemble_two_member_spread():
 
 def test_ensemble_three_member_variance_value():
     observed = new_grid(5, 5)
-    ens = PredictorEnsemble([_ConstantPredictor(v) for v in (0.2, 0.5, 0.8)])
+    ens = [_ConstantPredictor(v) for v in (0.2, 0.5, 0.8)]
     ps = ensemble_predict(ens, observed)
     # population variance of {0.2, 0.5, 0.8} = (0.09 + 0 + 0.09)/3 = 0.06
     assert ps.variance.cells[0, 0] == pytest.approx(0.06, rel=1e-12)
@@ -160,7 +163,7 @@ def test_ensemble_variance_zero_on_known_cells_and_bounded():
     rng = np.random.default_rng(7)
     gt = random_binary(rng)
     observed = random_three_label(rng)
-    ens = PredictorEnsemble([NoisyOraclePredictor(gt, 0.5, seed=s) for s in (1, 2, 3)])
+    ens = [NoisyOraclePredictor(gt, 0.5, seed=s) for s in (1, 2, 3)]
     ps = ensemble_predict(ens, observed)
     known = observed.cells != UNKNOWN
     assert (ps.variance.cells[known] == 0.0).all()
@@ -171,7 +174,7 @@ def test_ensemble_statistics_recompute_exactly():
     rng = np.random.default_rng(8)
     gt = random_binary(rng)
     observed = random_three_label(rng)
-    ens = PredictorEnsemble([NoisyOraclePredictor(gt, 0.4, seed=s) for s in (4, 5, 6)])
+    ens = [NoisyOraclePredictor(gt, 0.4, seed=s) for s in (4, 5, 6)]
     ps = ensemble_predict(ens, observed)
     stack = np.stack([p.cells for p in ps.predictions])
     assert (stack.mean(axis=0) == ps.mean.cells).all()
@@ -182,7 +185,7 @@ def test_ensemble_determinism():
     rng = np.random.default_rng(9)
     gt = random_binary(rng)
     observed = random_three_label(rng)
-    ens = PredictorEnsemble([NoisyOraclePredictor(gt, 0.1, seed=s) for s in (7, 8, 9)])
+    ens = [NoisyOraclePredictor(gt, 0.1, seed=s) for s in (7, 8, 9)]
     a = ensemble_predict(ens, observed)
     b = ensemble_predict(ens, observed)
     assert a.mean == b.mean and a.variance == b.variance
@@ -196,10 +199,15 @@ class _Boom:
 
 def test_ensemble_error_names_the_member():
     observed = new_grid(3, 3)
-    ens = PredictorEnsemble([PassThroughPredictor(), _Boom()])
+    ens = [PassThroughPredictor(), _Boom()]
     with pytest.raises(EnsembleError) as exc:
         ensemble_predict(ens, observed)
     assert exc.value.member == 1
+
+
+def test_empty_ensemble_is_rejected():
+    with pytest.raises(ValueError, match="at least one member"):
+        ensemble_predict([], new_grid(3, 3))
 
 
 COPY_CMD = [sys.executable, "-c", "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"]
@@ -213,23 +221,23 @@ WRONG_SIZE_CMD = [
 def test_external_copy_behaves_as_passthrough():
     rng = np.random.default_rng(10)
     observed = random_three_label(rng, 12)
-    out = external_predict(COPY_CMD, observed)
+    out = ExternalPredictor(COPY_CMD).predict(observed)
     assert out == predict(PassThroughPredictor(), observed)
 
 
 def test_external_nonzero_exit():
     observed = new_grid(4, 4)
     with pytest.raises(ExternalPredictorError):
-        external_predict(FAIL_CMD, observed)
+        ExternalPredictor(FAIL_CMD).predict(observed)
 
 
 def test_external_wrong_dimensions():
     observed = new_grid(4, 4)
     with pytest.raises(ExternalPredictorError):
-        external_predict(WRONG_SIZE_CMD, observed)
+        ExternalPredictor(WRONG_SIZE_CMD).predict(observed)
 
 
 def test_external_missing_output():
     observed = new_grid(4, 4)
     with pytest.raises(ExternalPredictorError):
-        external_predict([sys.executable, "-c", "pass"], observed)
+        ExternalPredictor([sys.executable, "-c", "pass"]).predict(observed)

@@ -61,8 +61,8 @@ def test_adjacent_wall_is_hit():
     gt = OccupancyGrid(np.zeros((11, 11)), 0.1)
     gt.cells[5, 6] = OCCUPIED  # directly east of the pose
     scan = simulate_scan(gt, GridPose(5, 5), SensorSpec(range_lambda=2.0, n_rays=8))
-    east = scan.rays[0]  # ray 0 points along +x
-    assert east == (GridPose(6, 5), True)
+    # ray 0 points along +x
+    assert (GridPose(*scan.endpoints[0]), scan.hits[0]) == (GridPose(6, 5), True)
 
 
 def test_scan_requires_free_pose():
