@@ -27,7 +27,6 @@ from .grid import (
 )
 from .infogain import (
     RaycastConfig,
-    VisibilityMask,
     deterministic_raycast,
     info_gain,
     probabilistic_raycast,
@@ -50,7 +49,6 @@ from .predict import (
     ensemble_predict,
 )
 from .world import (
-    ACTIONS,
     RobotState,
     Scan,
     SensorSpec,

@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -123,7 +124,11 @@ def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> 
 
 @dataclass
 class RowSpec:
-    """One (map, start, scorer, seed) cell of the experiment grid."""
+    """One (map, start, scorer, seed) cell of the experiment grid.
+
+    Nothing here reads `start_index`; it stays because callers, such as the
+    benchmark's workloads, build a RowSpec from six positional arguments.
+    """
 
     map_label: str
     map_index: int
@@ -166,7 +171,8 @@ def record_lines(record: EpisodeRecord, header: dict) -> list[str]:
 def _map_descriptor(cfg_maps: MapSource, map_index: int) -> dict:
     if cfg_maps.kind == "files":
         paths = sorted(globmod.glob(cfg_maps.glob))
-        return {"kind": "file", "path": paths[map_index], "resolution": cfg_maps.resolution}
+        return {"kind": "file", "path": os.path.abspath(paths[map_index]),
+                "resolution": cfg_maps.resolution}
     return {
         "kind": "generated", "seed": cfg_maps.map_seed + map_index,
         "width": cfg_maps.width, "height": cfg_maps.height,
@@ -196,6 +202,9 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
 
 
 def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
+    """The record header. File paths in it are absolute, so the record
+    replays from any working directory."""
+    corpus = cfg.predictor.corpus and os.path.abspath(cfg.predictor.corpus)
     seeds = [member_seed(spec.seed, spec.map_index, i) for i in range(cfg.predictor.ensemble)]
     return {
         "map": _map_descriptor(cfg.maps, spec.map_index),
@@ -209,7 +218,7 @@ def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
                     "range": cfg.raycast.range_lambda},
         "predictor": {"kind": cfg.predictor.kind, "ensemble": cfg.predictor.ensemble,
                       "flip_rate": cfg.predictor.flip_rate, "command": cfg.predictor.command,
-                      "corpus": cfg.predictor.corpus, "block": cfg.predictor.block,
+                      "corpus": corpus, "block": cfg.predictor.block,
                       "ring": cfg.predictor.ring, "member_seeds": seeds},
         "min_cluster_size": cfg.min_cluster_size,
         "max_waypoint_age": cfg.max_waypoint_age,
@@ -274,14 +283,14 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
                 pred, gt, spec.start, n_goals=cfg.tu_goals, seed=spec.seed)))
     final_pred = record.final_prediction_mean or record.final_observed
     final_iou = iou_occupied(final_pred, gt, footprint)
+    tu_final = tu_points[-1][1] if tu_points else ""
     if not iou_times or iou_times[-1] != record.final_t:
+        # The episode ended after its last checkpoint: score the final map.
         iou_series.append(final_iou)
         iou_times.append(record.final_t)
-    tu_final = tu_points[-1][1] if tu_points else (
-        topological_understanding(final_pred, gt, spec.start,
-                                  n_goals=cfg.tu_goals, seed=spec.seed)
-        if cfg.tu_goals > 0 else ""
-    )
+        if cfg.tu_goals > 0:
+            tu_final = topological_understanding(final_pred, gt, spec.start,
+                                                 n_goals=cfg.tu_goals, seed=spec.seed)
 
     result = {
         "map": spec.map_label, "start_x": spec.start.x, "start_y": spec.start.y,
@@ -289,7 +298,7 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
         "end_reason": record.end_reason, "steps": record.final_t,
         "final_coverage": record.final_coverage, "coverage_auc": cov_auc,
         "final_iou": final_iou,
-        "iou_auc": auc(iou_series, iou_times) if len(iou_series) > 1 else final_iou,
+        "iou_auc": auc(iou_series, iou_times),
         "tu_final": tu_final,
         "tu_checkpoints": ";".join(f"{t}:{v:.4f}" for t, v in tu_points),
         "wall_time_s": round(wall, 3),
@@ -302,16 +311,18 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
 def _run_row_task(args):
     cfg, spec, desc, out_dir = args
     gt = _gt_from_descriptor(desc)
+    error_path = Path(out_dir) / spec.name / "error.txt"
     try:
-        return run_row(cfg, spec, gt, Path(out_dir))
+        result = run_row(cfg, spec, gt, Path(out_dir))
     except Exception as exc:  # a failed row must not sink the batch
-        return {
-            "map": spec.map_label, "start_x": spec.start.x, "start_y": spec.start.y,
-            "scorer": spec.scorer, "seed": spec.seed, "status": f"error: {exc}",
-            "end_reason": "", "steps": "", "final_coverage": "", "coverage_auc": "",
-            "final_iou": "", "iou_auc": "", "tu_final": "", "tu_checkpoints": "",
-            "wall_time_s": "",
-        }
+        error_path.parent.mkdir(parents=True, exist_ok=True)
+        error_path.write_text(traceback.format_exc())
+        row = dict.fromkeys(CSV_COLUMNS, "")
+        row.update(map=spec.map_label, start_x=spec.start.x, start_y=spec.start.y,
+                   scorer=spec.scorer, seed=spec.seed, status=f"error: {exc}")
+        return row
+    error_path.unlink(missing_ok=True)
+    return result
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[dict]:

@@ -14,7 +14,8 @@ Euclidean distance in cells, floored at 1 cell. The scorer kinds:
     deterministic same mask geometry but cast by occupancy threshold
     no_variance   cell count of the probabilistic mask
     observed_map  cell count of a deterministic mask cast on the observed
-                  map with unknown treated as traversable
+                  map itself: unknown (0.5) is not above the 0.5 stop
+                  threshold, so only observed walls stop its rays
     no_visibility variance summed within 5 m of the centroid, no raycast
     nearest       1 / distance
     variance_only variance summed within 5 m of the straight robot-to-
@@ -30,7 +31,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError
-from .grid import FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid
+from .grid import FREE, UNKNOWN, GridPose, OccupancyGrid
 from .infogain import (
     RaycastConfig,
     deterministic_raycast,
@@ -137,13 +138,6 @@ def _line_corridor_variance_sum(a: GridPose, b: GridPose, radius_cells: float,
     return float(variance.cells[dist <= radius_cells].sum())
 
 
-def _observed_as_traversable(observed: OccupancyGrid) -> OccupancyGrid:
-    """Unknown treated as free so only observed walls stop rays."""
-    return OccupancyGrid(
-        np.where(observed.cells == OCCUPIED, OCCUPIED, FREE), observed.resolution
-    )
-
-
 def score_frontier(cluster: FrontierCluster, kind: str, ctx: ScoreContext) -> float:
     """Kind-specific raw gain divided by the distance to the robot."""
     if kind not in SCORER_KINDS:
@@ -171,8 +165,7 @@ def score_frontier(cluster: FrontierCluster, kind: str, ctx: ScoreContext) -> fl
         return gain / dist
 
     if kind == "observed_map":
-        cast_map = _observed_as_traversable(ctx.observed)
-        endpoints = deterministic_raycast(c, cast_map, ctx.raycast)
+        endpoints = deterministic_raycast(c, ctx.observed, ctx.raycast)
         mask = visibility_mask(c, endpoints, ctx.observed)
         return len(mask) / dist
 

@@ -2,12 +2,19 @@
 visibility-mask construction by flood fill, and the gain sum over the
 variance map.
 
+Both casts walk `trace.ray_cell_table` and end each ray with
+`trace.ray_ends`, the sensor's own stop rule; they differ only in the stop
+mask. Endpoints and visibility masks are (N, 2) int arrays with columns
+(x, y), like `Scan.endpoints`.
+
 A probabilistic ray accumulates the occupancy value of every new cell it
 traverses and stops once the running total reaches the threshold epsilon;
 a cell of value 1.0 therefore stops any ray with epsilon <= 1, which makes
 the probabilistic and deterministic casts coincide on binary maps. The
 viewpoint's own cell never contributes to the total, so standing on an
-uncertain predicted cell does not self-terminate the cast.
+uncertain predicted cell does not self-terminate the cast. A deterministic
+ray stops at the first cell above 0.5, so on a three-label observed map
+unknown cells (0.5) let it through and only observed walls stop it.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import UNKNOWN, GridPose, OccupancyGrid
-from .trace import bresenham_line, first_true_index, gather_values, ray_cell_table
+from .trace import bresenham_line, gather_values, ray_cell_table, ray_ends
 
 # The running total is a float cumsum; comparing against epsilon minus this
 # guard keeps cell-count arithmetic exact (eight 0.1 cells must reach 0.8).
@@ -42,23 +49,7 @@ class RaycastConfig:
             raise ValueError(f"range must be positive, got {self.range_lambda}")
 
 
-@dataclass
-class VisibilityMask:
-    """Unknown cells estimated visible from a viewpoint.
-
-    `cells` is an (N, 2) int array with columns (x, y). `degenerate` is set
-    when the viewpoint fell on its own boundary polygon and no region could
-    be filled.
-    """
-
-    cells: np.ndarray
-    degenerate: bool = False
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, term_fn):
+def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, term_fn) -> np.ndarray:
     if not grid.in_bounds(viewpoint.x, viewpoint.y):
         raise ValueError(f"viewpoint {viewpoint} is outside the grid")
     range_cells = cfg.range_lambda / grid.resolution
@@ -66,18 +57,13 @@ def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, term_fn)
     values = gather_values(grid.cells, cx, cy)
     not_origin = (cx != viewpoint.x) | (cy != viewpoint.y)
     contributes = inb & new & not_origin
-    term = term_fn(values, contributes)
-    idx, has = first_true_index(term)
-    last = inb.sum(axis=1) - 1
-    end = np.where(has, idx, last)
-    rows = np.arange(cfg.n_rays)
-    return [GridPose(int(x), int(y)) for x, y in zip(cx[rows, end], cy[rows, end])]
+    return ray_ends(cx, cy, inb, term_fn(values, contributes))[2]
 
 
 def probabilistic_raycast(
     viewpoint: GridPose, mean_map: OccupancyGrid, cfg: RaycastConfig
-) -> list[GridPose]:
-    """Per-ray endpoints where the accumulated occupancy reaches epsilon,
+) -> np.ndarray:
+    """(n_rays, 2) endpoints where the accumulated occupancy reaches epsilon,
     or the range/grid limit if it never does."""
 
     def term(values, contributes):
@@ -88,47 +74,49 @@ def probabilistic_raycast(
 
 
 def deterministic_raycast(
-    viewpoint: GridPose,
-    grid: OccupancyGrid,
-    cfg: RaycastConfig,
-    occupied_threshold: float = 0.5,
-) -> list[GridPose]:
-    """Per-ray endpoints at the first cell above the occupancy threshold."""
+    viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig
+) -> np.ndarray:
+    """(n_rays, 2) endpoints at the first cell above 0.5, or the range/grid
+    limit."""
 
     def term(values, contributes):
-        return contributes & (values > occupied_threshold)
+        return contributes & (values > 0.5)
 
     return _cast(viewpoint, grid, cfg, term)
 
 
 def visibility_mask(
-    viewpoint: GridPose, endpoints: list[GridPose], observed: OccupancyGrid
-) -> VisibilityMask:
-    """Unknown cells inside the endpoint polygon, reachable from the viewpoint.
+    viewpoint: GridPose, endpoints: np.ndarray, observed: OccupancyGrid
+) -> np.ndarray:
+    """Unknown cells inside the endpoint polygon, reachable from the viewpoint,
+    as an (N, 2) int array with columns (x, y).
 
     The closed polyline joining consecutive endpoints is rasterized as an
     8-connected barrier; a 4-connected flood from the viewpoint collects the
-    enclosed region; known observed cells are then removed.
+    enclosed region; known observed cells are then removed. The mask is
+    empty when the viewpoint lies on its own boundary polygon.
     """
-    if not endpoints:
-        return VisibilityMask(np.empty((0, 2), dtype=np.int64), degenerate=True)
+    empty = np.empty((0, 2), dtype=np.int64)
+    if len(endpoints) == 0:
+        return empty
 
-    ex = np.array([p.x for p in endpoints])
-    ey = np.array([p.y for p in endpoints])
+    ex, ey = endpoints[:, 0], endpoints[:, 1]
     x0 = int(min(ex.min(), viewpoint.x))
     y0 = int(min(ey.min(), viewpoint.y))
     x1 = int(max(ex.max(), viewpoint.x)) + 1
     y1 = int(max(ey.max(), viewpoint.y)) + 1
 
     barrier = np.zeros((y1 - y0, x1 - x0), dtype=bool)
-    n = len(endpoints)
-    for i in range(n):
-        for cell in bresenham_line(endpoints[i], endpoints[(i + 1) % n]):
+    # Segments run i -> i+1 (closing back to 0): the Bresenham chain is not
+    # symmetric, so the direction decides which cells form the barrier.
+    pts = endpoints.tolist()
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        for cell in bresenham_line(a, b):
             barrier[cell.y - y0, cell.x - x0] = True
 
     vy, vx = viewpoint.y - y0, viewpoint.x - x0
     if barrier[vy, vx]:
-        return VisibilityMask(np.empty((0, 2), dtype=np.int64), degenerate=True)
+        return empty
 
     labels, _ = ndimage.label(~barrier)  # 4-connected by default
     region = labels == labels[vy, vx]
@@ -141,14 +129,14 @@ def visibility_mask(
     range_cells = np.hypot(xs - viewpoint.x, ys - viewpoint.y)
     max_range = np.hypot(ex - viewpoint.x, ey - viewpoint.y).max()
     keep = (range_cells <= max_range) & (observed.cells[ys, xs] == UNKNOWN)
-    return VisibilityMask(np.stack([xs[keep], ys[keep]], axis=1))
+    return np.stack([xs[keep], ys[keep]], axis=1)
 
 
-def info_gain(mask: VisibilityMask, variance_map: OccupancyGrid) -> float:
-    """Sum of variance-map values over the mask cells."""
+def info_gain(mask: np.ndarray, variance_map: OccupancyGrid) -> float:
+    """Sum of variance-map values over the (N, 2) mask cells."""
     if len(mask) == 0:
         return 0.0
-    xs, ys = mask.cells[:, 0], mask.cells[:, 1]
+    xs, ys = mask[:, 0], mask[:, 1]
     if xs.max() >= variance_map.width or ys.max() >= variance_map.height:
         raise ValueError("mask does not fit the variance map dimensions")
     return float(variance_map.cells[ys, xs].sum())

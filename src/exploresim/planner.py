@@ -182,9 +182,6 @@ class Checkpoint:
 
 @dataclass
 class EpisodeRecord:
-    start: GridPose
-    scorer: str
-    budget_t: int
     rows: list[StepRow]
     replans: list[ReplanEvent]
     end_reason: str
@@ -193,7 +190,6 @@ class EpisodeRecord:
     final_coverage: float
     final_observed: OccupancyGrid
     final_prediction_mean: OccupancyGrid | None
-    final_prediction_variance: OccupancyGrid | None
     checkpoints: list[Checkpoint]
 
 
@@ -300,9 +296,6 @@ def run_episode(
             ))
 
     return EpisodeRecord(
-        start=start,
-        scorer=cfg.scorer,
-        budget_t=cfg.budget_t,
         rows=rows,
         replans=replans,
         end_reason=end_reason,
@@ -311,6 +304,5 @@ def run_episode(
         final_coverage=rows[-1].coverage if rows else 0.0,
         final_observed=observed,
         final_prediction_mean=latest_pset.mean if latest_pset else None,
-        final_prediction_variance=latest_pset.variance if latest_pset else None,
         checkpoints=checkpoints,
     )

@@ -71,6 +71,10 @@ class PatchInpaintingPredictor:
     known cells of a context ring of width ring around the block, and the
     best patch's interior is pasted into the block's unknown cells. Ties
     resolve to the lowest patch index, so prediction is deterministic.
+
+    Corpus windows are cut every `stride` cells (default: block_size). The
+    config never sets it; tests pass stride 1, which takes every window, to
+    check that a block is recovered exactly from the window it came from.
     """
 
     def __init__(self, corpus: list[OccupancyGrid], block_size: int, ring: int,
@@ -163,10 +167,9 @@ class ExternalPredictor:
 
 @dataclass
 class PredictionSet:
-    """Ensemble output: member predictions plus their per-cell mean and
-    population variance."""
+    """Ensemble output: the per-cell mean and population variance of the
+    clamped member predictions."""
 
-    predictions: list[OccupancyGrid]
     mean: OccupancyGrid
     variance: OccupancyGrid
 
@@ -179,16 +182,13 @@ def ensemble_predict(members: list, observed: OccupancyGrid) -> PredictionSet:
     if not observed.is_three_label():
         raise ValueError("predictors take a three-label observed map")
     stacks = []
-    predictions = []
     for i, member in enumerate(members):
         try:
             p = member.predict(observed)
         except Exception as exc:
             raise EnsembleError(i, str(exc)) from exc
-        clamped = clamp_to_observed(p.cells, observed)
-        stacks.append(clamped)
-        predictions.append(OccupancyGrid(clamped, observed.resolution))
+        stacks.append(clamp_to_observed(p.cells, observed))
     stack = np.stack(stacks)
     mean = OccupancyGrid(stack.mean(axis=0), observed.resolution)
     variance = OccupancyGrid(stack.var(axis=0), observed.resolution)
-    return PredictionSet(predictions=predictions, mean=mean, variance=variance)
+    return PredictionSet(mean=mean, variance=variance)

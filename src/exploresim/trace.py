@@ -1,5 +1,10 @@
 """Ray and line traversal kernels shared by the sensor and the scoring raycasts.
 
+`ray_ends` is the one rule for where a ray stops: at its first in-bounds
+sample flagged by the caller's stop mask, else at its last in-bounds sample.
+The sensor flags occupied ground-truth cells, the scoring casts flag the
+sample where their termination test first holds.
+
 Rays are walked by sampling points every quarter cell along the ray
 direction, starting at the origin cell's center. A sample at distance d
 along direction (dx, dy) lands in the cell
@@ -80,15 +85,23 @@ def gather_values(cells: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarr
     return cells.ravel()[flat]
 
 
-def first_true_index(mask: np.ndarray):
-    """Per-row index of the first True, and whether the row has any True."""
-    has = mask.any(axis=1)
-    idx = np.argmax(mask, axis=1)
-    return idx, has
+def ray_ends(cx: np.ndarray, cy: np.ndarray, inb: np.ndarray, stop: np.ndarray):
+    """Where each ray of a `ray_cell_table` ends.
+
+    A ray ends at its first in-bounds sample where `stop` is true, else at
+    its last in-bounds sample. Returns (end_idx, stopped, endpoints): the
+    end sample index and whether `stop` ended the ray, both (n_rays,), and
+    the end cells as an (n_rays, 2) int array with columns (x, y).
+    """
+    stop = stop & inb
+    stopped = stop.any(axis=1)
+    end_idx = np.where(stopped, np.argmax(stop, axis=1), inb.sum(axis=1) - 1)
+    rows = np.arange(len(end_idx))
+    return end_idx, stopped, np.stack([cx[rows, end_idx], cy[rows, end_idx]], axis=1)
 
 
-def bresenham_line(a: GridPose, b: GridPose) -> list[GridPose]:
-    """8-connected cell chain from a to b, inclusive of both ends.
+def bresenham_line(a, b) -> list[GridPose]:
+    """8-connected cell chain from a to b, (x, y) pairs, inclusive of both ends.
 
     The chain has no diagonal gaps wider than one step, so it acts as a
     barrier to a 4-connected flood fill.

@@ -15,20 +15,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, GridPose, OccupancyGrid
-from .trace import first_true_index, gather_values, ray_cell_table
-
-# Action name -> (dx, dy); y grows downward, so N is y-1.
-ACTIONS = {
-    "N": (0, -1),
-    "NE": (1, -1),
-    "E": (1, 0),
-    "SE": (1, 1),
-    "S": (0, 1),
-    "SW": (-1, 1),
-    "W": (-1, 0),
-    "NW": (-1, -1),
-    "STAY": (0, 0),
-}
+from .trace import gather_values, ray_cell_table, ray_ends
 
 # Floor-plan generator defaults, shared with the [maps] config section.
 ROOM_COUNT_RANGE = (6, 12)
@@ -57,7 +44,6 @@ class Scan:
     (N, 2) array of all (x, y) cells the rays traversed without hitting.
     """
 
-    origin: GridPose
     endpoints: np.ndarray  # (n_rays, 2) int, columns (x, y)
     hits: np.ndarray  # (n_rays,) bool
     free_cells: np.ndarray = field(repr=False)  # (m, 2) int, columns (x, y)
@@ -82,16 +68,8 @@ def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
 
     range_cells = spec.range_lambda / gt.resolution
     cx, cy, inb, _ = ray_cell_table(pose, spec.n_rays, range_cells, gt.shape)
-
-    values = gather_values(gt.cells, cx, cy)
-    occupied = (values > 0.5) & inb
-    hit_idx, hits = first_true_index(occupied)
-
-    # Endpoint: first occupied sample, else the last in-bounds sample.
-    last_idx = inb.sum(axis=1) - 1
-    end_idx = np.where(hits, hit_idx, last_idx)
-    rows = np.arange(spec.n_rays)
-    endpoints = np.stack([cx[rows, end_idx], cy[rows, end_idx]], axis=1)
+    occupied = gather_values(gt.cells, cx, cy) > 0.5
+    end_idx, hits, endpoints = ray_ends(cx, cy, inb, occupied)
 
     # Everything sampled strictly before the endpoint is free space the ray
     # passed through; for miss rays the endpoint itself is free too.
@@ -103,7 +81,7 @@ def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
     flat = np.nonzero(seen)[0]
     free_cells = np.stack([flat % gt.width, flat // gt.width], axis=1)
 
-    return Scan(origin=pose, endpoints=endpoints, hits=hits, free_cells=free_cells)
+    return Scan(endpoints=endpoints, hits=hits, free_cells=free_cells)
 
 
 def integrate_scan(observed: OccupancyGrid, scan: Scan) -> OccupancyGrid:
@@ -126,18 +104,13 @@ def integrate_scan(observed: OccupancyGrid, scan: Scan) -> OccupancyGrid:
     return observed
 
 
-def apply_action(state: RobotState, action, gt: OccupancyGrid) -> RobotState:
-    """One grid move (8 directions or STAY). Blocked and off-grid moves are
-    no-ops that still consume the timestep."""
-    if isinstance(action, str):
-        try:
-            dx, dy = ACTIONS[action]
-        except KeyError:
-            raise ValueError(f"unknown action {action!r}") from None
-    else:
-        dx, dy = action
-        if max(abs(dx), abs(dy)) > 1:
-            raise ValueError(f"action {(dx, dy)} is not a single-cell move")
+def apply_action(state: RobotState, action: tuple[int, int], gt: OccupancyGrid) -> RobotState:
+    """One grid move by `action` = (dx, dy), each in {-1, 0, 1}; (0, 0)
+    stays. y grows downward. Blocked and off-grid moves are no-ops that
+    still consume the timestep."""
+    dx, dy = action
+    if max(abs(dx), abs(dy)) > 1:
+        raise ValueError(f"action {(dx, dy)} is not a single-cell move")
     nx, ny = state.pose.x + dx, state.pose.y + dy
     pose = state.pose
     if gt.in_bounds(nx, ny) and gt.at(GridPose(nx, ny)) == FREE:

@@ -1,4 +1,6 @@
 import json
+import shlex
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from exploresim import (
     RaycastConfig,
     RecordMismatchError,
     SensorSpec,
+    generate_floorplan,
     load_pgm,
     save_pgm,
 )
@@ -388,6 +391,69 @@ def test_replay_reproduces_any_record(map_seed, corner, scorer, predictor):
         originals = sorted(p.name for p in (out / spec.name).glob("*.pgm"))
         written = replay(out / spec.name / "record.jsonl", out / "replayed")
         assert sorted(p.name for p in written) == originals
+
+
+def test_tu_final_scores_the_final_map(tmp_path):
+    # The episode runs to t=50 and its last checkpoint is at t=30: tu_final
+    # must be the TU of the final map (0.375), not the t=30 value (0.25), and
+    # must not depend on where the checkpoints fall.
+    gt = generate_floorplan(0, 80, 80)
+    tu_final = {}
+    for every in (30, 50):
+        cfg = ExperimentConfig(
+            maps=MapSource(kind="generate", count=1, width=80, height=80),
+            scorers=["nearest"], budget=50, sensor=SensorSpec(3.0, 200),
+            predictor=PredictorSpec(kind="passthrough", ensemble=1),
+            checkpoint_every=every, tu_goals=40, output_dir=str(tmp_path),
+        )
+        spec = RowSpec("gen0000", 0, GridPose(1, 1), 0, "nearest", 0)
+        result = run_row(cfg, spec, gt, tmp_path / f"every{every}")
+        assert result["steps"] == 50
+        tu_final[every] = result["tu_final"]
+        if every == 30:
+            assert result["tu_checkpoints"] == "30:0.2500"  # checkpoints only
+    assert tu_final == {30: 0.375, 50: 0.375}
+
+
+def test_replay_from_another_directory_with_relative_globs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "maps").mkdir()
+    save_pgm(generate_floorplan(0, 60, 60), tmp_path / "maps" / "gen0000.pgm")
+    cfg = ExperimentConfig(
+        maps=MapSource(kind="files", glob="maps/*.pgm"), starts=[GridPose(1, 1)],
+        scorers=["nearest"], budget=10, sensor=SensorSpec(3.0, 120),
+        predictor=PredictorSpec(kind="patch", ensemble=2, corpus="maps/*.pgm"),
+        checkpoint_every=5, tu_goals=0, output_dir="results",
+    )
+    assert run_experiment(cfg)[0]["status"] == "ok"
+    record = _first_row_dir(tmp_path / "results") / "record.jsonl"
+    header = json.loads(record.read_text().splitlines()[0])
+    assert header["map"]["path"] == str(tmp_path / "maps" / "gen0000.pgm")
+    assert header["predictor"]["corpus"] == str(tmp_path / "maps" / "*.pgm")
+
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    written = replay(record, tmp_path / "replayed")
+    assert sorted(p.name for p in written) == sorted(p.name for p in record.parent.glob("*.pgm"))
+
+
+def test_failed_row_leaves_its_traceback(tmp_path):
+    failing = shlex.join([sys.executable, "-c", "raise SystemExit(3)"])
+    cfg = parse_config(_write_experiment(tmp_path))
+    cfg.starts = [GridPose(31, 31)]
+    cfg.predictor = PredictorSpec(kind="external", ensemble=1, command=failing)
+    [row] = run_experiment(cfg)
+    assert row["status"].startswith("error: ensemble member 0:")
+    assert row["steps"] == "" and row["tu_final"] == ""
+    error = next((tmp_path / "results").glob("*/error.txt"))
+    text = error.read_text()
+    assert text.startswith("Traceback") and "ExternalPredictorError" in text
+    assert "EnsembleError: ensemble member 0:" in text
+
+    cfg.predictor = PredictorSpec(kind="passthrough", ensemble=1)
+    [row] = run_experiment(cfg)  # the same row, now succeeding
+    assert row["status"] == "ok"
+    assert not error.exists()
 
 
 def test_cli_generate_maps_and_score_map(tmp_path, capsys):

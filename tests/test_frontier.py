@@ -89,7 +89,7 @@ def test_min_cluster_size_filters_small_clusters():
 def _uniform_prediction_set(observed, variance_value):
     mean = OccupancyGrid(np.zeros(observed.shape), observed.resolution)
     var = OccupancyGrid(np.full(observed.shape, variance_value), observed.resolution)
-    return PredictionSet(predictions=[mean], mean=mean, variance=var)
+    return PredictionSet(mean=mean, variance=var)
 
 
 def _ctx(observed, pset, pose, range_m=3.0):
@@ -152,12 +152,11 @@ def test_scale_equivariance_of_variance_scores():
     observed.cells[20:28, 20:28] = FREE
     mean = OccupancyGrid(rng.random((48, 48)) * 0.3, 0.1)
     var = OccupancyGrid(rng.random((48, 48)) * 0.2, 0.1)
-    pset = PredictionSet([mean], mean, var)
+    pset = PredictionSet(mean, var)
     ctx = _ctx(observed, pset, GridPose(24, 24))
     cl = _cluster_at(27, 24)
     base = score_frontier(cl, "mapex", ctx)
-    pset_scaled = PredictionSet(
-        [mean], mean, OccupancyGrid(var.cells * 0.5, 0.1))
+    pset_scaled = PredictionSet(mean, OccupancyGrid(var.cells * 0.5, 0.1))
     ctx2 = _ctx(observed, pset_scaled, GridPose(24, 24))
     assert score_frontier(cl, "mapex", ctx2) == pytest.approx(0.5 * base, rel=1e-9)
 

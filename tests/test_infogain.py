@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exploresim import (
     FREE,
@@ -11,7 +13,6 @@ from exploresim import (
     OccupancyGrid,
     RaycastConfig,
     SensorSpec,
-    VisibilityMask,
     deterministic_raycast,
     info_gain,
     new_grid,
@@ -50,8 +51,8 @@ def test_all_free_mean_map_reaches_range():
     mean = OccupancyGrid(np.zeros((201, 201)), 0.1)
     cfg = RaycastConfig(epsilon=0.8, n_rays=16, range_lambda=5.0)
     ends = probabilistic_raycast(GridPose(100, 100), mean, cfg)
-    for p in ends:
-        assert np.hypot(p.x - 100, p.y - 100) >= 49.0
+    assert ends.shape == (16, 2)
+    assert (np.hypot(ends[:, 0] - 100, ends[:, 1] - 100) >= 49.0).all()
 
 
 def test_full_occupancy_cell_terminates_ray():
@@ -59,7 +60,7 @@ def test_full_occupancy_cell_terminates_ray():
     mean.cells[10, 15] = 1.0
     cfg = RaycastConfig(epsilon=0.8, n_rays=8, range_lambda=1.0)
     ends = probabilistic_raycast(GridPose(10, 10), mean, cfg)
-    assert ends[0] == GridPose(15, 10)  # ray 0 heads east
+    assert ends[0].tolist() == [15, 10]  # ray 0 heads east
 
 
 @pytest.mark.parametrize("v,expected_cells", [(0.05, 16), (0.1, 8), (0.2, 4), (0.4, 2)])
@@ -67,8 +68,7 @@ def test_uniform_map_termination_arithmetic(v, expected_cells):
     mean = OccupancyGrid(np.full((81, 81), v), 0.1)
     cfg = RaycastConfig(epsilon=0.8, n_rays=8, range_lambda=4.0)
     ends = probabilistic_raycast(GridPose(40, 40), mean, cfg)
-    east = ends[0]
-    assert east == GridPose(40 + expected_cells, 40)
+    assert ends[0].tolist() == [40 + expected_cells, 40]  # ray 0 heads east
 
 
 def test_probabilistic_matches_accumulation_oracle_on_continuous_maps():
@@ -78,9 +78,9 @@ def test_probabilistic_matches_accumulation_oracle_on_continuous_maps():
         mean = OccupancyGrid(rng.random((64, 64)) * 0.6, 0.1)
         ends = probabilistic_raycast(GridPose(32, 32), mean, cfg)
         range_cells = cfg.range_lambda / mean.resolution
-        for j, p in enumerate(ends):
+        for j, (x, y) in enumerate(ends.tolist()):
             angle = j * (2.0 * math.pi / cfg.n_rays)
-            assert (p.x, p.y) == accumulate_ray_oracle(
+            assert (x, y) == accumulate_ray_oracle(
                 mean.cells, 32, 32, angle, range_cells, cfg.epsilon)
 
 
@@ -94,8 +94,25 @@ def test_binary_map_probabilistic_equals_deterministic_equals_scan():
         prob = probabilistic_raycast(GridPose(32, 32), gt, cfg)
         det = deterministic_raycast(GridPose(32, 32), gt, cfg)
         scan = simulate_scan(gt, GridPose(32, 32), SensorSpec(3.0, 64))
-        assert prob == det
-        assert prob == [GridPose(int(x), int(y)) for x, y in scan.endpoints]
+        assert np.array_equal(prob, det)
+        assert np.array_equal(prob, scan.endpoints)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side=st.integers(4, 32), vx=st.integers(0, 31),
+       vy=st.integers(0, 31), n_rays=st.integers(8, 64), range_dm=st.integers(1, 30))
+def test_observed_map_cast_equals_cast_with_unknown_as_free(seed, side, vx, vy, n_rays,
+                                                            range_dm):
+    # The observed_map scorer casts the three-label observed map directly:
+    # unknown must let rays through exactly as free space does.
+    rng = np.random.default_rng(seed)
+    observed = OccupancyGrid(rng.choice([FREE, UNKNOWN, OCCUPIED], size=(side, side)), 0.1)
+    as_free = OccupancyGrid(np.where(observed.cells == UNKNOWN, FREE, observed.cells), 0.1)
+    vp = GridPose(vx % side, vy % side)
+    cfg = RaycastConfig(n_rays=n_rays, range_lambda=range_dm / 10)
+    ends = deterministic_raycast(vp, observed, cfg)
+    assert ends.shape == (n_rays, 2)
+    assert np.array_equal(ends, deterministic_raycast(vp, as_free, cfg))
 
 
 def test_endpoint_distance_monotone_in_epsilon():
@@ -105,7 +122,8 @@ def test_endpoint_distance_monotone_in_epsilon():
     prev = None
     for eps in (0.2, 0.4, 0.8, 1.6):
         cfg = RaycastConfig(epsilon=eps, n_rays=32, range_lambda=3.0)
-        d = [np.hypot(p.x - 32, p.y - 32) for p in probabilistic_raycast(pose, mean, cfg)]
+        ends = probabilistic_raycast(pose, mean, cfg)
+        d = np.hypot(ends[:, 0] - 32, ends[:, 1] - 32)
         if prev is not None:
             assert all(b >= a - 1e-9 for a, b in zip(prev, d))
         prev = d
@@ -164,10 +182,10 @@ def test_visibility_mask_half_disc_behind_wall():
     ends = probabilistic_raycast(vp, mean, cfg)
     mask = visibility_mask(vp, ends, observed)
     assert len(mask) > 0
-    assert (mask.cells[:, 1] >= wall_y).all()
+    assert (mask[:, 1] >= wall_y).all()
 
-    poly = [(p.x + 0.5, p.y + 0.5) for p in ends]
-    hits = sum(point_in_polygon(x + 0.5, y + 0.5, poly) for x, y in mask.cells)
+    poly = [(x + 0.5, y + 0.5) for x, y in ends.tolist()]
+    hits = sum(point_in_polygon(x + 0.5, y + 0.5, poly) for x, y in mask)
     assert hits / len(mask) > 0.95  # mask cells lie inside the cast polygon
     oracle = sum(
         point_in_polygon(x + 0.5, y + 0.5, poly)
@@ -184,30 +202,30 @@ def test_visibility_mask_cells_are_unknown_and_in_range():
     cfg = RaycastConfig(epsilon=0.8, n_rays=36, range_lambda=3.0)
     ends = probabilistic_raycast(vp, mean, cfg)
     mask = visibility_mask(vp, ends, observed)
-    for x, y in mask.cells:
+    for x, y in mask:
         assert observed.cells[y, x] == UNKNOWN
         assert np.hypot(x - vp.x, y - vp.y) <= cfg.range_lambda / 0.1 + 1e-9
 
 
 def test_visibility_mask_degenerate_viewpoint_on_boundary():
     observed = new_grid(9, 9, 0.1)
-    ends = [GridPose(4, 4), GridPose(5, 4), GridPose(4, 5)]  # polygon through vp
+    ends = np.array([[4, 4], [5, 4], [4, 5]])  # polygon through vp
     mask = visibility_mask(GridPose(4, 4), ends, observed)
-    assert mask.degenerate and len(mask) == 0
+    assert mask.shape == (0, 2)
 
 
 def test_info_gain_zero_cases():
     var = new_grid(10, 10)
     var.cells[:] = 0.0
-    mask = VisibilityMask(np.array([[1, 1], [2, 3]]))
+    mask = np.array([[1, 1], [2, 3]])
     assert info_gain(mask, var) == 0.0
-    assert info_gain(VisibilityMask(np.empty((0, 2), dtype=int)), var) == 0.0
+    assert info_gain(np.empty((0, 2), dtype=int), var) == 0.0
 
 
 def test_info_gain_uniform_sum():
     var = OccupancyGrid(np.full((10, 10), 0.125), 0.1)
     cells = np.array([[x, y] for x in range(3) for y in range(4)])
-    assert info_gain(VisibilityMask(cells), var) == pytest.approx(12 * 0.125)
+    assert info_gain(cells, var) == pytest.approx(12 * 0.125)
 
 
 def test_info_gain_matches_per_cell_oracle():
@@ -217,7 +235,7 @@ def test_info_gain_matches_per_cell_oracle():
         k = int(rng.integers(0, 40))
         xs = rng.integers(0, 16, size=k)
         ys = rng.integers(0, 16, size=k)
-        mask = VisibilityMask(np.stack([xs, ys], axis=1))
+        mask = np.stack([xs, ys], axis=1)
         oracle = 0.0
         for x, y in zip(xs, ys):
             oracle += var.cells[y, x]
@@ -230,16 +248,16 @@ def test_info_gain_additive_and_monotone():
     all_cells = np.array([[x, y] for x in range(12) for y in range(12)])
     a = all_cells[:60]
     b = all_cells[60:]
-    ga = info_gain(VisibilityMask(a), var)
-    gb = info_gain(VisibilityMask(b), var)
-    gall = info_gain(VisibilityMask(all_cells), var)
+    ga = info_gain(a, var)
+    gb = info_gain(b, var)
+    gall = info_gain(all_cells, var)
     assert gall == pytest.approx(ga + gb, rel=1e-12)
     assert gall >= ga and gall >= gb
 
 
 def test_info_gain_dimension_mismatch():
     var = new_grid(4, 4)
-    mask = VisibilityMask(np.array([[10, 10]]))
+    mask = np.array([[10, 10]])
     with pytest.raises(ValueError):
         info_gain(mask, var)
 

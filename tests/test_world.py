@@ -3,19 +3,22 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exploresim import (
-    ACTIONS,
     FREE,
     OCCUPIED,
     UNKNOWN,
     GridPose,
     InvalidStateError,
     OccupancyGrid,
+    RaycastConfig,
     RobotState,
     Scan,
     SensorSpec,
     apply_action,
+    deterministic_raycast,
     generate_floorplan,
     integrate_scan,
     new_grid,
@@ -112,10 +115,31 @@ def test_scan_soundness_against_ground_truth():
         assert (gt.cells[hy, hx] == OCCUPIED).all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side=st.integers(4, 32),
+       density=st.floats(0.0, 0.6), pick=st.integers(0, 2**16),
+       n_rays=st.integers(8, 64), range_dm=st.integers(1, 30))
+def test_scan_shares_the_scoring_ray_end_rule(seed, side, density, pick, n_rays, range_dm):
+    # On a binary plan, from any free pose, the sensor and the deterministic
+    # scoring cast end every ray on the same cell; the scan is sound.
+    rng = np.random.default_rng(seed)
+    gt = OccupancyGrid((rng.random((side, side)) < density).astype(float), 0.1)
+    free_ys, free_xs = np.nonzero(gt.cells == FREE)
+    if len(free_xs) == 0:
+        return
+    pose = GridPose(int(free_xs[pick % len(free_xs)]), int(free_ys[pick % len(free_xs)]))
+    scan = simulate_scan(gt, pose, SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays))
+    cfg = RaycastConfig(n_rays=n_rays, range_lambda=range_dm / 10)
+    assert np.array_equal(scan.endpoints, deterministic_raycast(pose, gt, cfg))
+    fx, fy = scan.free_cells[:, 0], scan.free_cells[:, 1]
+    assert (gt.cells[fy, fx] == FREE).all()
+    hx, hy = scan.endpoints[scan.hits, 0], scan.endpoints[scan.hits, 1]
+    assert (gt.cells[hy, hx] == OCCUPIED).all()
+
+
 def test_integrate_single_ray():
     observed = new_grid(11, 11, 0.1)
     scan = Scan(
-        origin=GridPose(2, 5),
         endpoints=np.array([[7, 5]]),
         hits=np.array([True]),
         free_cells=np.array([[2, 5], [3, 5], [4, 5], [5, 5], [6, 5]]),
@@ -169,7 +193,7 @@ def test_exhaustive_scanning_recovers_a_closed_room():
 
 def test_apply_action_moves_diagonally():
     gt = OccupancyGrid(np.zeros((10, 10)), 0.1)
-    s = apply_action(RobotState(GridPose(5, 5), t=3), "NE", gt)
+    s = apply_action(RobotState(GridPose(5, 5), t=3), (1, -1), gt)  # NE: y grows down
     assert s.pose == GridPose(6, 4)
     assert s.t == 4
 
@@ -177,29 +201,29 @@ def test_apply_action_moves_diagonally():
 def test_apply_action_blocked_is_noop_but_costs_time():
     gt = OccupancyGrid(np.zeros((10, 10)), 0.1)
     gt.cells[4, 5] = OCCUPIED
-    s = apply_action(RobotState(GridPose(5, 5), t=0), "N", gt)
+    s = apply_action(RobotState(GridPose(5, 5), t=0), (0, -1), gt)
     assert s.pose == GridPose(5, 5)
     assert s.t == 1
 
 
 def test_apply_action_off_grid_is_noop():
     gt = OccupancyGrid(np.zeros((4, 4)), 0.1)
-    s = apply_action(RobotState(GridPose(0, 0), t=0), "NW", gt)
+    s = apply_action(RobotState(GridPose(0, 0), t=0), (-1, -1), gt)
     assert s.pose == GridPose(0, 0)
     assert s.t == 1
 
 
-def test_apply_action_unknown_name():
+def test_apply_action_stays_in_place():
     gt = OccupancyGrid(np.zeros((4, 4)), 0.1)
-    with pytest.raises(ValueError):
-        apply_action(RobotState(GridPose(1, 1)), "UP", gt)
+    s = apply_action(RobotState(GridPose(1, 1), t=2), (0, 0), gt)
+    assert (s.pose, s.t) == (GridPose(1, 1), 3)
 
 
-def test_actions_cover_eight_directions_and_stay():
-    deltas = set(ACTIONS.values())
-    assert len(ACTIONS) == 9
-    assert (0, 0) in deltas
-    assert all(max(abs(dx), abs(dy)) <= 1 for dx, dy in deltas)
+def test_apply_action_rejects_a_multi_cell_move():
+    gt = OccupancyGrid(np.zeros((4, 4)), 0.1)
+    for delta in ((2, 0), (0, -2), (1, 2)):
+        with pytest.raises(ValueError):
+            apply_action(RobotState(GridPose(1, 1)), delta, gt)
 
 
 def flood_free_component(cells, start):
