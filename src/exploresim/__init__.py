@@ -49,7 +49,6 @@ from .predict import (
     ensemble_predict,
 )
 from .world import (
-    RobotState,
     Scan,
     SensorSpec,
     apply_action,

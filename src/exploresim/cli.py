@@ -8,14 +8,15 @@ Subcommands:
     explore replay <record.jsonl> ...      verify a record by re-running it,
                                            then re-emit its snapshots
 
-Each episode writes a line-delimited JSON record (header line, one line per
-timestep, replan lines, end line) plus checkpoint PGM snapshots of the
-observed/mean/variance maps. Records contain no wall-clock data, so a rerun
-with the same config and seed is byte-identical. The batch is resumable:
-rows whose outputs already exist are not re-executed. The header line
-alone determines the episode: `replay` rebuilds it from the header, checks
-that the re-run reproduces every line of the record, then re-emits the
-snapshots.
+Each episode writes a line-delimited JSON record, a header line followed
+by the lines `planner.run_episode` emits (its docstring lists their types
+and keys), plus checkpoint PGM snapshots of the observed/mean/variance
+maps. Records contain no wall-clock data, so a rerun with the same config
+and seed is byte-identical. The header line alone determines the episode:
+`replay` rebuilds it from the header, checks that the re-run reproduces
+every line of the record, then re-emits the snapshots. The batch is
+resumable: a row whose outputs exist and whose record starts with the
+header this run would write is not re-executed.
 """
 
 from __future__ import annotations
@@ -86,16 +87,26 @@ def _binarized(grid: OccupancyGrid) -> OccupancyGrid:
     return OccupancyGrid((grid.cells > 0.5).astype(np.float64), grid.resolution)
 
 
-def materialize_maps(maps: MapSource) -> list[tuple[str, OccupancyGrid]]:
-    """(label, binary ground truth) pairs from files or the generator."""
+def _map_descriptors(maps: MapSource) -> list[tuple[str, dict]]:
+    """(label, record-header descriptor) per map; the files are globbed once.
+    File paths are absolute, so a record replays from any directory."""
     if maps.kind == "files":
         paths = sorted(globmod.glob(maps.glob))
         if not paths:
             raise ConfigError(f"[maps] glob: {maps.glob!r} matched no files")
-        return [(Path(p).stem, _binarized(load_pgm(p, resolution=maps.resolution)))
-                for p in paths]
-    return [(f"gen{maps.map_seed + i:04d}", _gt_from_descriptor(_map_descriptor(maps, i)))
-            for i in range(maps.count)]
+        return [(Path(p).stem, {"kind": "file", "path": os.path.abspath(p),
+                                "resolution": maps.resolution}) for p in paths]
+    return [(f"gen{seed:04d}", {
+        "kind": "generated", "seed": seed,
+        "width": maps.width, "height": maps.height,
+        "rooms_min": maps.rooms_min, "rooms_max": maps.rooms_max,
+        "corridor_width": maps.corridor_width, "resolution": maps.resolution,
+    }) for seed in range(maps.map_seed, maps.map_seed + maps.count)]
+
+
+def materialize_maps(maps: MapSource) -> list[tuple[str, OccupancyGrid]]:
+    """(label, binary ground truth) pairs from files or the generator."""
+    return [(label, _gt_from_descriptor(desc)) for label, desc in _map_descriptors(maps)]
 
 
 def member_seed(row_seed: int, map_index: int, member: int) -> int:
@@ -144,41 +155,8 @@ class RowSpec:
 
 
 def record_lines(record: EpisodeRecord, header: dict) -> list[str]:
-    """Record serialized as JSON lines; replan lines precede their step."""
-    lines = [_dumps({"type": "header", **header})]
-    replans = {r.t: r for r in record.replans}
-    for row in record.rows:
-        if row.t in replans:
-            r = replans[row.t]
-            lines.append(_dumps({
-                "type": "replan", "t": r.t, "n_clusters": r.n_clusters,
-                "chosen": None if r.chosen_x is None else [r.chosen_x, r.chosen_y],
-                "attempts": r.attempts, "scores": r.scores,
-            }))
-        lines.append(_dumps({
-            "type": "step", "t": row.t, "x": row.x, "y": row.y,
-            "coverage": row.coverage, "replanned": row.replanned,
-            "waypoint": None if row.waypoint_x is None else [row.waypoint_x, row.waypoint_y],
-        }))
-    lines.append(_dumps({
-        "type": "end", "reason": record.end_reason, "t": record.final_t,
-        "pose": [record.final_pose.x, record.final_pose.y],
-        "coverage": record.final_coverage,
-    }))
-    return lines
-
-
-def _map_descriptor(cfg_maps: MapSource, map_index: int) -> dict:
-    if cfg_maps.kind == "files":
-        paths = sorted(globmod.glob(cfg_maps.glob))
-        return {"kind": "file", "path": os.path.abspath(paths[map_index]),
-                "resolution": cfg_maps.resolution}
-    return {
-        "kind": "generated", "seed": cfg_maps.map_seed + map_index,
-        "width": cfg_maps.width, "height": cfg_maps.height,
-        "rooms_min": cfg_maps.rooms_min, "rooms_max": cfg_maps.rooms_max,
-        "corridor_width": cfg_maps.corridor_width, "resolution": cfg_maps.resolution,
-    }
+    """The record file's lines: the header, then the episode's own lines."""
+    return [_dumps(header), *map(_dumps, record.lines)]
 
 
 def _gt_from_descriptor(desc: dict) -> OccupancyGrid:
@@ -202,12 +180,13 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
 
 
 def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
-    """The record header. File paths in it are absolute, so the record
-    replays from any working directory."""
+    """The record's header line. File paths in it are absolute, so the
+    record replays from any working directory."""
     corpus = cfg.predictor.corpus and os.path.abspath(cfg.predictor.corpus)
     seeds = [member_seed(spec.seed, spec.map_index, i) for i in range(cfg.predictor.ensemble)]
     return {
-        "map": _map_descriptor(cfg.maps, spec.map_index),
+        "type": "header",
+        "map": _map_descriptors(cfg.maps)[spec.map_index][1],
         "map_label": spec.map_label,
         "start": [spec.start.x, spec.start.y],
         "scorer": spec.scorer,
@@ -247,16 +226,26 @@ def _episode_inputs(header: dict, gt: OccupancyGrid) -> tuple[EpisodeConfig, lis
 
 
 def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Path) -> dict:
-    """Execute one experiment row and write its outputs. Returns CSV values."""
+    """Execute one experiment row and write its outputs. Returns CSV values.
+
+    A row whose metrics and record exist is not re-run when the record
+    starts with the header this run would write. Otherwise its old
+    snapshots are deleted and the row runs again.
+    """
     row_dir = out_dir / spec.name
     metrics_path = row_dir / "metrics.json"
     record_path = row_dir / "record.jsonl"
+    header = _row_header(cfg, spec)
     if metrics_path.exists() and record_path.exists():
-        with open(metrics_path) as fh:
-            return json.load(fh)
+        with open(record_path) as fh:
+            resumable = fh.readline().rstrip("\n") == _dumps(header)
+        if resumable:
+            with open(metrics_path) as fh:
+                return json.load(fh)
 
     row_dir.mkdir(parents=True, exist_ok=True)
-    header = _row_header(cfg, spec)
+    for old in row_dir.glob("*.pgm"):
+        old.unlink()
     ep_cfg, ensemble = _episode_inputs(header, gt)
 
     t0 = time.monotonic()
@@ -269,9 +258,9 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
         _write_snapshots(row_dir, record)
 
     footprint = building_footprint(gt)
-    cov = [r.coverage for r in record.rows]
-    times = [r.t for r in record.rows]
-    cov_auc = auc(cov, times) if cov else 0.0
+    steps = [ln for ln in record.lines if ln["type"] == "step"]
+    end = record.lines[-1]
+    cov_auc = auc([s["coverage"] for s in steps], [s["t"] for s in steps]) if steps else 0.0
 
     iou_series, iou_times, tu_points = [], [], []
     for cp in record.checkpoints:
@@ -284,10 +273,10 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
     final_pred = record.final_prediction_mean or record.final_observed
     final_iou = iou_occupied(final_pred, gt, footprint)
     tu_final = tu_points[-1][1] if tu_points else ""
-    if not iou_times or iou_times[-1] != record.final_t:
+    if not iou_times or iou_times[-1] != end["t"]:
         # The episode ended after its last checkpoint: score the final map.
         iou_series.append(final_iou)
-        iou_times.append(record.final_t)
+        iou_times.append(end["t"])
         if cfg.tu_goals > 0:
             tu_final = topological_understanding(final_pred, gt, spec.start,
                                                  n_goals=cfg.tu_goals, seed=spec.seed)
@@ -295,8 +284,8 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
     result = {
         "map": spec.map_label, "start_x": spec.start.x, "start_y": spec.start.y,
         "scorer": spec.scorer, "seed": spec.seed, "status": "ok",
-        "end_reason": record.end_reason, "steps": record.final_t,
-        "final_coverage": record.final_coverage, "coverage_auc": cov_auc,
+        "end_reason": end["reason"], "steps": end["t"],
+        "final_coverage": end["coverage"], "coverage_auc": cov_auc,
         "final_iou": final_iou,
         "iou_auc": auc(iou_series, iou_times),
         "tu_final": tu_final,
@@ -329,12 +318,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[di
     """Run every (map, start, scorer, seed) combination; returns CSV rows."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    maps = materialize_maps(cfg.maps)
 
     tasks = []
-    for mi, (label, gt) in enumerate(maps):
+    for mi, (label, desc) in enumerate(_map_descriptors(cfg.maps)):
+        gt = _gt_from_descriptor(desc)
         starts = corner_starts(gt) if cfg.starts == "corners" else cfg.starts
-        desc = _map_descriptor(cfg.maps, mi)
         for si, start in enumerate(starts):
             if not gt.in_bounds(start.x, start.y) or gt.at(start) != 0.0:
                 raise ConfigError(f"start {start} is not a free cell of map {label}")
@@ -365,7 +353,7 @@ def replay(record_path, out_dir) -> list[Path]:
     record_path = Path(record_path)
     lines = record_path.read_text().splitlines()
     header = json.loads(lines[0]) if lines else {}
-    if header.pop("type", None) != "header":
+    if header.get("type") != "header":
         raise ValueError(f"{record_path} has no header line")
     gt = _gt_from_descriptor(header["map"])
     ep_cfg, ensemble = _episode_inputs(header, gt)

@@ -7,6 +7,24 @@ comes from the world model instead — each step is validated against the
 ground truth, a blocked move is a no-op that still costs a timestep, and
 the waypoint is invalidated as soon as a newly observed wall crosses the
 remaining path.
+
+`run_episode` writes the episode's record lines, in file order, as plain
+dicts with the keys they have on disk (the record file adds a header line
+before them):
+
+    {"type": "replan", "t", "n_clusters", "chosen", "attempts", "scores"}
+        a replan at step t; "scores" holds [cx, cy, size, score] per
+        frontier cluster in rank order, "chosen" the [x, y] of the first
+        reachable centroid (null when none is), "attempts" the A* searches
+        it took. It comes before the step line of the same t.
+    {"type": "step", "t", "x", "y", "coverage", "replanned", "waypoint"}
+        one per executed step t = 0, 1, ...: the pose the robot sensed
+        from, the coverage after that scan, and the [x, y] waypoint it
+        heads for (null on a step that ends the episode).
+    {"type": "end", "reason", "t", "pose", "coverage"}
+        the last line: "budget", "complete" (no frontier left) or "stuck"
+        (no frontier reachable); t is the number of steps taken, pose the
+        final [x, y], coverage that of the last step (0.0 with none).
 """
 
 from __future__ import annotations
@@ -21,7 +39,7 @@ from .frontier import ScoreContext, extract_frontiers, rank_frontiers, score_fro
 from .grid import OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
 from .infogain import RaycastConfig
 from .predict import ensemble_predict
-from .world import RobotState, SensorSpec, apply_action, integrate_scan, simulate_scan
+from .world import SensorSpec, apply_action, integrate_scan, simulate_scan
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,8 +118,7 @@ def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose
 
 
 def waypoint_valid(
-    state: RobotState,
-    waypoint: GridPose | None,
+    pose: GridPose,
     path: list[GridPose] | None,
     observed: OccupancyGrid,
     *,
@@ -109,15 +126,16 @@ def waypoint_valid(
     age: int = 0,
     max_age: int,
 ) -> bool:
-    """False when the current waypoint should be replanned.
+    """False when the waypoint, the end of `path`, should be replanned.
 
-    Any of: robot within one cell of the waypoint; a newly observed wall on
-    the remaining path; the waypoint's frontier dissolved (no unknown
-    neighbor left); or the plan is older than `max_age` steps.
+    Any of: no path; robot within one cell of the waypoint; a newly
+    observed wall on the remaining path; the waypoint's frontier dissolved
+    (no unknown neighbor left); or the plan is older than `max_age` steps.
     """
-    if waypoint is None or path is None:
+    if path is None:
         return False
-    if max(abs(state.pose.x - waypoint.x), abs(state.pose.y - waypoint.y)) <= 1:
+    waypoint = path[-1]
+    if max(abs(pose.x - waypoint.x), abs(pose.y - waypoint.y)) <= 1:
         return False
     if age > max_age:
         return False
@@ -150,29 +168,6 @@ class EpisodeConfig:
 
 
 @dataclass
-class StepRow:
-    """State at one executed timestep; pose is where the robot sensed."""
-
-    t: int
-    x: int
-    y: int
-    coverage: float
-    replanned: bool
-    waypoint_x: int | None
-    waypoint_y: int | None
-
-
-@dataclass
-class ReplanEvent:
-    t: int
-    n_clusters: int
-    scores: list  # [cx, cy, size, score] per cluster, rank order
-    chosen_x: int | None
-    chosen_y: int | None
-    attempts: int  # candidates tried until one was reachable
-
-
-@dataclass
 class Checkpoint:
     t: int
     observed: OccupancyGrid
@@ -182,15 +177,10 @@ class Checkpoint:
 
 @dataclass
 class EpisodeRecord:
-    rows: list[StepRow]
-    replans: list[ReplanEvent]
-    end_reason: str
-    final_pose: GridPose
-    final_t: int
-    final_coverage: float
+    lines: list[dict]  # replan, step and end lines, in file order
+    checkpoints: list[Checkpoint]
     final_observed: OccupancyGrid
     final_prediction_mean: OccupancyGrid | None
-    checkpoints: list[Checkpoint]
 
 
 def run_episode(
@@ -215,76 +205,69 @@ def run_episode(
     observed = new_grid(gt.width, gt.height, gt.resolution)
     footprint = building_footprint(gt)
 
-    state = RobotState(pose=start, t=0)
-    rows: list[StepRow] = []
-    replans: list[ReplanEvent] = []
+    pose = start
+    lines: list[dict] = []
     checkpoints: list[Checkpoint] = []
-    waypoint: GridPose | None = None
     path: list[GridPose] | None = None
     path_index = 0
     age = 0
     latest_pset = None
-    end_reason = "budget"
+    coverage = 0.0
 
     for t in range(cfg.budget_t):
-        scan = simulate_scan(gt, state.pose, cfg.sensor)
+        scan = simulate_scan(gt, pose, cfg.sensor)
         integrate_scan(observed, scan)
         coverage = coverage_of(observed, footprint)
+        step = {"type": "step", "t": t, "x": pose.x, "y": pose.y, "coverage": coverage,
+                "replanned": False, "waypoint": None}
 
-        replanned = False
         if not waypoint_valid(
-            state, waypoint, path, observed,
+            pose, path, observed,
             path_index=path_index, age=age, max_age=cfg.max_waypoint_age,
         ):
-            replanned = True
-            waypoint, path, path_index, age = None, None, 0, 0
+            step["replanned"] = True
+            path, path_index, age = None, 0, 0
             clusters = extract_frontiers(observed, cfg.min_cluster_size)
             if not clusters:
                 end_reason = "complete"
-                rows.append(StepRow(t, state.pose.x, state.pose.y, coverage, True, None, None))
+                lines.append(step)
                 break
             latest_pset = ensemble_predict(ensemble, observed)
             ctx = ScoreContext(
-                observed=observed, robot_pose=state.pose,
+                observed=observed, robot_pose=pose,
                 raycast=cfg.raycast, prediction_set=latest_pset,
             )
             scores = [score_frontier(c, cfg.scorer, ctx) for c in clusters]
-            order = rank_frontiers(clusters, scores, state.pose)
+            order = rank_frontiers(clusters, scores, pose)
             blocked = observed.cells == OCCUPIED
             attempts = 0
             for idx in order:
                 attempts += 1
-                cand = clusters[idx].centroid
-                p = astar(blocked, state.pose, cand)
-                if p is not None:
-                    waypoint, path = cand, p
+                path = astar(blocked, pose, clusters[idx].centroid)
+                if path is not None:
                     break
-            replans.append(ReplanEvent(
-                t=t, n_clusters=len(clusters),
-                scores=[[clusters[i].centroid.x, clusters[i].centroid.y,
-                         clusters[i].size, scores[i]] for i in order],
-                chosen_x=waypoint.x if waypoint else None,
-                chosen_y=waypoint.y if waypoint else None,
-                attempts=attempts,
-            ))
-            if waypoint is None:
+            lines.append({
+                "type": "replan", "t": t, "n_clusters": len(clusters),
+                "chosen": None if path is None else list(path[-1]),
+                "attempts": attempts,
+                "scores": [[clusters[i].centroid.x, clusters[i].centroid.y,
+                            clusters[i].size, scores[i]] for i in order],
+            })
+            if path is None:
                 end_reason = "stuck"
-                rows.append(StepRow(t, state.pose.x, state.pose.y, coverage, True, None, None))
+                lines.append(step)
                 break
 
-        rows.append(StepRow(t, state.pose.x, state.pose.y, coverage,
-                            replanned, waypoint.x, waypoint.y))
+        step["waypoint"] = list(path[-1])
+        lines.append(step)
 
-        if path is not None and path_index + 1 < len(path):
+        if path_index + 1 < len(path):
             nxt = path[path_index + 1]
-            delta = (nxt.x - state.pose.x, nxt.y - state.pose.y)
-            state = apply_action(state, delta, gt)
-            if state.pose == nxt:
+            pose = apply_action(pose, (nxt.x - pose.x, nxt.y - pose.y), gt)
+            if pose == nxt:
                 path_index += 1
             # else: blocked by an undiscovered wall; next scan reveals it and
             # waypoint_valid forces a replan
-        else:
-            state = apply_action(state, (0, 0), gt)
         age += 1
 
         if cfg.checkpoint_every > 0 and (t + 1) % cfg.checkpoint_every == 0:
@@ -294,15 +277,14 @@ def run_episode(
                 mean=latest_pset.mean.copy() if latest_pset else None,
                 variance=latest_pset.variance.copy() if latest_pset else None,
             ))
+    else:
+        t, end_reason = cfg.budget_t, "budget"
 
+    lines.append({"type": "end", "reason": end_reason, "t": t,
+                  "pose": list(pose), "coverage": coverage})
     return EpisodeRecord(
-        rows=rows,
-        replans=replans,
-        end_reason=end_reason,
-        final_pose=state.pose,
-        final_t=state.t,
-        final_coverage=rows[-1].coverage if rows else 0.0,
+        lines=lines,
+        checkpoints=checkpoints,
         final_observed=observed,
         final_prediction_mean=latest_pset.mean if latest_pset else None,
-        checkpoints=checkpoints,
     )

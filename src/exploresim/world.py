@@ -49,12 +49,6 @@ class Scan:
     free_cells: np.ndarray = field(repr=False)  # (m, 2) int, columns (x, y)
 
 
-@dataclass(frozen=True)
-class RobotState:
-    pose: GridPose
-    t: int = 0
-
-
 def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
     """Trace every ray from `pose` until the first occupied cell or max range.
 
@@ -104,18 +98,20 @@ def integrate_scan(observed: OccupancyGrid, scan: Scan) -> OccupancyGrid:
     return observed
 
 
-def apply_action(state: RobotState, action: tuple[int, int], gt: OccupancyGrid) -> RobotState:
-    """One grid move by `action` = (dx, dy), each in {-1, 0, 1}; (0, 0)
-    stays. y grows downward. Blocked and off-grid moves are no-ops that
-    still consume the timestep."""
+def apply_action(pose: GridPose, action: tuple[int, int], gt: OccupancyGrid) -> GridPose:
+    """The pose after one grid move by `action` = (dx, dy), each in
+    {-1, 0, 1}; (0, 0) stays. y grows downward. Blocked and off-grid moves
+    leave the pose as it is, and so does a diagonal move between two
+    blocked orthogonal cells, which `planner.astar` forbids too."""
     dx, dy = action
     if max(abs(dx), abs(dy)) > 1:
         raise ValueError(f"action {(dx, dy)} is not a single-cell move")
-    nx, ny = state.pose.x + dx, state.pose.y + dy
-    pose = state.pose
-    if gt.in_bounds(nx, ny) and gt.at(GridPose(nx, ny)) == FREE:
-        pose = GridPose(nx, ny)
-    return RobotState(pose=pose, t=state.t + 1)
+    nx, ny = pose.x + dx, pose.y + dy
+    if not gt.in_bounds(nx, ny) or gt.cells[ny, nx] != FREE:
+        return pose
+    if dx and dy and gt.cells[pose.y, nx] != FREE and gt.cells[ny, pose.x] != FREE:
+        return pose  # corner fully closed
+    return GridPose(nx, ny)
 
 
 def generate_floorplan(

@@ -239,6 +239,25 @@ def test_run_experiment_resume_skips_completed_rows(tmp_path):
         assert p.stat().st_mtime_ns == stamps[p]
 
 
+def test_resume_reruns_a_row_whose_config_changed(tmp_path):
+    # A stored row is reused only when its record starts with the header
+    # this run would write: a lower budget re-runs the row and drops the
+    # snapshots the longer run left.
+    cfg = ExperimentConfig(
+        maps=MapSource(kind="generate", count=1, width=60, height=60),
+        starts=[GridPose(1, 1)], scorers=["nearest"], budget=30,
+        sensor=SensorSpec(3.0, 120), predictor=PredictorSpec(kind="passthrough", ensemble=1),
+        checkpoint_every=5, tu_goals=0, output_dir=str(tmp_path),
+    )
+    assert run_experiment(cfg)[0]["steps"] == 30
+    cfg.budget = 10
+    assert run_experiment(cfg)[0]["steps"] == 10
+    row_dir = _first_row_dir(tmp_path)
+    assert sorted(p.name for p in row_dir.glob("obs_*.pgm")) == [
+        "obs_t00005.pgm", "obs_t00010.pgm"]
+    assert json.loads((row_dir / "record.jsonl").read_text().splitlines()[-1])["t"] == 10
+
+
 def test_run_experiment_explicit_starts(tmp_path):
     cfg = parse_config(_write_experiment(
         tmp_path, policy="explicit", poses_line="poses = 31,31"))

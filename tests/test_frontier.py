@@ -10,13 +10,12 @@ from exploresim import (
     OccupancyGrid,
     RaycastConfig,
     ScoreContext,
-    ensemble_predict,
     extract_frontiers,
     new_grid,
     score_frontier,
 )
 from exploresim.frontier import rank_frontiers
-from exploresim.predict import PredictionSet, PassThroughPredictor
+from exploresim.predict import PredictionSet
 
 
 def brute_force_frontier_cells(observed):

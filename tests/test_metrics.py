@@ -6,7 +6,6 @@ import pytest
 from exploresim import (
     FREE,
     OCCUPIED,
-    UNKNOWN,
     GridPose,
     OccupancyGrid,
     auc,

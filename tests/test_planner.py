@@ -3,17 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exploresim import (
     FREE,
     OCCUPIED,
+    SCORER_KINDS,
     UNKNOWN,
     EpisodeConfig,
     GridPose,
+    NoisyOraclePredictor,
     OccupancyGrid,
     PassThroughPredictor,
     RaycastConfig,
-    RobotState,
     SensorSpec,
     astar,
     new_grid,
@@ -137,28 +140,28 @@ def _mk_observed(n=16):
 def test_waypoint_invalid_on_arrival():
     observed = _mk_observed()
     path = [GridPose(5, 5), GridPose(6, 5)]
-    state = RobotState(GridPose(5, 5))
+    pose = GridPose(5, 5)
     observed.cells[:, :] = UNKNOWN
     observed.cells[5, 6] = FREE
-    assert not waypoint_valid(state, GridPose(6, 5), path, observed, max_age=50)
+    assert not waypoint_valid(pose, path, observed, max_age=50)
 
 
 def test_waypoint_invalid_when_new_wall_crosses_path():
     observed = _mk_observed()
     path = [GridPose(1, 1), GridPose(2, 1), GridPose(3, 1), GridPose(4, 1)]
     observed.cells[1, 3] = OCCUPIED
-    state = RobotState(GridPose(1, 1))
-    assert not waypoint_valid(state, GridPose(4, 1), path, observed, max_age=50)
+    pose = GridPose(1, 1)
+    assert not waypoint_valid(pose, path, observed, max_age=50)
     # cells already passed do not invalidate the plan
-    assert waypoint_valid(state, GridPose(4, 1), path, observed, path_index=3, max_age=50)
+    assert waypoint_valid(pose, path, observed, path_index=3, max_age=50)
 
 
 def test_waypoint_invalid_when_frontier_dissolves():
     observed = _mk_observed()
     observed.cells[:, :] = FREE  # fully known: waypoint has no unknown neighbor
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4), GridPose(5, 5)]
-    state = RobotState(GridPose(1, 1))
-    assert not waypoint_valid(state, GridPose(5, 5), path, observed, max_age=50)
+    pose = GridPose(1, 1)
+    assert not waypoint_valid(pose, path, observed, max_age=50)
 
 
 def test_waypoint_invalid_when_too_old():
@@ -166,9 +169,9 @@ def test_waypoint_invalid_when_too_old():
     observed.cells[6, 6] = FREE  # keep an unknown neighbor around the waypoint
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4),
             GridPose(5, 5), GridPose(6, 6)]
-    state = RobotState(GridPose(1, 1))
-    assert waypoint_valid(state, GridPose(6, 6), path, observed, age=3, max_age=50)
-    assert not waypoint_valid(state, GridPose(6, 6), path, observed, age=51, max_age=50)
+    pose = GridPose(1, 1)
+    assert waypoint_valid(pose, path, observed, age=3, max_age=50)
+    assert not waypoint_valid(pose, path, observed, age=51, max_age=50)
 
 
 def test_waypoint_valid_fresh_plan():
@@ -176,8 +179,8 @@ def test_waypoint_valid_fresh_plan():
     observed.cells[6, 6] = FREE
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4),
             GridPose(5, 5), GridPose(6, 6)]
-    state = RobotState(GridPose(1, 1))
-    assert waypoint_valid(state, GridPose(6, 6), path, observed, age=3, max_age=50)
+    pose = GridPose(1, 1)
+    assert waypoint_valid(pose, path, observed, age=3, max_age=50)
 
 
 def _single_room(n=29):
@@ -189,6 +192,10 @@ def _single_room(n=29):
 
 def _passthrough_ensemble(n=3):
     return [PassThroughPredictor() for _ in range(n)]
+
+
+def _steps(rec):
+    return [ln for ln in rec.lines if ln["type"] == "step"]
 
 
 def _small_cfg(budget, scorer="nearest", checkpoint_every=0):
@@ -206,27 +213,29 @@ def _small_cfg(budget, scorer="nearest", checkpoint_every=0):
 def test_episode_single_visible_room_completes_fast():
     gt = _single_room()
     rec = run_episode(gt, GridPose(14, 14), _small_cfg(50), _passthrough_ensemble())
-    assert rec.end_reason == "complete"
-    assert rec.final_coverage == pytest.approx(100.0)
-    assert rec.final_t <= 5
-    assert len(rec.replans) <= 2
+    end = rec.lines[-1]
+    assert end["reason"] == "complete"
+    assert end["coverage"] == pytest.approx(100.0)
+    assert end["t"] <= 5
+    assert sum(ln["type"] == "replan" for ln in rec.lines) <= 2
 
 
 def test_episode_budget_zero_has_only_initial_state():
     gt = _single_room()
     rec = run_episode(gt, GridPose(5, 5), _small_cfg(0), _passthrough_ensemble())
-    assert rec.rows == []
-    assert rec.final_t == 0
-    assert rec.final_pose == GridPose(5, 5)
-    assert rec.final_coverage == 0.0
+    assert rec.lines == [
+        {"type": "end", "reason": "budget", "t": 0, "pose": [5, 5], "coverage": 0.0}]
 
 
 def test_episode_row_count_bounded_by_budget():
     gt = _single_room()
     for budget in (1, 3, 10):
         rec = run_episode(gt, GridPose(7, 7), _small_cfg(budget), _passthrough_ensemble())
-        assert len(rec.rows) <= budget + 1
-        assert all(r.t == i for i, r in enumerate(rec.rows))
+        steps = _steps(rec)
+        assert len(steps) <= budget
+        assert [s["t"] for s in steps] == list(range(len(steps)))
+        end = rec.lines[-1]
+        assert end["t"] == (budget if end["reason"] == "budget" else steps[-1]["t"])
 
 
 def test_episode_coverage_is_monotone():
@@ -234,9 +243,9 @@ def test_episode_coverage_is_monotone():
     gt.cells[20, 5:35] = 1.0  # interior wall forces some travel
     gt.cells[20, 18:22] = 0.0
     rec = run_episode(gt, GridPose(5, 5), _small_cfg(300), _passthrough_ensemble())
-    cov = [r.coverage for r in rec.rows]
+    cov = [s["coverage"] for s in _steps(rec)]
     assert all(b >= a - 1e-9 for a, b in zip(cov, cov[1:]))
-    assert rec.final_coverage == pytest.approx(100.0)
+    assert rec.lines[-1]["coverage"] == cov[-1] == pytest.approx(100.0)
 
 
 def test_episode_rejects_bad_start():
@@ -255,7 +264,7 @@ def test_scorer_isolation_first_scan_identical():
                                    _passthrough_ensemble())
     a, b = recs["mapex"], recs["nearest"]
     assert a.final_observed == b.final_observed
-    assert a.rows[0].coverage == b.rows[0].coverage
+    assert _steps(a)[0]["coverage"] == _steps(b)[0]["coverage"]
 
 
 def test_episode_checkpoints_collected():
@@ -265,6 +274,41 @@ def test_episode_checkpoints_collected():
     cfg = _small_cfg(25, checkpoint_every=10)
     rec = run_episode(gt, GridPose(5, 5), cfg, _passthrough_ensemble())
     ts = [cp.t for cp in rec.checkpoints]
-    assert ts == [t for t in (10, 20) if t <= rec.final_t]
+    assert ts == [t for t in (10, 20) if t <= rec.lines[-1]["t"]]
     rec = run_episode(gt, GridPose(5, 5), _small_cfg(25), _passthrough_ensemble())
     assert rec.checkpoints == []  # checkpoint_every 0 takes none
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(8, 20), seed=st.integers(0, 2**32 - 1),
+       scorer=st.sampled_from(SCORER_KINDS))
+def test_episode_invariants_on_random_maps(side, seed, scorer):
+    # Random binary maps have diagonal-only wall contacts that generated
+    # plans never do; the robot must still move only as astar allows.
+    rng = np.random.default_rng(seed)
+    cells = (rng.random((side, side)) < 0.3).astype(float)
+    start = GridPose(int(rng.integers(side)), int(rng.integers(side)))
+    cells[start.y, start.x] = FREE
+    gt = OccupancyGrid(cells, 0.1)
+    ensemble = [NoisyOraclePredictor(gt, 0.2, s) for s in (1, 2)]
+    rec = run_episode(gt, start, _small_cfg(40, scorer, checkpoint_every=1), ensemble)
+
+    blocked = cells != FREE
+    poses = {(s["x"], s["y"]) for s in _steps(rec)} | {tuple(rec.lines[-1]["pose"])}
+    for x, y in poses:
+        assert astar(blocked, start, GridPose(x, y)) is not None
+
+    # Checkpoint t is taken after step t-1; with one per step, the map the
+    # prediction of the replan at step r saw is the checkpoint at r+1.
+    replans = [ln["t"] for ln in rec.lines if ln["type"] == "replan"]
+    known_at = {}
+    prev = np.zeros_like(blocked)
+    for cp in rec.checkpoints:
+        known = cp.observed.cells != UNKNOWN
+        assert np.array_equal(cp.observed.cells[known], cells[known])
+        assert not (prev & ~known).any()
+        known_at[cp.t] = prev = known
+        if cp.variance is not None:
+            assert cp.variance.cells.max() <= 0.25
+            r = max(t for t in replans if t < cp.t)
+            assert cp.variance.cells[known_at[r + 1]].max(initial=0.0) == 0.0

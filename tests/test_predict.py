@@ -17,7 +17,6 @@ from exploresim import (
     PatchInpaintingPredictor,
     ensemble_predict,
     new_grid,
-    save_pgm,
 )
 from exploresim.predict import clamp_to_observed
 

@@ -14,10 +14,10 @@ from exploresim import (
     InvalidStateError,
     OccupancyGrid,
     RaycastConfig,
-    RobotState,
     Scan,
     SensorSpec,
     apply_action,
+    astar,
     deterministic_raycast,
     generate_floorplan,
     integrate_scan,
@@ -193,37 +193,40 @@ def test_exhaustive_scanning_recovers_a_closed_room():
 
 def test_apply_action_moves_diagonally():
     gt = OccupancyGrid(np.zeros((10, 10)), 0.1)
-    s = apply_action(RobotState(GridPose(5, 5), t=3), (1, -1), gt)  # NE: y grows down
-    assert s.pose == GridPose(6, 4)
-    assert s.t == 4
+    assert apply_action(GridPose(5, 5), (1, -1), gt) == GridPose(6, 4)  # NE: y grows down
 
 
 def test_apply_action_blocked_is_noop_but_costs_time():
     gt = OccupancyGrid(np.zeros((10, 10)), 0.1)
     gt.cells[4, 5] = OCCUPIED
-    s = apply_action(RobotState(GridPose(5, 5), t=0), (0, -1), gt)
-    assert s.pose == GridPose(5, 5)
-    assert s.t == 1
+    assert apply_action(GridPose(5, 5), (0, -1), gt) == GridPose(5, 5)
 
 
 def test_apply_action_off_grid_is_noop():
     gt = OccupancyGrid(np.zeros((4, 4)), 0.1)
-    s = apply_action(RobotState(GridPose(0, 0), t=0), (-1, -1), gt)
-    assert s.pose == GridPose(0, 0)
-    assert s.t == 1
+    assert apply_action(GridPose(0, 0), (-1, -1), gt) == GridPose(0, 0)
 
 
 def test_apply_action_stays_in_place():
     gt = OccupancyGrid(np.zeros((4, 4)), 0.1)
-    s = apply_action(RobotState(GridPose(1, 1), t=2), (0, 0), gt)
-    assert (s.pose, s.t) == (GridPose(1, 1), 3)
+    assert apply_action(GridPose(1, 1), (0, 0), gt) == GridPose(1, 1)
 
 
 def test_apply_action_rejects_a_multi_cell_move():
     gt = OccupancyGrid(np.zeros((4, 4)), 0.1)
     for delta in ((2, 0), (0, -2), (1, 2)):
         with pytest.raises(ValueError):
-            apply_action(RobotState(GridPose(1, 1)), delta, gt)
+            apply_action(GridPose(1, 1), delta, gt)
+
+
+def test_apply_action_closed_corner_is_noop():
+    # astar's rule: no diagonal step between two blocked orthogonal cells.
+    gt = OccupancyGrid(np.zeros((3, 3)), 0.1)
+    gt.cells[0, 1] = gt.cells[1, 0] = OCCUPIED
+    assert apply_action(GridPose(0, 0), (1, 1), gt) == GridPose(0, 0)
+    assert astar(gt.cells != FREE, GridPose(0, 0), GridPose(1, 1)) is None
+    gt.cells[0, 1] = FREE  # one open orthogonal cell lets the diagonal through
+    assert apply_action(GridPose(0, 0), (1, 1), gt) == GridPose(1, 1)
 
 
 def flood_free_component(cells, start):
