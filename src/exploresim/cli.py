@@ -181,7 +181,8 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
 
 def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
     """The record's header line. File paths in it are absolute, so the
-    record replays from any working directory."""
+    record replays from any working directory. The episode ignores
+    `tu_goals` and `snapshots`; they are here so a change re-runs the row."""
     corpus = cfg.predictor.corpus and os.path.abspath(cfg.predictor.corpus)
     seeds = [member_seed(spec.seed, spec.map_index, i) for i in range(cfg.predictor.ensemble)]
     return {
@@ -202,6 +203,8 @@ def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
         "min_cluster_size": cfg.min_cluster_size,
         "max_waypoint_age": cfg.max_waypoint_age,
         "checkpoint_every": cfg.checkpoint_every,
+        "tu_goals": cfg.tu_goals,
+        "snapshots": cfg.snapshots,
     }
 
 
@@ -298,8 +301,7 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
 
 
 def _run_row_task(args):
-    cfg, spec, desc, out_dir = args
-    gt = _gt_from_descriptor(desc)
+    cfg, spec, gt, out_dir = args
     error_path = Path(out_dir) / spec.name / "error.txt"
     try:
         result = run_row(cfg, spec, gt, Path(out_dir))
@@ -329,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[di
             for scorer in cfg.scorers:
                 for seed in cfg.seeds:
                     spec = RowSpec(label, mi, start, si, scorer, seed)
-                    tasks.append((cfg, spec, desc, str(out_dir)))
+                    tasks.append((cfg, spec, gt, str(out_dir)))
 
     if workers is None:
         workers = int(os.environ.get("EXPLORE_WORKERS", "1"))
@@ -412,6 +414,13 @@ def _cmd_score_map(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_replay(args) -> int:
     try:
         written = replay(args.record, args.out)
@@ -445,7 +454,7 @@ def main(argv=None) -> int:
     p.add_argument("observed")
     p.add_argument("gt")
     p.add_argument("--tu-start", default=None, help="x,y for plan-success metric")
-    p.add_argument("--tu-goals", type=int, default=ExperimentConfig.tu_goals)
+    p.add_argument("--tu-goals", type=_positive_int, default=ExperimentConfig.tu_goals)
     p.add_argument("--tu-seed", type=int, default=0)
     p.set_defaults(func=_cmd_score_map)
 

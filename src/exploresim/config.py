@@ -182,6 +182,8 @@ def parse_config(path) -> ExperimentConfig:
 
     if "budget" in top and top["budget"] < 0:
         raise ConfigError("[episode] budget: must be >= 0")
+    if "tu_goals" in top and top["tu_goals"] < 0:
+        raise ConfigError("[metrics] tu_goals: must be >= 0 (0 scores no TU)")
 
     try:
         sensor = SensorSpec(**given["sensor"])

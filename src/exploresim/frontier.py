@@ -40,7 +40,7 @@ from .infogain import (
     visibility_mask,
 )
 from .predict import PredictionSet
-from .trace import bresenham_line
+from .trace import line_cells
 
 SCORER_KINDS = (
     "mapex",
@@ -117,23 +117,23 @@ def extract_frontiers(observed: OccupancyGrid, min_cluster_size: int) -> list[Fr
 
 
 def _disc_variance_sum(center: GridPose, radius_cells: float, variance: OccupancyGrid,
-                       unknown_only: np.ndarray | None = None) -> float:
+                       observed: OccupancyGrid) -> float:
+    """Variance summed over the unknown observed cells within the radius."""
     x0 = max(0, int(np.floor(center.x - radius_cells)))
     x1 = min(variance.width, int(np.ceil(center.x + radius_cells)) + 1)
     y0 = max(0, int(np.floor(center.y - radius_cells)))
     y1 = min(variance.height, int(np.ceil(center.y + radius_cells)) + 1)
     ys, xs = np.mgrid[y0:y1, x0:x1]
     inside = (xs - center.x) ** 2 + (ys - center.y) ** 2 <= radius_cells**2
-    if unknown_only is not None:
-        inside &= unknown_only[y0:y1, x0:x1]
+    inside &= observed.cells[y0:y1, x0:x1] == UNKNOWN
     return float(variance.cells[y0:y1, x0:x1][inside].sum())
 
 
 def _line_corridor_variance_sum(a: GridPose, b: GridPose, radius_cells: float,
                                 variance: OccupancyGrid) -> float:
     line = np.zeros(variance.shape, dtype=bool)
-    for cell in bresenham_line(a, b):
-        line[cell.y, cell.x] = True
+    cells = line_cells([a], [b])
+    line[cells[:, 1], cells[:, 0]] = True
     dist = ndimage.distance_transform_edt(~line)
     return float(variance.cells[dist <= radius_cells].sum())
 
@@ -154,8 +154,7 @@ def score_frontier(cluster: FrontierCluster, kind: str, ctx: ScoreContext) -> fl
         return 1.0 / dist
 
     if kind == "no_visibility":
-        unknown = ctx.observed.cells == UNKNOWN
-        gain = _disc_variance_sum(c, radius_cells, ctx.prediction_set.variance, unknown)
+        gain = _disc_variance_sum(c, radius_cells, ctx.prediction_set.variance, ctx.observed)
         return gain / dist
 
     if kind == "variance_only":

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import UNKNOWN, GridPose, OccupancyGrid
-from .trace import bresenham_line, gather_values, ray_cell_table, ray_ends
+from .trace import gather_values, line_cells, ray_cell_table, ray_ends
 
 # The running total is a float cumsum; comparing against epsilon minus this
 # guard keeps cell-count arithmetic exact (eight 0.1 cells must reach 0.8).
@@ -107,12 +107,10 @@ def visibility_mask(
     y1 = int(max(ey.max(), viewpoint.y)) + 1
 
     barrier = np.zeros((y1 - y0, x1 - x0), dtype=bool)
-    # Segments run i -> i+1 (closing back to 0): the Bresenham chain is not
-    # symmetric, so the direction decides which cells form the barrier.
-    pts = endpoints.tolist()
-    for a, b in zip(pts, pts[1:] + pts[:1]):
-        for cell in bresenham_line(a, b):
-            barrier[cell.y - y0, cell.x - x0] = True
+    # Segments run i -> i+1 (closing back to 0): the line is not symmetric,
+    # so the direction decides which cells form the barrier.
+    cells = line_cells(endpoints, np.roll(endpoints, -1, axis=0))
+    barrier[cells[:, 1] - y0, cells[:, 0] - x0] = True
 
     vy, vx = viewpoint.y - y0, viewpoint.x - x0
     if barrier[vy, vx]:

@@ -73,6 +73,8 @@ def topological_understanding(
     """
     if predicted.shape != gt.shape:
         raise ValueError(f"predicted {predicted.shape} vs ground truth {gt.shape}")
+    if n_goals < 1:
+        raise ValueError(f"need at least one goal, got {n_goals}")
     if not gt.in_bounds(start.x, start.y) or gt.at(start) > 0.5:
         raise ValueError(f"start {start} must be a free ground-truth cell")
     footprint = building_footprint(gt)

@@ -40,27 +40,23 @@ class PassThroughPredictor:
 class NoisyOraclePredictor:
     """Ground truth with a fixed per-cell flip pattern on unknown cells.
 
-    The flip mask depends only on (seed, grid shape), so the predictor is a
-    deterministic function of the observed map. flip_rate 0 is a perfect
-    oracle for the unknown region.
+    The flip pattern depends only on (seed, grid shape) and is drawn once,
+    so the predictor is a deterministic function of the observed map.
+    flip_rate 0 is a perfect oracle for the unknown region.
     """
 
     def __init__(self, gt: OccupancyGrid, flip_rate: float, seed: int):
         if not 0.0 <= flip_rate <= 1.0:
             raise ValueError(f"flip rate must be in [0, 1], got {flip_rate}")
-        self.gt = gt
-        self.flip_rate = flip_rate
-        self.seed = seed
+        flip = np.random.default_rng(seed).random(gt.shape) < flip_rate
+        self.filled = np.where(flip, 1.0 - gt.cells, gt.cells)
 
     def predict(self, observed: OccupancyGrid) -> OccupancyGrid:
-        if observed.shape != self.gt.shape:
+        if observed.shape != self.filled.shape:
             raise ValueError(
-                f"observed {observed.shape} does not match ground truth {self.gt.shape}"
+                f"observed {observed.shape} does not match ground truth {self.filled.shape}"
             )
-        rng = np.random.default_rng(self.seed)
-        flip = rng.random(self.gt.shape) < self.flip_rate
-        filled = np.where(flip, 1.0 - self.gt.cells, self.gt.cells)
-        return OccupancyGrid(filled, observed.resolution)
+        return OccupancyGrid(self.filled.copy(), observed.resolution)
 
 
 class PatchInpaintingPredictor:

@@ -1,5 +1,9 @@
 """Ray and line traversal kernels shared by the sensor and the scoring raycasts.
 
+There are two kernels: the ray table, which the sensor and both scoring
+casts walk, and `line_cells`, which rasterizes straight segments for the
+visibility-mask polygon and the variance corridor.
+
 `ray_ends` is the one rule for where a ray stops: at its first in-bounds
 sample flagged by the caller's stop mask, else at its last in-bounds sample.
 The sensor flags occupied ground-truth cells, the scoring casts flag the
@@ -17,6 +21,12 @@ precomputed per (ray count, range) as integer offset tables. The step of
 and the walk is bit-reproducible. Consecutive duplicate cells are flagged
 via a "new cell" mask so per-cell accumulation counts each traversed cell
 once per ray.
+
+A segment from a to b has max(|dx|, |dy|) + 1 cells; the i-th moves each
+axis i * |d| / max(|dx|, |dy|) cells towards b, rounded half down. These
+are the cells of Bresenham's walk from a to b: 8-connected without diagonal
+gaps, so a barrier to a 4-connected flood fill, and not always the cells of
+the walk from b to a.
 """
 
 from __future__ import annotations
@@ -34,28 +44,15 @@ STEP = 0.25  # sample spacing along a ray, in cells
 _COUNT_GUARD = 1e-9
 
 
-@lru_cache(maxsize=32)
-def unit_ray_directions(n_rays: int) -> np.ndarray:
-    """(n_rays, 2) unit vectors, evenly spaced over 360°, angle 0 = +x."""
-    angles = np.arange(n_rays, dtype=np.float64) * (2.0 * np.pi / n_rays)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
-@lru_cache(maxsize=32)
-def sample_distances(range_cells: float) -> np.ndarray:
-    """Sample distances 0, STEP, 2*STEP, ... covering `range_cells`."""
-    n = int(np.floor(range_cells / STEP + _COUNT_GUARD)) + 1
-    return np.arange(n, dtype=np.float64) * STEP
-
-
 @lru_cache(maxsize=8)
 def ray_offset_table(n_rays: int, range_cells: float):
     """Cached per-sample cell offsets (offx, offy, newcell), each
     (n_rays, n_samples). Sample 0 is the origin cell (offset 0, 0)."""
-    dirs = unit_ray_directions(n_rays)
-    dist = sample_distances(range_cells)
-    offx = np.floor(0.5 + dirs[:, 0:1] * dist[None, :]).astype(np.int32)
-    offy = np.floor(0.5 + dirs[:, 1:2] * dist[None, :]).astype(np.int32)
+    angles = np.arange(n_rays, dtype=np.float64) * (2.0 * np.pi / n_rays)
+    n_samples = int(np.floor(range_cells / STEP + _COUNT_GUARD)) + 1
+    dist = np.arange(n_samples, dtype=np.float64) * STEP
+    offx = np.floor(0.5 + np.cos(angles)[:, None] * dist).astype(np.int32)
+    offy = np.floor(0.5 + np.sin(angles)[:, None] * dist).astype(np.int32)
     new = np.ones(offx.shape, dtype=bool)
     new[:, 1:] = (offx[:, 1:] != offx[:, :-1]) | (offy[:, 1:] != offy[:, :-1])
     return offx, offy, new
@@ -100,29 +97,21 @@ def ray_ends(cx: np.ndarray, cy: np.ndarray, inb: np.ndarray, stop: np.ndarray):
     return end_idx, stopped, np.stack([cx[rows, end_idx], cy[rows, end_idx]], axis=1)
 
 
-def bresenham_line(a, b) -> list[GridPose]:
-    """8-connected cell chain from a to b, (x, y) pairs, inclusive of both ends.
+def line_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cells of the segments a[k] -> b[k], concatenated in segment order.
 
-    The chain has no diagonal gaps wider than one step, so it acts as a
-    barrier to a 4-connected flood fill.
+    `a` and `b` are (n, 2) integer arrays with columns (x, y); the result is
+    an (N, 2) int array. Each segment includes both of its ends, so a
+    zero-length segment gives its one cell.
     """
-    x0, y0 = a
-    x1, y1 = b
-    dx = abs(x1 - x0)
-    dy = abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx - dy
-    cells = []
-    while True:
-        cells.append(GridPose(x0, y0))
-        if x0 == x1 and y0 == y1:
-            break
-        e2 = 2 * err
-        if e2 > -dy:
-            err -= dy
-            x0 += sx
-        if e2 < dx:
-            err += dx
-            y0 += sy
-    return cells
+    a = np.asarray(a, dtype=np.int64)
+    d = np.asarray(b, dtype=np.int64) - a
+    steps = np.abs(d)
+    major = steps.max(axis=1)
+    n = major + 1
+    seg = np.repeat(np.arange(len(a)), n)
+    i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    # A divisor floored at 1 keeps a zero-length segment at offset 0.
+    m = np.maximum(major, 1)[seg, None]
+    offsets = (2 * i[:, None] * steps[seg] + m - 1) // (2 * m)
+    return a[seg] + np.sign(d[seg]) * offsets

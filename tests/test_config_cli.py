@@ -122,6 +122,14 @@ scorer = bogus
         parse_config(cfg_path)
 
 
+def test_config_rejects_negative_tu_goals(tmp_path):
+    text = "[maps]\nsource = generate\n\n[metrics]\ntu_goals = {}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write_config(tmp_path / "exp.ini", text.format(-1)))
+    assert "tu_goals" in str(exc.value)
+    assert parse_config(write_config(tmp_path / "exp.ini", text.format(0))).tu_goals == 0
+
+
 def _sealed_box(n=20):
     cells = np.zeros((n, n))
     cells[0, :] = cells[-1, :] = OCCUPIED
@@ -239,16 +247,22 @@ def test_run_experiment_resume_skips_completed_rows(tmp_path):
         assert p.stat().st_mtime_ns == stamps[p]
 
 
+def _tiny_row_config(tmp_path, **changes):
+    """One short row on a 60x60 plan; `changes` override its settings."""
+    settings = dict(
+        starts=[GridPose(1, 1)], scorers=["nearest"], budget=10,
+        sensor=SensorSpec(3.0, 120), predictor=PredictorSpec(kind="passthrough", ensemble=1),
+        checkpoint_every=5, tu_goals=0, output_dir=str(tmp_path),
+    )
+    return ExperimentConfig(maps=MapSource(kind="generate", count=1, width=60, height=60),
+                            **(settings | changes))
+
+
 def test_resume_reruns_a_row_whose_config_changed(tmp_path):
     # A stored row is reused only when its record starts with the header
     # this run would write: a lower budget re-runs the row and drops the
     # snapshots the longer run left.
-    cfg = ExperimentConfig(
-        maps=MapSource(kind="generate", count=1, width=60, height=60),
-        starts=[GridPose(1, 1)], scorers=["nearest"], budget=30,
-        sensor=SensorSpec(3.0, 120), predictor=PredictorSpec(kind="passthrough", ensemble=1),
-        checkpoint_every=5, tu_goals=0, output_dir=str(tmp_path),
-    )
+    cfg = _tiny_row_config(tmp_path, budget=30)
     assert run_experiment(cfg)[0]["steps"] == 30
     cfg.budget = 10
     assert run_experiment(cfg)[0]["steps"] == 10
@@ -256,6 +270,21 @@ def test_resume_reruns_a_row_whose_config_changed(tmp_path):
     assert sorted(p.name for p in row_dir.glob("obs_*.pgm")) == [
         "obs_t00005.pgm", "obs_t00010.pgm"]
     assert json.loads((row_dir / "record.jsonl").read_text().splitlines()[-1])["t"] == 10
+
+
+def test_resume_reruns_a_row_whose_tu_goals_changed(tmp_path):
+    assert run_experiment(_tiny_row_config(tmp_path))[0]["tu_final"] == ""
+    [row] = run_experiment(_tiny_row_config(tmp_path, tu_goals=5))
+    assert 0.0 <= row["tu_final"] <= 1.0
+    assert row["tu_checkpoints"].startswith("5:")
+
+
+def test_resume_reruns_a_row_whose_snapshots_setting_changed(tmp_path):
+    run_experiment(_tiny_row_config(tmp_path, snapshots=False))
+    assert not list(_first_row_dir(tmp_path).glob("*.pgm"))
+    run_experiment(_tiny_row_config(tmp_path))
+    assert sorted(p.name for p in _first_row_dir(tmp_path).glob("obs_*.pgm")) == [
+        "obs_t00005.pgm", "obs_t00010.pgm"]
 
 
 def test_run_experiment_explicit_starts(tmp_path):
@@ -489,6 +518,15 @@ def test_cli_generate_maps_and_score_map(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "coverage: 100.00" in out
     assert "iou_occupied: 1.0000" in out
+
+
+def test_cli_score_map_rejects_zero_tu_goals(tmp_path, capsys):
+    path = tmp_path / "room.pgm"
+    save_pgm(OccupancyGrid(_sealed_box(), 0.1), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["score-map", str(path), str(path), "--tu-start", "1,1", "--tu-goals", "0"])
+    assert exc.value.code == 2
+    assert "--tu-goals" in capsys.readouterr().err
 
 
 def test_cli_run_exit_code(tmp_path, capsys):

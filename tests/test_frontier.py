@@ -16,6 +16,7 @@ from exploresim import (
 )
 from exploresim.frontier import rank_frontiers
 from exploresim.predict import PredictionSet
+from test_trace import bresenham_line
 
 
 def brute_force_frontier_cells(observed):
@@ -158,6 +159,46 @@ def test_scale_equivariance_of_variance_scores():
     pset_scaled = PredictionSet(mean, OccupancyGrid(var.cells * 0.5, 0.1))
     ctx2 = _ctx(observed, pset_scaled, GridPose(24, 24))
     assert score_frontier(cl, "mapex", ctx2) == pytest.approx(0.5 * base, rel=1e-9)
+
+
+def _random_scoring_case(seed):
+    """A random three-label observed map with 0.5 m cells, so the 5 m radius
+    is 10 cells, a random variance map, a robot pose and a centroid."""
+    rng = np.random.default_rng(seed)
+    shape = (40, 48)
+    observed = OccupancyGrid(rng.choice([FREE, UNKNOWN, OCCUPIED], size=shape), 0.5)
+    pset = PredictionSet(OccupancyGrid(np.zeros(shape), 0.5),
+                         OccupancyGrid(rng.random(shape) * 0.25, 0.5))
+    robot, c = (GridPose(int(rng.integers(shape[1])), int(rng.integers(shape[0])))
+                for _ in range(2))
+    return observed, pset, robot, c
+
+
+def _within(cells, radius, shape):
+    """Brute force: the grid cells within `radius` of any of `cells`."""
+    ys, xs = np.mgrid[0 : shape[0], 0 : shape[1]]
+    near = np.zeros(shape, dtype=bool)
+    for x, y in cells:
+        near |= (xs - x) ** 2 + (ys - y) ** 2 <= radius**2
+    return near
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_no_visibility_sums_unknown_variance_near_the_centroid(seed):
+    observed, pset, robot, c = _random_scoring_case(seed)
+    near = _within([c], 10, observed.shape) & (observed.cells == UNKNOWN)
+    dist = max(float(np.hypot(c.x - robot.x, c.y - robot.y)), 1.0)
+    score = score_frontier(_cluster_at(*c), "no_visibility", _ctx(observed, pset, robot))
+    assert score == pytest.approx(pset.variance.cells[near].sum() / dist, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_variance_only_sums_variance_near_the_robot_centroid_line(seed):
+    observed, pset, robot, c = _random_scoring_case(seed)
+    near = _within(bresenham_line(robot, c), 10, observed.shape)
+    dist = max(float(np.hypot(c.x - robot.x, c.y - robot.y)), 1.0)
+    score = score_frontier(_cluster_at(*c), "variance_only", _ctx(observed, pset, robot))
+    assert score == pytest.approx(pset.variance.cells[near].sum() / dist, rel=1e-12)
 
 
 def test_nearest_ignores_prediction_set():

@@ -218,6 +218,12 @@ def test_tu_requires_free_start():
         topological_understanding(gt, gt, GridPose(4, 4), n_goals=5, seed=0)
 
 
+def test_tu_needs_at_least_one_goal():
+    gt, (lo, _) = _room_with_margin(24, 4)
+    with pytest.raises(ValueError, match="at least one goal"):
+        topological_understanding(gt, gt, GridPose(lo + 2, lo + 2), n_goals=0, seed=0)
+
+
 def test_auc_constant_series():
     assert auc([7.5] * 10) == pytest.approx(7.5)
 
