@@ -13,10 +13,12 @@ by the lines `planner.run_episode` emits (its docstring lists their types
 and keys), plus checkpoint PGM snapshots of the observed/mean/variance
 maps. Records contain no wall-clock data, so a rerun with the same config
 and seed is byte-identical. The header line alone determines the episode:
-`replay` rebuilds it from the header, checks that the re-run reproduces
-every line of the record, then re-emits the snapshots. The batch is
-resumable: a row whose outputs exist and whose record starts with the
-header this run would write is not re-executed.
+it holds the row's `EpisodeConfig` and `PredictorSpec` by field name, and
+`replay` rebuilds them from it, checks that the re-run reproduces every
+line of the record, then re-emits the snapshots. The batch is resumable: a
+row whose outputs exist and whose record starts with the header this run
+would write is not re-executed. A rejected config exits 2 with one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -127,10 +129,8 @@ def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> 
         corpus = [load_pgm(p, resolution=gt.resolution) for p in paths]
         return [PatchInpaintingPredictor(corpus[i::spec.ensemble] or corpus, spec.block, spec.ring)
                 for i in range(spec.ensemble)]
-    if spec.kind == "external":
-        commands = [c.strip() for c in spec.command.split(";") if c.strip()]
-        return [ExternalPredictor(commands[i % len(commands)]) for i in range(spec.ensemble)]
-    raise ConfigError(f"unknown predictor kind {spec.kind!r}")
+    commands = [c.strip() for c in spec.command.split(";") if c.strip()]  # external
+    return [ExternalPredictor(commands[i % len(commands)]) for i in range(spec.ensemble)]
 
 
 @dataclass
@@ -180,29 +180,25 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
 
 
 def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
-    """The record's header line. File paths in it are absolute, so the
-    record replays from any working directory. The episode ignores
-    `tu_goals` and `snapshots`; they are here so a change re-runs the row."""
+    """The record's header line; `episode` and `predictor` are dataclasses by
+    field name. File paths are absolute, so the record replays anywhere.
+    `tu_goals` and `snapshots` are here only so that a change re-runs the row."""
+    episode = EpisodeConfig(
+        budget_t=cfg.budget, scorer=spec.scorer, sensor=cfg.sensor, raycast=cfg.raycast,
+        min_cluster_size=cfg.min_cluster_size, max_waypoint_age=cfg.max_waypoint_age,
+        checkpoint_every=cfg.checkpoint_every,
+    )
     corpus = cfg.predictor.corpus and os.path.abspath(cfg.predictor.corpus)
-    seeds = [member_seed(spec.seed, spec.map_index, i) for i in range(cfg.predictor.ensemble)]
     return {
         "type": "header",
         "map": _map_descriptors(cfg.maps)[spec.map_index][1],
         "map_label": spec.map_label,
         "start": [spec.start.x, spec.start.y],
-        "scorer": spec.scorer,
         "seed": spec.seed,
-        "budget": cfg.budget,
-        "sensor": {"range": cfg.sensor.range_lambda, "rays": cfg.sensor.n_rays},
-        "raycast": {"epsilon": cfg.raycast.epsilon, "rays": cfg.raycast.n_rays,
-                    "range": cfg.raycast.range_lambda},
-        "predictor": {"kind": cfg.predictor.kind, "ensemble": cfg.predictor.ensemble,
-                      "flip_rate": cfg.predictor.flip_rate, "command": cfg.predictor.command,
-                      "corpus": corpus, "block": cfg.predictor.block,
-                      "ring": cfg.predictor.ring, "member_seeds": seeds},
-        "min_cluster_size": cfg.min_cluster_size,
-        "max_waypoint_age": cfg.max_waypoint_age,
-        "checkpoint_every": cfg.checkpoint_every,
+        "episode": asdict(episode),
+        "predictor": asdict(replace(cfg.predictor, corpus=corpus)),
+        "member_seeds": [member_seed(spec.seed, spec.map_index, i)
+                         for i in range(cfg.predictor.ensemble)],
         "tu_goals": cfg.tu_goals,
         "snapshots": cfg.snapshots,
     }
@@ -214,18 +210,11 @@ def _episode_inputs(header: dict, gt: OccupancyGrid) -> tuple[EpisodeConfig, lis
     `run_row` and `replay` both build their episode here, so a record's
     header is all it takes to re-run the row.
     """
-    pred, sensor, raycast = header["predictor"], header["sensor"], header["raycast"]
-    ep_cfg = EpisodeConfig(
-        budget_t=header["budget"], scorer=header["scorer"],
-        sensor=SensorSpec(range_lambda=sensor["range"], n_rays=sensor["rays"]),
-        raycast=RaycastConfig(epsilon=raycast["epsilon"], n_rays=raycast["rays"],
-                              range_lambda=raycast["range"]),
-        min_cluster_size=header["min_cluster_size"],
-        max_waypoint_age=header["max_waypoint_age"],
-        checkpoint_every=header["checkpoint_every"],
-    )
-    spec = PredictorSpec(**{f.name: pred[f.name] for f in fields(PredictorSpec)})
-    return ep_cfg, build_ensemble(spec, gt, pred["member_seeds"])
+    episode = header["episode"]
+    ep_cfg = EpisodeConfig(**episode | {"sensor": SensorSpec(**episode["sensor"]),
+                                        "raycast": RaycastConfig(**episode["raycast"])})
+    spec = PredictorSpec(**header["predictor"])
+    return ep_cfg, build_ensemble(spec, gt, header["member_seeds"])
 
 
 def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Path) -> dict:
@@ -265,34 +254,28 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
     end = record.lines[-1]
     cov_auc = auc([s["coverage"] for s in steps], [s["t"] for s in steps]) if steps else 0.0
 
-    iou_series, iou_times, tu_points = [], [], []
-    for cp in record.checkpoints:
-        pred = cp.mean if cp.mean is not None else cp.observed
-        iou_series.append(iou_occupied(pred, gt, footprint))
-        iou_times.append(cp.t)
-        if cfg.tu_goals > 0:
-            tu_points.append((cp.t, topological_understanding(
-                pred, gt, spec.start, n_goals=cfg.tu_goals, seed=spec.seed)))
+    # The maps the IoU series and TU score: each checkpoint's, then the final
+    # map when the episode ended after its last checkpoint.
     final_pred = record.final_prediction_mean or record.final_observed
-    final_iou = iou_occupied(final_pred, gt, footprint)
-    tu_final = tu_points[-1][1] if tu_points else ""
-    if not iou_times or iou_times[-1] != end["t"]:
-        # The episode ended after its last checkpoint: score the final map.
-        iou_series.append(final_iou)
-        iou_times.append(end["t"])
-        if cfg.tu_goals > 0:
-            tu_final = topological_understanding(final_pred, gt, spec.start,
-                                                 n_goals=cfg.tu_goals, seed=spec.seed)
+    scored = [(cp.t, cp.mean if cp.mean is not None else cp.observed)
+              for cp in record.checkpoints]
+    if not scored or scored[-1][0] != end["t"]:
+        scored.append((end["t"], final_pred))
+    tu_points = [(t, topological_understanding(pred, gt, spec.start, n_goals=cfg.tu_goals,
+                                               seed=spec.seed))
+                 for t, pred in scored] if cfg.tu_goals > 0 else []
 
     result = {
         "map": spec.map_label, "start_x": spec.start.x, "start_y": spec.start.y,
         "scorer": spec.scorer, "seed": spec.seed, "status": "ok",
         "end_reason": end["reason"], "steps": end["t"],
         "final_coverage": end["coverage"], "coverage_auc": cov_auc,
-        "final_iou": final_iou,
-        "iou_auc": auc(iou_series, iou_times),
-        "tu_final": tu_final,
-        "tu_checkpoints": ";".join(f"{t}:{v:.4f}" for t, v in tu_points),
+        "final_iou": iou_occupied(final_pred, gt, footprint),
+        "iou_auc": auc([iou_occupied(pred, gt, footprint) for _, pred in scored],
+                       [t for t, _ in scored]),
+        "tu_final": tu_points[-1][1] if tu_points else "",
+        "tu_checkpoints": ";".join(f"{t}:{v:.4f}"
+                                   for t, v in tu_points[:len(record.checkpoints)]),
         "wall_time_s": round(wall, 3),
     }
     with open(metrics_path, "w") as fh:
@@ -316,7 +299,7 @@ def _run_row_task(args):
     return result
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[dict]:
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Run every (map, start, scorer, seed) combination; returns CSV rows."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,8 +316,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[di
                     spec = RowSpec(label, mi, start, si, scorer, seed)
                     tasks.append((cfg, spec, gt, str(out_dir)))
 
-    if workers is None:
-        workers = int(os.environ.get("EXPLORE_WORKERS", "1"))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_row_task, tasks))
@@ -351,12 +332,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[di
 def replay(record_path, out_dir) -> list[Path]:
     """Re-run a recorded episode from its header line, check that the re-run
     reproduces every line of the record, then re-emit its checkpoint
-    snapshots. Raises RecordMismatchError naming the first line that differs."""
+    snapshots. Raises RecordMismatchError naming the first line that differs,
+    or when the record has no header this version reads."""
     record_path = Path(record_path)
     lines = record_path.read_text().splitlines()
     header = json.loads(lines[0]) if lines else {}
-    if header.get("type") != "header":
-        raise ValueError(f"{record_path} has no header line")
+    if header.get("type") != "header" or "episode" not in header:
+        raise RecordMismatchError(f"{record_path}: no header line in this version's format")
     gt = _gt_from_descriptor(header["map"])
     ep_cfg, ensemble = _episode_inputs(header, gt)
     record = run_episode(gt, GridPose(*header["start"]), ep_cfg, ensemble)
@@ -389,10 +371,13 @@ _GENERATOR_FIELDS = [f for f in fields(MapSource) if f.name not in ("kind", "glo
 
 
 def _cmd_generate_maps(args) -> int:
+    try:
+        maps = MapSource(kind="generate",
+                         **{f.name: getattr(args, f.name) for f in _GENERATOR_FIELDS})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    maps = MapSource(kind="generate",
-                     **{f.name: getattr(args, f.name) for f in _GENERATOR_FIELDS})
     for label, gt in materialize_maps(maps):
         path = out / f"{label}.pgm"
         save_pgm(gt, path)
@@ -439,8 +424,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("config")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel rows (default: EXPLORE_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="parallel rows (default: 1)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("generate-maps", help="write procedural floor plans")
@@ -465,7 +449,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"explore: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

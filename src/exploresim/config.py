@@ -1,10 +1,11 @@
-"""Experiment configuration: a flat INI file with sections, validated
-against the fields of the config dataclasses.
+"""Experiment configuration: the config dataclasses, and the flat INI file
+with sections that sets their fields.
 
-Each key sets one dataclass field and takes that field's type; a key the
-file leaves out keeps the field's default. The dataclasses below (and
-`SensorSpec`, `RaycastConfig`) are the one place the defaults are written:
-they are the standard operating point.
+Each dataclass checks its own values when it is built, in code or from a
+file; a check's message starts with the field it rejects. The dataclasses
+below (and `SensorSpec`, `RaycastConfig`) are the one place the defaults are
+written: they are the standard operating point. Each INI key sets one field
+and takes its type; a key the file leaves out keeps the field's default.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ class MapSource:
     corridor_width: int = CORRIDOR_WIDTH
     resolution: float = DEFAULT_RESOLUTION
 
+    def __post_init__(self):
+        if self.kind not in ("files", "generate"):
+            raise ValueError(f"kind: must be 'files' or 'generate', got {self.kind!r}")
+        if self.kind == "files" and not self.glob:
+            raise ValueError("glob: required when maps come from files")
+        if self.count < 1:
+            raise ValueError(f"count: must be >= 1, got {self.count}")
+
 
 @dataclass
 class PredictorSpec:
@@ -45,6 +54,18 @@ class PredictorSpec:
     corpus: str | None = None
     block: int = 16
     ring: int = 2
+
+    def __post_init__(self):
+        if self.kind not in PREDICTOR_KINDS:
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
+        if self.ensemble < 1:
+            raise ValueError(f"ensemble: must be >= 1, got {self.ensemble}")
+        if self.kind == "external" and not self.command:
+            raise ValueError("command: required for the external predictor")
+        if self.kind == "patch" and not self.corpus:
+            raise ValueError("corpus: required for the patch predictor")
+        if not 0.0 <= self.flip_rate <= 1.0:
+            raise ValueError(f"flip_rate: must be in [0, 1], got {self.flip_rate}")
 
 
 @dataclass
@@ -64,6 +85,21 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     snapshots: bool = True
 
+    def __post_init__(self):
+        if self.starts != "corners" and (isinstance(self.starts, str) or not self.starts):
+            raise ValueError("starts: must be 'corners' or at least one pose")
+        if not self.scorers:
+            raise ValueError("scorers: at least one scorer required")
+        for s in self.scorers:
+            if s not in SCORER_KINDS:
+                raise ValueError(f"scorers: unknown kind {s!r}")
+        if self.budget < 0:
+            raise ValueError(f"budget: must be >= 0, got {self.budget}")
+        if self.tu_goals < 0:
+            raise ValueError(f"tu_goals: must be >= 0 (0 scores no TU), got {self.tu_goals}")
+        if not self.seeds:
+            raise ValueError("seeds: at least one seed required")
+
 
 # section -> (the dataclass its keys set, its keys)
 _SECTIONS = {
@@ -82,6 +118,10 @@ _SECTIONS = {
 # [starts] policy and poses together set ExperimentConfig.starts.
 _FIELD = {"source": "kind", "range": "range_lambda", "rays": "n_rays",
           "dir": "output_dir", "scorer": "scorers"}
+# (dataclass, field) -> the (section, key) that names it in a ConfigError
+_KEY_OF = {(cls, _FIELD.get(key, key)): (section, key)
+           for section, (cls, keys) in _SECTIONS.items() for key in keys}
+_KEY_OF[ExperimentConfig, "starts"] = ("starts", "poses")
 
 
 def _kind(cls, key: str) -> str:
@@ -120,13 +160,21 @@ def _parse_poses(text: str) -> list[GridPose]:
         except ValueError:
             raise ConfigError(f"[starts] poses: bad pose {part!r}, expected x,y") from None
         poses.append(GridPose(x, y))
-    if not poses:
-        raise ConfigError("[starts] poses: no poses given")
     return poses
 
 
+def _build(cls, **values):
+    """`cls(**values)`, with a value it rejects reported by section and key."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        name, _, problem = str(exc).partition(": ")
+        section, key = _KEY_OF[cls, name]
+        raise ConfigError(f"[{section}] {key}: {problem}") from None
+
+
 def parse_config(path) -> ExperimentConfig:
-    """Read and validate an experiment config file."""
+    """Read an experiment config file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -147,73 +195,32 @@ def parse_config(path) -> ExperimentConfig:
             given[section][_FIELD.get(key, key)] = _convert(section, key, _kind(cls, key), raw)
 
     maps = given["maps"]
-    source = maps.pop("kind", None)
-    if source is None:
-        source = "files" if maps.get("glob") else "generate"
-    if source not in ("files", "generate"):
-        raise ConfigError(f"[maps] source: must be 'files' or 'generate', got {source!r}")
-    if source == "files" and not maps.get("glob"):
-        raise ConfigError("[maps] glob: required when maps come from files")
-    maps = MapSource(kind=source, **maps)
-    if maps.count < 1:
-        raise ConfigError("[maps] count: must be >= 1")
+    maps.setdefault("kind", "files" if maps.get("glob") else "generate")
 
-    # ExperimentConfig's own fields that the file sets
+    # ExperimentConfig's own fields that the file sets; poses imply explicit
+    # starts, as a glob implies map files.
     top = given["episode"] | given["metrics"] | given["output"]
-    policy = given["starts"].get("policy")
+    starts = given["starts"]
+    policy = starts.get("policy", "explicit" if "poses" in starts else "corners")
     if policy == "explicit":
-        raw = given["starts"].get("poses")
-        if raw is None:
+        if "poses" not in starts:
             raise ConfigError("[starts] poses: required for explicit starts")
-        top["starts"] = _parse_poses(raw)
-    elif policy is not None:
-        if policy != "corners":
-            raise ConfigError(
-                f"[starts] policy: must be 'corners' or 'explicit', got {policy!r}")
-        top["starts"] = policy
+        top["starts"] = _parse_poses(starts["poses"])
+    elif policy != "corners":
+        raise ConfigError(f"[starts] policy: must be 'corners' or 'explicit', got {policy!r}")
+    elif "poses" in starts:
+        raise ConfigError("[starts] poses: not allowed with policy = corners")
 
     if "scorers" in top:
         top["scorers"] = [s.strip() for s in top["scorers"].split(",") if s.strip()]
-        if not top["scorers"]:
-            raise ConfigError("[episode] scorer: at least one scorer required")
-        for s in top["scorers"]:
-            if s not in SCORER_KINDS:
-                raise ConfigError(f"[episode] scorer: unknown kind {s!r}")
-
-    if "budget" in top and top["budget"] < 0:
-        raise ConfigError("[episode] budget: must be >= 0")
-    if "tu_goals" in top and top["tu_goals"] < 0:
-        raise ConfigError("[metrics] tu_goals: must be >= 0 (0 scores no TU)")
-
-    try:
-        sensor = SensorSpec(**given["sensor"])
-    except ValueError as exc:
-        raise ConfigError(f"[sensor] {exc}") from exc
-    try:
-        raycast = RaycastConfig(**given["raycast"])
-    except ValueError as exc:
-        raise ConfigError(f"[raycast] {exc}") from exc
-
-    predictor = PredictorSpec(**given["predictor"])
-    if predictor.kind not in PREDICTOR_KINDS:
-        raise ConfigError(f"[predictor] kind: unknown kind {predictor.kind!r}")
-    if predictor.ensemble < 1:
-        raise ConfigError("[predictor] ensemble: must be >= 1")
-    if predictor.kind == "external" and not predictor.command:
-        raise ConfigError("[predictor] command: required for the external predictor")
-    if predictor.kind == "patch" and not predictor.corpus:
-        raise ConfigError("[predictor] corpus: required for the patch predictor")
-    if not 0.0 <= predictor.flip_rate <= 1.0:
-        raise ConfigError("[predictor] flip_rate: must be in [0, 1]")
-
     if "seeds" in top:
         raw = top["seeds"]
         try:
-            top["seeds"] = [int(s) for s in raw.split(",") if s.strip() != ""]
+            top["seeds"] = [int(s) for s in raw.split(",") if s.strip()]
         except ValueError:
             raise ConfigError(f"[output] seeds: cannot parse {raw!r}") from None
-        if not top["seeds"]:
-            raise ConfigError("[output] seeds: at least one seed required")
 
-    return ExperimentConfig(maps=maps, sensor=sensor, raycast=raycast, predictor=predictor,
-                            **top)
+    return _build(ExperimentConfig, maps=_build(MapSource, **maps),
+                  sensor=_build(SensorSpec, **given["sensor"]),
+                  raycast=_build(RaycastConfig, **given["raycast"]),
+                  predictor=_build(PredictorSpec, **given["predictor"]), **top)

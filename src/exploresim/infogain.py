@@ -42,11 +42,11 @@ class RaycastConfig:
 
     def __post_init__(self):
         if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ValueError(f"epsilon: must be positive, got {self.epsilon}")
         if self.n_rays < 8:
-            raise ValueError(f"need at least 8 rays, got {self.n_rays}")
+            raise ValueError(f"n_rays: need at least 8 rays, got {self.n_rays}")
         if self.range_lambda <= 0:
-            raise ValueError(f"range must be positive, got {self.range_lambda}")
+            raise ValueError(f"range_lambda: must be positive, got {self.range_lambda}")
 
 
 def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, term_fn) -> np.ndarray:

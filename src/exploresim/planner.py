@@ -164,7 +164,7 @@ class EpisodeConfig:
 
     def __post_init__(self):
         if self.budget_t < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget_t}")
+            raise ValueError(f"budget_t: must be >= 0, got {self.budget_t}")
 
 
 @dataclass

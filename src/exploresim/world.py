@@ -31,9 +31,9 @@ class SensorSpec:
 
     def __post_init__(self):
         if self.range_lambda <= 0:
-            raise ValueError(f"sensor range must be positive, got {self.range_lambda}")
+            raise ValueError(f"range_lambda: must be positive, got {self.range_lambda}")
         if self.n_rays < 4:
-            raise ValueError(f"need at least 4 rays, got {self.n_rays}")
+            raise ValueError(f"n_rays: need at least 4 rays, got {self.n_rays}")
 
 
 @dataclass

@@ -1,15 +1,19 @@
+import configparser
 import json
+import os
 import shlex
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exploresim import (
+    EpisodeConfig,
     FREE,
     OCCUPIED,
     SCORER_KINDS,
@@ -23,8 +27,11 @@ from exploresim import (
     load_pgm,
     save_pgm,
 )
+from exploresim import cli
 from exploresim.cli import (
     RowSpec,
+    _episode_inputs,
+    _row_header,
     corner_starts,
     main,
     materialize_maps,
@@ -32,7 +39,14 @@ from exploresim.cli import (
     run_experiment,
     run_row,
 )
-from exploresim.config import ExperimentConfig, MapSource, PredictorSpec, parse_config
+from exploresim.config import (
+    _SECTIONS,
+    PREDICTOR_KINDS,
+    ExperimentConfig,
+    MapSource,
+    PredictorSpec,
+    parse_config,
+)
 
 
 def write_config(path, text):
@@ -128,6 +142,170 @@ def test_config_rejects_negative_tu_goals(tmp_path):
         parse_config(write_config(tmp_path / "exp.ini", text.format(-1)))
     assert "tu_goals" in str(exc.value)
     assert parse_config(write_config(tmp_path / "exp.ini", text.format(0))).tu_goals == 0
+
+
+def _experiment(**changes):
+    return ExperimentConfig(**{"maps": MapSource(kind="generate")} | changes)
+
+
+# Each value parse_config rejects: the INI text, the "[section] key" its
+# ConfigError names, and the same value built in code.
+REJECTED = {
+    "unknown scorer": ("[episode]\nscorer = bogus", "[episode] scorer",
+                       lambda: _experiment(scorers=["bogus"])),
+    "no scorer": ("[episode]\nscorer = ,", "[episode] scorer", lambda: _experiment(scorers=[])),
+    "negative budget": ("[episode]\nbudget = -1", "[episode] budget",
+                        lambda: _experiment(budget=-1)),
+    "negative tu_goals": ("[metrics]\ntu_goals = -1", "[metrics] tu_goals",
+                          lambda: _experiment(tu_goals=-1)),
+    "no seed": ("[output]\nseeds = ,", "[output] seeds", lambda: _experiment(seeds=[])),
+    "no pose": ("[starts]\nposes = ;", "[starts] poses", lambda: _experiment(starts=[])),
+    "unknown map source": ("[maps]\nsource = web", "[maps] source",
+                           lambda: MapSource(kind="web")),
+    "files without glob": ("[maps]\nsource = files", "[maps] glob",
+                           lambda: MapSource(kind="files")),
+    "no maps": ("[maps]\ncount = 0", "[maps] count", lambda: MapSource(kind="generate", count=0)),
+    "unknown predictor": ("[predictor]\nkind = bogus", "[predictor] kind",
+                          lambda: PredictorSpec(kind="bogus")),
+    "empty ensemble": ("[predictor]\nensemble = 0", "[predictor] ensemble",
+                       lambda: PredictorSpec(ensemble=0)),
+    "patch without corpus": ("[predictor]\nkind = patch", "[predictor] corpus",
+                             lambda: PredictorSpec(kind="patch")),
+    "external without command": ("[predictor]\nkind = external", "[predictor] command",
+                                 lambda: PredictorSpec(kind="external")),
+    "flip rate above 1": ("[predictor]\nflip_rate = 2", "[predictor] flip_rate",
+                          lambda: PredictorSpec(flip_rate=2.0)),
+    "too few sensor rays": ("[sensor]\nrays = 2", "[sensor] rays", lambda: SensorSpec(n_rays=2)),
+    "negative epsilon": ("[raycast]\nepsilon = -1", "[raycast] epsilon",
+                         lambda: RaycastConfig(epsilon=-1.0)),
+}
+
+
+@pytest.mark.parametrize("text, where, build", REJECTED.values(), ids=REJECTED.keys())
+def test_dataclasses_reject_what_parse_config_rejects(tmp_path, text, where, build):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write_config(tmp_path / "exp.ini", text + "\n"))
+    assert str(exc.value).startswith(where + ": ")
+    with pytest.raises(ValueError):
+        build()
+
+
+EVERY_KEY = """
+[maps]
+source = files
+glob = maps/*.pgm
+count = 3
+width = 50
+height = 70
+map_seed = 9
+rooms_min = 2
+rooms_max = 4
+corridor_width = 5
+resolution = 0.2
+
+[starts]
+policy = explicit
+poses = 3,4; 5,6
+
+[episode]
+budget = 77
+scorer = nearest, variance_only
+min_cluster_size = 4
+max_waypoint_age = 9
+
+[sensor]
+range = 7.5
+rays = 90
+
+[raycast]
+epsilon = 0.5
+rays = 24
+range = 6.5
+
+[predictor]
+kind = patch
+ensemble = 2
+flip_rate = 0.1
+command = predict --fast
+corpus = corpus/*.pgm
+block = 8
+ring = 3
+
+[metrics]
+checkpoint_every = 25
+tu_goals = 12
+
+[output]
+dir = out
+seeds = 1, 2
+snapshots = false
+"""
+
+
+def test_every_key_sets_its_field(tmp_path):
+    parser = configparser.ConfigParser()
+    parser.read_string(EVERY_KEY)
+    assert {(s, k) for s in parser.sections() for k in parser[s]} == {
+        (s, k) for s, (_, keys) in _SECTIONS.items() for k in keys}
+    parsed = parse_config(write_config(tmp_path / "exp.ini", EVERY_KEY))
+    assert parsed == ExperimentConfig(
+        maps=MapSource("files", "maps/*.pgm", 3, 50, 70, 9, 2, 4, 5, 0.2),
+        starts=[GridPose(3, 4), GridPose(5, 6)], scorers=["nearest", "variance_only"],
+        budget=77, min_cluster_size=4, max_waypoint_age=9, sensor=SensorSpec(7.5, 90),
+        raycast=RaycastConfig(0.5, 24, 6.5),
+        predictor=PredictorSpec("patch", 2, 0.1, "predict --fast", "corpus/*.pgm", 8, 3),
+        checkpoint_every=25, tu_goals=12, output_dir="out", seeds=[1, 2], snapshots=False,
+    )
+    # every value above differs from its default
+    default = ExperimentConfig(maps=MapSource(kind="generate"))
+    for cfg, dflt in ((parsed, default), (parsed.maps, default.maps),
+                      (parsed.sensor, default.sensor), (parsed.raycast, default.raycast),
+                      (parsed.predictor, default.predictor)):
+        for name, value in vars(cfg).items():
+            assert value != getattr(dflt, name), name
+
+
+def test_poses_imply_explicit_starts(tmp_path):
+    cfg = parse_config(write_config(tmp_path / "exp.ini", "[starts]\nposes = 5,5; 7,9\n"))
+    assert cfg.starts == [GridPose(5, 5), GridPose(7, 9)]
+
+
+def test_corner_starts_take_no_poses(tmp_path):
+    text = "[starts]\npolicy = corners\nposes = 5,5\n"
+    with pytest.raises(ConfigError, match=r"^\[starts\] poses: "):
+        parse_config(write_config(tmp_path / "exp.ini", text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sensor=st.builds(SensorSpec, st.floats(0.01, 100.0), st.integers(4, 10_000)),
+       raycast=st.builds(RaycastConfig, st.floats(0.01, 10.0), st.integers(8, 1000),
+                         st.floats(0.01, 100.0)),
+       kind=st.sampled_from(PREDICTOR_KINDS), ensemble=st.integers(1, 8),
+       flip_rate=st.floats(0.0, 1.0), command=st.none() | st.text(min_size=1),
+       corpus=st.none() | st.sampled_from(["corpus/*.pgm", "/data/maps/*.pgm", "a b/c?.pgm"]),
+       block=st.integers(1, 64), ring=st.integers(0, 8),
+       scorer=st.sampled_from(SCORER_KINDS), budget=st.integers(0, 10**6),
+       ints=st.tuples(st.integers(0, 1000), st.integers(0, 1000), st.integers(0, 1000)))
+def test_header_round_trips_the_row_settings(sensor, raycast, kind, ensemble, flip_rate,
+                                             command, corpus, block, ring, scorer, budget, ints):
+    assume(kind != "external" or command)
+    assume(kind != "patch" or corpus)
+    predictor = PredictorSpec(kind, ensemble, flip_rate, command, corpus, block, ring)
+    min_cluster_size, max_waypoint_age, checkpoint_every = ints
+    cfg = ExperimentConfig(
+        maps=MapSource(kind="generate", count=1), scorers=[scorer], budget=budget,
+        min_cluster_size=min_cluster_size, max_waypoint_age=max_waypoint_age, sensor=sensor,
+        raycast=raycast, predictor=predictor, checkpoint_every=checkpoint_every,
+    )
+    header = json.loads(json.dumps(_row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0,
+                                                            scorer, 0))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_ensemble", lambda spec, gt, seeds: (spec, seeds))
+        ep_cfg, (spec, seeds) = _episode_inputs(header, None)
+    assert ep_cfg == EpisodeConfig(budget, scorer, sensor, raycast, min_cluster_size,
+                                   max_waypoint_age, checkpoint_every)
+    assert spec == replace(predictor, corpus=corpus and os.path.abspath(corpus))
+    assert len(seeds) == ensemble
 
 
 def _sealed_box(n=20):
@@ -418,6 +596,15 @@ def test_replay_verifies_the_record(tmp_path, capsys):
         assert out == "" and len(err.splitlines()) == 1 and f"t={t}" in err
     assert main(["replay", str(record), "--out", str(tmp_path / "out")]) == 0
 
+    # A record written before the header held the dataclasses by field name.
+    old = tmp_path / "old.jsonl"
+    lines = record.read_text().splitlines()
+    header = json.loads(lines[0])
+    header.pop("episode")
+    old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert main(["replay", str(old), "--out", str(tmp_path / "out")]) == 1
+    assert "no header line" in capsys.readouterr().err
+
 
 @settings(max_examples=15, deadline=None)
 @given(map_seed=st.integers(0, 99), corner=st.integers(0, 3),
@@ -527,6 +714,16 @@ def test_cli_score_map_rejects_zero_tu_goals(tmp_path, capsys):
         main(["score-map", str(path), str(path), "--tu-start", "1,1", "--tu-goals", "0"])
     assert exc.value.code == 2
     assert "--tu-goals" in capsys.readouterr().err
+
+
+def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "exp.ini", "[maps]\nsource = files\n")
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr() == (
+        "", "explore: error: [maps] glob: required when maps come from files\n")
+    assert main(["generate-maps", "--out", str(tmp_path / "maps"), "--count", "0"]) == 2
+    assert capsys.readouterr() == ("", "explore: error: count: must be >= 1, got 0\n")
+    assert not (tmp_path / "maps").exists()
 
 
 def test_cli_run_exit_code(tmp_path, capsys):
