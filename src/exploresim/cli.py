@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    explore run <config> [--workers N]     batch episodes + results CSV
+    explore run <config.toml> [--workers N]  batch episodes + results CSV
     explore generate-maps ...              emit procedural floor plans
     explore score-map <observed> <gt>      metrics for a pair of maps
     explore replay <record.jsonl> ...      verify a record by re-running it,
@@ -17,8 +17,8 @@ it holds the row's `EpisodeConfig` and `PredictorSpec` by field name, and
 `replay` rebuilds them from it, checks that the re-run reproduces every
 line of the record, then re-emits the snapshots. The batch is resumable: a
 row whose outputs exist and whose record starts with the header this run
-would write is not re-executed. A rejected config exits 2 with one line on
-stderr.
+would write is not re-executed. A rejected config, or a score-map input it
+cannot read, exits 2 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -173,9 +173,8 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
     written = []
     for cp in record.checkpoints:
         for prefix, grid in (("obs", cp.observed), ("mean", cp.mean), ("var", cp.variance)):
-            if grid is not None:
-                written.append(row_dir / f"{prefix}_t{cp.t:05d}.pgm")
-                save_pgm(grid, written[-1])
+            written.append(row_dir / f"{prefix}_t{cp.t:05d}.pgm")
+            save_pgm(grid, written[-1])
     return written
 
 
@@ -257,8 +256,7 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
     # The maps the IoU series and TU score: each checkpoint's, then the final
     # map when the episode ended after its last checkpoint.
     final_pred = record.final_prediction_mean or record.final_observed
-    scored = [(cp.t, cp.mean if cp.mean is not None else cp.observed)
-              for cp in record.checkpoints]
+    scored = [(cp.t, cp.mean) for cp in record.checkpoints]
     if not scored or scored[-1][0] != end["t"]:
         scored.append((end["t"], final_pred))
     tu_points = [(t, topological_understanding(pred, gt, spec.start, n_goals=cfg.tu_goals,
@@ -365,8 +363,7 @@ def _cmd_run(args) -> int:
     return 1 if bad else 0
 
 
-# generate-maps takes one flag per generator field, defaulting to the field's
-# default ("--seed" sets map_seed).
+# generate-maps has one flag per generator field, named after the field.
 _GENERATOR_FIELDS = [f for f in fields(MapSource) if f.name not in ("kind", "glob")]
 
 
@@ -375,7 +372,7 @@ def _cmd_generate_maps(args) -> int:
         maps = MapSource(kind="generate",
                          **{f.name: getattr(args, f.name) for f in _GENERATOR_FIELDS})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"[maps] {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for label, gt in materialize_maps(maps):
@@ -386,17 +383,28 @@ def _cmd_generate_maps(args) -> int:
 
 
 def _cmd_score_map(args) -> int:
-    observed = load_pgm(args.observed)
-    gt = _binarized(load_pgm(args.gt))
-    footprint = building_footprint(gt)
-    print(f"coverage: {coverage_of(observed, footprint):.2f}")
-    print(f"iou_occupied: {iou_occupied(observed, gt, footprint):.4f}")
-    if args.tu_start:
-        x, y = (int(v) for v in args.tu_start.split(","))
-        tu = topological_understanding(observed, gt, GridPose(x, y),
-                                       n_goals=args.tu_goals, seed=args.tu_seed)
-        print(f"topological_understanding: {tu:.4f}")
+    try:
+        observed = load_pgm(args.observed)
+        gt = _binarized(load_pgm(args.gt))
+        footprint = building_footprint(gt)
+        lines = [f"coverage: {coverage_of(observed, footprint):.2f}",
+                 f"iou_occupied: {iou_occupied(observed, gt, footprint):.4f}"]
+        if args.tu_start:
+            tu = topological_understanding(observed, gt, args.tu_start,
+                                           n_goals=args.tu_goals, seed=args.tu_seed)
+            lines.append(f"topological_understanding: {tu:.4f}")
+    except (OSError, ValueError) as exc:  # unreadable maps, mismatched shapes, a bad start
+        raise ConfigError(str(exc)) from None
+    print("\n".join(lines))
     return 0
+
+
+def _cell(text: str) -> GridPose:
+    try:
+        x, y = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected x,y, got {text!r}") from None
+    return GridPose(x, y)
 
 
 def _positive_int(text: str) -> int:
@@ -409,7 +417,7 @@ def _positive_int(text: str) -> int:
 def _cmd_replay(args) -> int:
     try:
         written = replay(args.record, args.out)
-    except RecordMismatchError as exc:
+    except (RecordMismatchError, OSError, json.JSONDecodeError) as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 1
     for p in written:
@@ -430,14 +438,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("generate-maps", help="write procedural floor plans")
     p.add_argument("--out", default="maps")
     for f in _GENERATOR_FIELDS:
-        flag = "--seed" if f.name == "map_seed" else "--" + f.name.replace("_", "-")
-        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.set_defaults(func=_cmd_generate_maps)
 
     p = sub.add_parser("score-map", help="metrics for an observed/ground-truth pair")
     p.add_argument("observed")
     p.add_argument("gt")
-    p.add_argument("--tu-start", default=None, help="x,y for plan-success metric")
+    p.add_argument("--tu-start", type=_cell, default=None, help="x,y for plan-success metric")
     p.add_argument("--tu-goals", type=_positive_int, default=ExperimentConfig.tu_goals)
     p.add_argument("--tu-seed", type=int, default=0)
     p.set_defaults(func=_cmd_score_map)

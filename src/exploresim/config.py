@@ -1,24 +1,49 @@
-"""Experiment configuration: the config dataclasses, and the flat INI file
-with sections that sets their fields.
+"""Experiment configuration: the config dataclasses, and the TOML file that
+sets their fields.
 
 Each dataclass checks its own values when it is built, in code or from a
 file; a check's message starts with the field it rejects. The dataclasses
 below (and `SensorSpec`, `RaycastConfig`) are the one place the defaults are
-written: they are the standard operating point. Each INI key sets one field
-and takes its type; a key the file leaves out keeps the field's default.
+written: they are the standard operating point.
+
+The file is TOML with the layout of `dataclasses.asdict(ExperimentConfig)`:
+top-level keys set `ExperimentConfig` fields, and the `[maps]`, `[sensor]`,
+`[raycast]` and `[predictor]` tables set the fields of those dataclasses.
+Each key is the name of the field it sets and has its type (an int will do
+for a float); a key the file leaves out keeps the field's default. `starts`
+is "corners" or a list of [x, y] cells, and `[maps] kind` defaults to
+"files" when the table sets a `glob`, else to "generate". A complete file:
+
+    scorers = ["mapex", "nearest"]
+    starts = [[1, 1], [30, 40]]
+    budget = 500
+    seeds = [0, 1]
+    output_dir = "results"
+
+    [maps]
+    glob = "maps/*.pgm"
+
+    [sensor]
+    range_lambda = 8.0
+
+    [predictor]
+    kind = "noisy_oracle"
+    flip_rate = 0.1
 """
 
 from __future__ import annotations
 
-import configparser
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+import tomllib
+from contextlib import suppress
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .frontier import SCORER_KINDS
 from .grid import DEFAULT_RESOLUTION, GridPose
 from .infogain import RaycastConfig
-from .world import CORRIDOR_WIDTH, ROOM_COUNT_RANGE, SensorSpec
+from .world import CORRIDOR_WIDTH, ROOM_COUNT_RANGE, SensorSpec, check_floorplan_args
 
 PREDICTOR_KINDS = ("passthrough", "noisy_oracle", "patch", "external")
 
@@ -43,6 +68,11 @@ class MapSource:
             raise ValueError("glob: required when maps come from files")
         if self.count < 1:
             raise ValueError(f"count: must be >= 1, got {self.count}")
+        if self.resolution <= 0:
+            raise ValueError(f"resolution: must be positive, got {self.resolution}")
+        if self.kind == "generate":
+            check_floorplan_args(self.width, self.height, (self.rooms_min, self.rooms_max),
+                                 self.corridor_width)
 
 
 @dataclass
@@ -66,6 +96,10 @@ class PredictorSpec:
             raise ValueError("corpus: required for the patch predictor")
         if not 0.0 <= self.flip_rate <= 1.0:
             raise ValueError(f"flip_rate: must be in [0, 1], got {self.flip_rate}")
+        if self.block < 1:
+            raise ValueError(f"block: must be >= 1, got {self.block}")
+        if self.ring < 1:
+            raise ValueError(f"ring: must be >= 1, got {self.ring}")
 
 
 @dataclass
@@ -101,126 +135,61 @@ class ExperimentConfig:
             raise ValueError("seeds: at least one seed required")
 
 
-# section -> (the dataclass its keys set, its keys)
-_SECTIONS = {
-    "maps": (MapSource, ("source", "glob", "count", "width", "height", "map_seed",
-                         "rooms_min", "rooms_max", "corridor_width", "resolution")),
-    "starts": (ExperimentConfig, ("policy", "poses")),
-    "episode": (ExperimentConfig, ("budget", "scorer", "min_cluster_size", "max_waypoint_age")),
-    "sensor": (SensorSpec, ("range", "rays")),
-    "raycast": (RaycastConfig, ("epsilon", "rays", "range")),
-    "predictor": (PredictorSpec, ("kind", "ensemble", "flip_rate", "command", "corpus",
-                                  "block", "ring")),
-    "metrics": (ExperimentConfig, ("checkpoint_every", "tu_goals")),
-    "output": (ExperimentConfig, ("dir", "seeds", "snapshots")),
-}
-# Keys whose field has another name; every other key names its field.
-# [starts] policy and poses together set ExperimentConfig.starts.
-_FIELD = {"source": "kind", "range": "range_lambda", "rays": "n_rays",
-          "dir": "output_dir", "scorer": "scorers"}
-# (dataclass, field) -> the (section, key) that names it in a ConfigError
-_KEY_OF = {(cls, _FIELD.get(key, key)): (section, key)
-           for section, (cls, keys) in _SECTIONS.items() for key in keys}
-_KEY_OF[ExperimentConfig, "starts"] = ("starts", "poses")
+def _typed(hint, value):
+    """A TOML value as a field annotated `hint` holds it: an int becomes a
+    float for a float field, and an [x, y] pair of ints a GridPose. Raises
+    TypeError when the value does not fit; a bool fits only a bool field."""
+    if get_origin(hint) is UnionType:
+        for option in get_args(hint):
+            with suppress(TypeError):
+                return _typed(option, value)
+    elif get_origin(hint) is list and type(value) is list:
+        return [_typed(get_args(hint)[0], v) for v in value]
+    elif hint is GridPose and type(value) is list and len(value) == 2:
+        return GridPose(*(_typed(int, v) for v in value))
+    elif hint is float and type(value) in (int, float):
+        return float(value)
+    elif type(value) is hint:
+        return value
+    raise TypeError(value)
 
 
-def _kind(cls, key: str) -> str:
-    """Type name of the field a key sets, read off the field's default."""
-    name = _FIELD.get(key, key)
-    default = next((f.default for f in fields(cls) if f.name == name), None)
-    return type(default).__name__ if isinstance(default, (bool, int, float)) else "str"
-
-
-def _convert(section: str, key: str, kind: str, raw: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return raw.strip()
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
-
-
-def _parse_poses(text: str) -> list[GridPose]:
-    poses = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
+def _build(cls, table: dict, name: str | None = None):
+    """`cls` with the fields a TOML table sets. A key, type or value the
+    table or `cls` rejects raises a ConfigError that starts with
+    `[name] key:`, or with `key:` for the top-level table."""
+    where = f"[{name}] " if name else ""
+    hints = get_type_hints(cls)
+    annotations = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for key, value in table.items():
+        if key not in annotations:
+            kind = "table" if isinstance(value, dict) else "key"
+            raise ConfigError(f"{where}{key}: unknown {kind}")
+        if is_dataclass(hints[key]) and isinstance(value, dict):
+            values[key] = _build(hints[key], value, key)
             continue
         try:
-            x, y = (int(v) for v in part.split(","))
-        except ValueError:
-            raise ConfigError(f"[starts] poses: bad pose {part!r}, expected x,y") from None
-        poses.append(GridPose(x, y))
-    return poses
-
-
-def _build(cls, **values):
-    """`cls(**values)`, with a value it rejects reported by section and key."""
+            values[key] = _typed(hints[key], value)
+        except TypeError:
+            raise ConfigError(f"{where}{key}: expected {annotations[key]}, "
+                              f"got {value!r}") from None
     try:
         return cls(**values)
     except ValueError as exc:
-        name, _, problem = str(exc).partition(": ")
-        section, key = _KEY_OF[cls, name]
-        raise ConfigError(f"[{section}] {key}: {problem}") from None
+        raise ConfigError(where + str(exc)) from None
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read an experiment config file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser()
+    """Read an experiment config file; the module docstring gives its layout."""
     try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
-    given: dict[str, dict] = {section: {} for section in _SECTIONS}  # field -> value
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-        cls, keys = _SECTIONS[section]
-        for key, raw in parser.items(section):
-            if key not in keys:
-                raise ConfigError(f"unknown key [{section}] {key}")
-            given[section][_FIELD.get(key, key)] = _convert(section, key, _kind(cls, key), raw)
-
-    maps = given["maps"]
-    maps.setdefault("kind", "files" if maps.get("glob") else "generate")
-
-    # ExperimentConfig's own fields that the file sets; poses imply explicit
-    # starts, as a glob implies map files.
-    top = given["episode"] | given["metrics"] | given["output"]
-    starts = given["starts"]
-    policy = starts.get("policy", "explicit" if "poses" in starts else "corners")
-    if policy == "explicit":
-        if "poses" not in starts:
-            raise ConfigError("[starts] poses: required for explicit starts")
-        top["starts"] = _parse_poses(starts["poses"])
-    elif policy != "corners":
-        raise ConfigError(f"[starts] policy: must be 'corners' or 'explicit', got {policy!r}")
-    elif "poses" in starts:
-        raise ConfigError("[starts] poses: not allowed with policy = corners")
-
-    if "scorers" in top:
-        top["scorers"] = [s.strip() for s in top["scorers"].split(",") if s.strip()]
-    if "seeds" in top:
-        raw = top["seeds"]
-        try:
-            top["seeds"] = [int(s) for s in raw.split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(f"[output] seeds: cannot parse {raw!r}") from None
-
-    return _build(ExperimentConfig, maps=_build(MapSource, **maps),
-                  sensor=_build(SensorSpec, **given["sensor"]),
-                  raycast=_build(RaycastConfig, **given["raycast"]),
-                  predictor=_build(PredictorSpec, **given["predictor"]), **top)
+        with open(path, "rb") as fh:
+            data = tomllib.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
+    maps = data.setdefault("maps", {})
+    if isinstance(maps, dict):  # a glob implies map files
+        maps.setdefault("kind", "files" if "glob" in maps else "generate")
+    return _build(ExperimentConfig, data)

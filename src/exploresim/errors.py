@@ -26,7 +26,7 @@ class ExternalPredictorError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid experiment or scorer configuration."""
+    """Invalid experiment configuration or command-line input."""
 
 
 class RecordMismatchError(ValueError):

@@ -171,8 +171,8 @@ class EpisodeConfig:
 class Checkpoint:
     t: int
     observed: OccupancyGrid
-    mean: OccupancyGrid | None
-    variance: OccupancyGrid | None
+    mean: OccupancyGrid
+    variance: OccupancyGrid
 
 
 @dataclass
@@ -274,8 +274,8 @@ def run_episode(
             checkpoints.append(Checkpoint(
                 t=t + 1,
                 observed=observed.copy(),
-                mean=latest_pset.mean.copy() if latest_pset else None,
-                variance=latest_pset.variance.copy() if latest_pset else None,
+                mean=latest_pset.mean.copy(),
+                variance=latest_pset.variance.copy(),
             ))
     else:
         t, end_reason = cfg.budget_t, "budget"

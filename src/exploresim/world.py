@@ -17,9 +17,10 @@ from .errors import InvalidStateError
 from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, GridPose, OccupancyGrid
 from .trace import gather_values, ray_cell_table, ray_ends
 
-# Floor-plan generator defaults, shared with the [maps] config section.
+# Floor-plan generator defaults, shared with the [maps] config table.
 ROOM_COUNT_RANGE = (6, 12)
 CORRIDOR_WIDTH = 8  # cells
+_MIN_ROOM_H = 8  # cells
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,20 @@ def apply_action(pose: GridPose, action: tuple[int, int], gt: OccupancyGrid) -> 
     return GridPose(nx, ny)
 
 
+def check_floorplan_args(width: int, height: int, room_count_range: tuple[int, int],
+                         corridor_width: int) -> None:
+    """Raise ValueError unless `generate_floorplan` can lay out a plan with
+    these settings; each message starts with the `MapSource` field at fault."""
+    lo, hi = room_count_range
+    for name, value, least in (("width", width, 50), ("height", height, 50), ("rooms_min", lo, 2),
+                               ("rooms_max", hi, lo), ("corridor_width", corridor_width, 2)):
+        if value < least:
+            raise ValueError(f"{name}: must be >= {least}, got {value}")
+    if height - 4 - corridor_width < 2 * _MIN_ROOM_H:
+        raise ValueError(f"corridor_width: {corridor_width} leaves too few rows for rooms "
+                         f"on both sides of the corridor in a plan {height} cells high")
+
+
 def generate_floorplan(
     seed: int,
     width: int,
@@ -130,32 +145,21 @@ def generate_floorplan(
     component and every wall cell is observable from adjacent free space.
     Deterministic for a fixed seed and parameters.
     """
+    check_floorplan_args(width, height, room_count_range, corridor_width)
     min_room_w = 20  # cells; wide enough for a door gap plus jambs
-    min_room_h = 8
     door_w = 16  # 1.6 m at default resolution; comfortably wider than the
     # default frontier cluster filter so door frontiers never vanish
-
-    if width < 50 or height < 50:
-        raise ValueError(f"floor plan must be at least 50x50 cells, got {width}x{height}")
     lo, hi = room_count_range
-    if lo < 2 or hi < lo:
-        raise ValueError(f"bad room count range {room_count_range}")
-    if corridor_width < 2:
-        raise ValueError(f"corridor width must be >= 2, got {corridor_width}")
     interior_w = width - 2
-    if interior_w < min_room_w:
-        raise ValueError("grid too narrow to fit one room")
     # rows: 1..height-2 interior; two room strips + two walls + corridor.
     strip_h_total = height - 2 - corridor_width - 2
-    if strip_h_total < 2 * min_room_h:
-        raise ValueError("grid too short for rooms on both sides of the corridor")
 
     rng = np.random.default_rng(seed)
     cells = np.ones((height, width))
 
     # Corridor band position (rows cy .. cy+corridor_width-1), jittered.
-    slack = strip_h_total - 2 * min_room_h
-    top_h = min_room_h + int(rng.integers(0, slack + 1))
+    slack = strip_h_total - 2 * _MIN_ROOM_H
+    top_h = _MIN_ROOM_H + int(rng.integers(0, slack + 1))
     cy = 1 + top_h + 1
     cells[cy : cy + corridor_width, 1 : width - 1] = FREE
 

@@ -1,11 +1,13 @@
-import configparser
 import json
 import os
 import shlex
 import sys
 import tempfile
-from dataclasses import replace
+import textwrap
+import tomllib
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -25,9 +27,11 @@ from exploresim import (
     SensorSpec,
     generate_floorplan,
     load_pgm,
+    new_grid,
     save_pgm,
+    topological_understanding,
 )
-from exploresim import cli
+from exploresim import cli, config
 from exploresim.cli import (
     RowSpec,
     _episode_inputs,
@@ -40,7 +44,6 @@ from exploresim.cli import (
     run_row,
 )
 from exploresim.config import (
-    _SECTIONS,
     PREDICTOR_KINDS,
     ExperimentConfig,
     MapSource,
@@ -57,9 +60,9 @@ def write_config(path, text):
 def test_minimal_config_applies_defaults(tmp_path):
     gt = OccupancyGrid(np.zeros((20, 20)), 0.1)
     save_pgm(gt, tmp_path / "room.pgm")
-    cfg_path = write_config(tmp_path / "exp.ini", f"""
+    cfg_path = write_config(tmp_path / "exp.toml", f"""
 [maps]
-glob = {tmp_path}/room.pgm
+glob = '{tmp_path}/room.pgm'
 """)
     cfg = parse_config(cfg_path)
     assert cfg.budget == 1000
@@ -72,110 +75,157 @@ glob = {tmp_path}/room.pgm
     assert cfg.seeds == [0]
     # every key the file leaves out takes the dataclass default
     assert cfg == ExperimentConfig(maps=MapSource(kind="files", glob=f"{tmp_path}/room.pgm"))
+    # an empty file generates its maps
+    assert parse_config(write_config(tmp_path / "empty.toml", "")) == ExperimentConfig(
+        maps=MapSource(kind="generate"))
 
 
 def test_config_rejects_bad_epsilon(tmp_path):
-    cfg_path = write_config(tmp_path / "exp.ini", """
-[maps]
-source = generate
-
-[raycast]
-epsilon = -1
-""")
-    with pytest.raises(ConfigError):
+    cfg_path = write_config(tmp_path / "exp.toml", "[raycast]\nepsilon = -1\n")
+    with pytest.raises(ConfigError, match=r"^\[raycast\] epsilon: "):
         parse_config(cfg_path)
+
+
+# Each unknown key or table and the start of the ConfigError that names it;
+# the INI file's key and section names are unknown too.
+UNKNOWN = {
+    "bogus = 1": "bogus: unknown key",
+    "[maps]\nfoo = 1": "[maps] foo: unknown key",
+    "[maps]\nsource = 'files'": "[maps] source: unknown key",
+    "[sensor]\nrays = 90": "[sensor] rays: unknown key",
+    "[predictor.extra]\nx = 1": "[predictor] extra: unknown table",
+}
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    cfg_path = write_config(tmp_path / "exp.ini", """
-[maps]
-source = generate
-foo = 1
-""")
-    with pytest.raises(ConfigError) as exc:
-        parse_config(cfg_path)
-    assert "foo" in str(exc.value)
+    for text, message in UNKNOWN.items():
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_config(tmp_path / "exp.toml", text + "\n"))
+        assert str(exc.value) == message, text
 
 
 def test_config_rejects_unknown_section(tmp_path):
-    cfg_path = write_config(tmp_path / "exp.ini", "[bogus]\nx = 1\n")
-    with pytest.raises(ConfigError) as exc:
-        parse_config(cfg_path)
-    assert "bogus" in str(exc.value)
+    for table in ("bogus", "episode", "metrics", "output"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_config(tmp_path / "exp.toml", f"[{table}]\nx = 1\n"))
+        assert str(exc.value) == f"{table}: unknown table"
+
+
+# Each value of the wrong type and the key its ConfigError starts with.
+MISTYPED = {
+    "budget = 'soon'": "budget",
+    "budget = true": "budget",  # a bool is not an int
+    "budget = 1.5": "budget",
+    "snapshots = 1": "snapshots",
+    "scorers = 'mapex'": "scorers",  # a string is not a list
+    "seeds = [0, '1']": "seeds",
+    "output_dir = 3": "output_dir",
+    "starts = [[1]]": "starts",
+    "starts = [[1, 2.5]]": "starts",
+    "starts = [1, 2]": "starts",
+    "[starts]\nposes = '5,5'": "starts",  # a table where a key belongs
+    "maps = 3": "maps",
+    "[maps]\nglob = 5": "[maps] glob",
+    "[sensor]\nn_rays = 'many'": "[sensor] n_rays",
+    "[raycast]\nepsilon = false": "[raycast] epsilon",
+    "[predictor]\nkind = ['patch']": "[predictor] kind",
+}
 
 
 def test_config_rejects_type_mismatch(tmp_path):
-    cfg_path = write_config(tmp_path / "exp.ini", """
-[maps]
-source = generate
+    for text, where in MISTYPED.items():
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_config(tmp_path / "exp.toml", text + "\n"))
+        assert str(exc.value).startswith(where + ": expected "), text
 
-[episode]
-budget = soon
-""")
-    with pytest.raises(ConfigError) as exc:
-        parse_config(cfg_path)
-    assert "budget" in str(exc.value)
+
+def test_an_int_sets_a_float_field_as_a_float(tmp_path):
+    # The record header writes the field, so 8 and 8.0 would not be the same row.
+    cfg = parse_config(write_config(tmp_path / "exp.toml", "[sensor]\nrange_lambda = 8\n"))
+    assert cfg.sensor.range_lambda == 8.0 and type(cfg.sensor.range_lambda) is float
+
+
+def test_config_rejects_a_file_it_cannot_read(tmp_path):
+    with pytest.raises(ConfigError, match="^cannot parse "):
+        parse_config(write_config(tmp_path / "exp.toml", "[maps\nglob = 'x'\n"))
+    with pytest.raises(ConfigError, match="^cannot parse "):
+        parse_config(write_config(tmp_path / "exp.toml", "[maps]\nsource = files\n"))
+    (tmp_path / "binary.toml").write_bytes(b"budget = 1\n\xff\xfe\n")
+    with pytest.raises(ConfigError, match="^cannot parse "):
+        parse_config(tmp_path / "binary.toml")
+    with pytest.raises(ConfigError, match="^cannot read config file "):
+        parse_config(tmp_path / "missing.toml")
 
 
 def test_config_requires_map_source(tmp_path):
-    cfg_path = write_config(tmp_path / "exp.ini", "[maps]\nsource = files\n")
+    cfg_path = write_config(tmp_path / "exp.toml", "[maps]\nkind = 'files'\n")
     with pytest.raises(ConfigError) as exc:
         parse_config(cfg_path)
-    assert "glob" in str(exc.value)
+    assert str(exc.value).startswith("[maps] glob: ")
 
 
 def test_config_unknown_scorer(tmp_path):
-    cfg_path = write_config(tmp_path / "exp.ini", """
-[maps]
-source = generate
-
-[episode]
-scorer = bogus
-""")
-    with pytest.raises(ConfigError):
+    cfg_path = write_config(tmp_path / "exp.toml", "scorers = ['bogus']\n")
+    with pytest.raises(ConfigError, match="^scorers: "):
         parse_config(cfg_path)
 
 
 def test_config_rejects_negative_tu_goals(tmp_path):
-    text = "[maps]\nsource = generate\n\n[metrics]\ntu_goals = {}\n"
+    text = "tu_goals = {}\n"
     with pytest.raises(ConfigError) as exc:
-        parse_config(write_config(tmp_path / "exp.ini", text.format(-1)))
-    assert "tu_goals" in str(exc.value)
-    assert parse_config(write_config(tmp_path / "exp.ini", text.format(0))).tu_goals == 0
+        parse_config(write_config(tmp_path / "exp.toml", text.format(-1)))
+    assert str(exc.value).startswith("tu_goals: ")
+    assert parse_config(write_config(tmp_path / "exp.toml", text.format(0))).tu_goals == 0
 
 
 def _experiment(**changes):
     return ExperimentConfig(**{"maps": MapSource(kind="generate")} | changes)
 
 
-# Each value parse_config rejects: the INI text, the "[section] key" its
-# ConfigError names, and the same value built in code.
+# Each value parse_config rejects: the TOML text, the "[table] key" or "key"
+# its ConfigError starts with, and the same value built in code.
 REJECTED = {
-    "unknown scorer": ("[episode]\nscorer = bogus", "[episode] scorer",
-                       lambda: _experiment(scorers=["bogus"])),
-    "no scorer": ("[episode]\nscorer = ,", "[episode] scorer", lambda: _experiment(scorers=[])),
-    "negative budget": ("[episode]\nbudget = -1", "[episode] budget",
-                        lambda: _experiment(budget=-1)),
-    "negative tu_goals": ("[metrics]\ntu_goals = -1", "[metrics] tu_goals",
-                          lambda: _experiment(tu_goals=-1)),
-    "no seed": ("[output]\nseeds = ,", "[output] seeds", lambda: _experiment(seeds=[])),
-    "no pose": ("[starts]\nposes = ;", "[starts] poses", lambda: _experiment(starts=[])),
-    "unknown map source": ("[maps]\nsource = web", "[maps] source",
+    "unknown scorer": ("scorers = ['bogus']", "scorers", lambda: _experiment(scorers=["bogus"])),
+    "no scorer": ("scorers = []", "scorers", lambda: _experiment(scorers=[])),
+    "negative budget": ("budget = -1", "budget", lambda: _experiment(budget=-1)),
+    "negative tu_goals": ("tu_goals = -1", "tu_goals", lambda: _experiment(tu_goals=-1)),
+    "no seed": ("seeds = []", "seeds", lambda: _experiment(seeds=[])),
+    "no pose": ("starts = []", "starts", lambda: _experiment(starts=[])),
+    "unknown start policy": ("starts = 'random'", "starts",
+                             lambda: _experiment(starts="random")),
+    "unknown map source": ("[maps]\nkind = 'web'", "[maps] kind",
                            lambda: MapSource(kind="web")),
-    "files without glob": ("[maps]\nsource = files", "[maps] glob",
+    "files without glob": ("[maps]\nkind = 'files'", "[maps] glob",
                            lambda: MapSource(kind="files")),
     "no maps": ("[maps]\ncount = 0", "[maps] count", lambda: MapSource(kind="generate", count=0)),
-    "unknown predictor": ("[predictor]\nkind = bogus", "[predictor] kind",
+    "zero resolution": ("[maps]\nresolution = 0", "[maps] resolution",
+                        lambda: MapSource(kind="files", glob="maps/*.pgm", resolution=0.0)),
+    "plan too small": ("[maps]\nwidth = 5", "[maps] width",
+                       lambda: MapSource(kind="generate", width=5)),
+    "room count range reversed": ("[maps]\nrooms_min = 5\nrooms_max = 2", "[maps] rooms_max",
+                                  lambda: MapSource(kind="generate", rooms_min=5, rooms_max=2)),
+    "corridor too wide": ("[maps]\nwidth = 60\nheight = 60\ncorridor_width = 45",
+                          "[maps] corridor_width",
+                          lambda: MapSource(kind="generate", width=60, height=60,
+                                            corridor_width=45)),
+    "unknown predictor": ("[predictor]\nkind = 'bogus'", "[predictor] kind",
                           lambda: PredictorSpec(kind="bogus")),
     "empty ensemble": ("[predictor]\nensemble = 0", "[predictor] ensemble",
                        lambda: PredictorSpec(ensemble=0)),
-    "patch without corpus": ("[predictor]\nkind = patch", "[predictor] corpus",
+    "patch without corpus": ("[predictor]\nkind = 'patch'", "[predictor] corpus",
                              lambda: PredictorSpec(kind="patch")),
-    "external without command": ("[predictor]\nkind = external", "[predictor] command",
+    "external without command": ("[predictor]\nkind = 'external'", "[predictor] command",
                                  lambda: PredictorSpec(kind="external")),
     "flip rate above 1": ("[predictor]\nflip_rate = 2", "[predictor] flip_rate",
                           lambda: PredictorSpec(flip_rate=2.0)),
-    "too few sensor rays": ("[sensor]\nrays = 2", "[sensor] rays", lambda: SensorSpec(n_rays=2)),
+    "zero patch block": ("[predictor]\nkind = 'patch'\ncorpus = 'c/*.pgm'\nblock = 0",
+                         "[predictor] block",
+                         lambda: PredictorSpec(kind="patch", corpus="c/*.pgm", block=0)),
+    "zero patch ring": ("[predictor]\nkind = 'patch'\ncorpus = 'c/*.pgm'\nring = 0",
+                        "[predictor] ring",
+                        lambda: PredictorSpec(kind="patch", corpus="c/*.pgm", ring=0)),
+    "too few sensor rays": ("[sensor]\nn_rays = 2", "[sensor] n_rays",
+                            lambda: SensorSpec(n_rays=2)),
     "negative epsilon": ("[raycast]\nepsilon = -1", "[raycast] epsilon",
                          lambda: RaycastConfig(epsilon=-1.0)),
 }
@@ -184,16 +234,52 @@ REJECTED = {
 @pytest.mark.parametrize("text, where, build", REJECTED.values(), ids=REJECTED.keys())
 def test_dataclasses_reject_what_parse_config_rejects(tmp_path, text, where, build):
     with pytest.raises(ConfigError) as exc:
-        parse_config(write_config(tmp_path / "exp.ini", text + "\n"))
+        parse_config(write_config(tmp_path / "exp.toml", text + "\n"))
     assert str(exc.value).startswith(where + ": ")
     with pytest.raises(ValueError):
         build()
 
 
+# Bad floor-plan settings: the [maps] values, and the key the error names.
+BAD_PLANS = {
+    "plan too small": ({"width": 5}, "width"),
+    "corridor too wide": ({"width": 60, "height": 60, "corridor_width": 45}, "corridor_width"),
+    "room count range reversed": ({"rooms_min": 5, "rooms_max": 2}, "rooms_max"),
+}
+
+
+@pytest.mark.parametrize("values, key", BAD_PLANS.values(), ids=BAD_PLANS.keys())
+def test_bad_floor_plan_settings_stop_run_and_generate_maps(tmp_path, capsys, values, key):
+    # The settings fail when they are read, in one line, before any map or row.
+    text = "[maps]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    cfg_path = write_config(tmp_path / "exp.toml", f"output_dir = '{tmp_path}/out'\n" + text)
+    flags = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), str(v))]
+    for argv in (["run", str(cfg_path)],
+                 ["generate-maps", "--out", str(tmp_path / "maps"), *flags]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert err.startswith(f"explore: error: [maps] {key}: "), err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "maps").exists()
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        MapSource(kind="generate", **values)
+
+
 EVERY_KEY = """
+starts = [[3, 4], [5, 6]]
+scorers = ["nearest", "variance_only"]
+budget = 77
+min_cluster_size = 4
+max_waypoint_age = 9
+checkpoint_every = 25
+tu_goals = 12
+output_dir = "out"
+seeds = [1, 2]
+snapshots = false
+
 [maps]
-source = files
-glob = maps/*.pgm
+kind = "files"
+glob = "maps/*.pgm"
 count = 3
 width = 50
 height = 70
@@ -203,51 +289,36 @@ rooms_max = 4
 corridor_width = 5
 resolution = 0.2
 
-[starts]
-policy = explicit
-poses = 3,4; 5,6
-
-[episode]
-budget = 77
-scorer = nearest, variance_only
-min_cluster_size = 4
-max_waypoint_age = 9
-
 [sensor]
-range = 7.5
-rays = 90
+range_lambda = 7.5
+n_rays = 90
 
 [raycast]
 epsilon = 0.5
-rays = 24
-range = 6.5
+n_rays = 24
+range_lambda = 6.5
 
 [predictor]
-kind = patch
+kind = "patch"
 ensemble = 2
 flip_rate = 0.1
-command = predict --fast
-corpus = corpus/*.pgm
+command = "predict --fast"
+corpus = "corpus/*.pgm"
 block = 8
 ring = 3
-
-[metrics]
-checkpoint_every = 25
-tu_goals = 12
-
-[output]
-dir = out
-seeds = 1, 2
-snapshots = false
 """
 
 
 def test_every_key_sets_its_field(tmp_path):
-    parser = configparser.ConfigParser()
-    parser.read_string(EVERY_KEY)
-    assert {(s, k) for s in parser.sections() for k in parser[s]} == {
-        (s, k) for s, (_, keys) in _SECTIONS.items() for k in keys}
-    parsed = parse_config(write_config(tmp_path / "exp.ini", EVERY_KEY))
+    data = tomllib.loads(EVERY_KEY)
+    given_keys = {(t, k) for t, v in data.items() if isinstance(v, dict) for k in v}
+    given_keys |= {(None, k) for k, v in data.items() if not isinstance(v, dict)}
+    tables = {name: cls for name, cls in get_type_hints(ExperimentConfig).items()
+              if is_dataclass(cls)}
+    settable = {(None, f.name) for f in fields(ExperimentConfig) if f.name not in tables}
+    settable |= {(t, f.name) for t, cls in tables.items() for f in fields(cls)}
+    assert given_keys == settable and len(settable) == 32
+    parsed = parse_config(write_config(tmp_path / "exp.toml", EVERY_KEY))
     assert parsed == ExperimentConfig(
         maps=MapSource("files", "maps/*.pgm", 3, 50, 70, 9, 2, 4, 5, 0.2),
         starts=[GridPose(3, 4), GridPose(5, 6)], scorers=["nearest", "variance_only"],
@@ -266,14 +337,16 @@ def test_every_key_sets_its_field(tmp_path):
 
 
 def test_poses_imply_explicit_starts(tmp_path):
-    cfg = parse_config(write_config(tmp_path / "exp.ini", "[starts]\nposes = 5,5; 7,9\n"))
+    cfg = parse_config(write_config(tmp_path / "exp.toml", "starts = [[5, 5], [7, 9]]\n"))
     assert cfg.starts == [GridPose(5, 5), GridPose(7, 9)]
+    assert all(type(p) is GridPose for p in cfg.starts)
 
 
-def test_corner_starts_take_no_poses(tmp_path):
-    text = "[starts]\npolicy = corners\nposes = 5,5\n"
-    with pytest.raises(ConfigError, match=r"^\[starts\] poses: "):
-        parse_config(write_config(tmp_path / "exp.ini", text))
+def test_the_documented_example_parses(tmp_path):
+    example = textwrap.dedent(config.__doc__.split("A complete file:")[1])
+    cfg = parse_config(write_config(tmp_path / "exp.toml", example))
+    assert cfg.maps == MapSource(kind="files", glob="maps/*.pgm")
+    assert cfg.starts == [GridPose(1, 1), GridPose(30, 40)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,7 +356,7 @@ def test_corner_starts_take_no_poses(tmp_path):
        kind=st.sampled_from(PREDICTOR_KINDS), ensemble=st.integers(1, 8),
        flip_rate=st.floats(0.0, 1.0), command=st.none() | st.text(min_size=1),
        corpus=st.none() | st.sampled_from(["corpus/*.pgm", "/data/maps/*.pgm", "a b/c?.pgm"]),
-       block=st.integers(1, 64), ring=st.integers(0, 8),
+       block=st.integers(1, 64), ring=st.integers(1, 8),
        scorer=st.sampled_from(SCORER_KINDS), budget=st.integers(0, 10**6),
        ints=st.tuples(st.integers(0, 1000), st.integers(0, 1000), st.integers(0, 1000)))
 def test_header_round_trips_the_row_settings(sensor, raycast, kind, ensemble, flip_rate,
@@ -350,8 +423,16 @@ def test_corner_starts_requires_free_cells():
 
 
 SMALL_EXPERIMENT = """
+starts = {starts}
+budget = 30
+scorers = {scorers}
+min_cluster_size = 4
+checkpoint_every = 15
+tu_goals = 10
+output_dir = {out}
+seeds = {seeds}
+
 [maps]
-source = generate
 count = {count}
 width = 64
 height = 64
@@ -360,44 +441,30 @@ rooms_min = 2
 rooms_max = 3
 corridor_width = 6
 
-[starts]
-policy = {policy}
-{poses_line}
-
-[episode]
-budget = 30
-scorer = {scorers}
-min_cluster_size = 4
-
 [sensor]
-range = 3.0
-rays = 180
+range_lambda = 3.0
+n_rays = 180
 
 [raycast]
 epsilon = 0.8
-rays = 16
-range = 3.0
+n_rays = 16
+range_lambda = 3.0
 
 [predictor]
-kind = noisy_oracle
+kind = "noisy_oracle"
 flip_rate = 0.05
-
-[metrics]
-checkpoint_every = 15
-tu_goals = 10
-
-[output]
-dir = {out}
-seeds = {seeds}
 """
 
 
-def _write_experiment(tmp_path, count=1, scorers="nearest", seeds="0",
-                      policy="corners", poses_line=""):
-    return write_config(tmp_path / "exp.ini", SMALL_EXPERIMENT.format(
-        count=count, scorers=scorers, seeds=seeds, out=tmp_path / "results",
-        policy=policy, poses_line=poses_line,
-    ))
+def _small_experiment(out, count=1, scorers=("nearest",), seeds=(0,), starts="corners"):
+    """SMALL_EXPERIMENT's text; each value is written as JSON, which TOML reads alike."""
+    return SMALL_EXPERIMENT.format(count=count, scorers=json.dumps(list(scorers)),
+                                   seeds=json.dumps(list(seeds)), out=json.dumps(str(out)),
+                                   starts=json.dumps(starts))
+
+
+def _write_experiment(tmp_path, **values):
+    return write_config(tmp_path / "exp.toml", _small_experiment(tmp_path / "results", **values))
 
 
 def test_run_experiment_four_corner_rows(tmp_path):
@@ -409,7 +476,7 @@ def test_run_experiment_four_corner_rows(tmp_path):
 
 
 def test_run_experiment_combinatorics(tmp_path):
-    cfg = parse_config(_write_experiment(tmp_path, count=2, scorers="nearest,mapex"))
+    cfg = parse_config(_write_experiment(tmp_path, count=2, scorers=["nearest", "mapex"]))
     rows = run_experiment(cfg)
     assert len(rows) == 16  # 2 maps x 4 starts x 2 scorers x 1 seed
 
@@ -466,23 +533,20 @@ def test_resume_reruns_a_row_whose_snapshots_setting_changed(tmp_path):
 
 
 def test_run_experiment_explicit_starts(tmp_path):
-    cfg = parse_config(_write_experiment(
-        tmp_path, policy="explicit", poses_line="poses = 31,31"))
+    cfg = parse_config(_write_experiment(tmp_path, starts=[[31, 31]]))
     rows = run_experiment(cfg)
     assert len(rows) == 1
     assert rows[0]["start_x"] == 31 and rows[0]["start_y"] == 31
 
 
 def test_episode_record_is_deterministic(tmp_path):
-    cfg_a = parse_config(_write_experiment(tmp_path / "a" if False else tmp_path))
+    cfg_a = parse_config(_write_experiment(tmp_path))
     # run twice into separate directories
     rows_a = run_experiment(cfg_a)
     rec_a = sorted((tmp_path / "results").glob("*/record.jsonl"))[0].read_bytes()
 
     other = tmp_path / "again"
-    cfg_text = SMALL_EXPERIMENT.format(count=1, scorers="nearest", seeds="0",
-                                       out=other, policy="corners", poses_line="")
-    cfg_b = parse_config(write_config(tmp_path / "exp2.ini", cfg_text))
+    cfg_b = parse_config(write_config(tmp_path / "exp2.toml", _small_experiment(other)))
     run_experiment(cfg_b)
     rec_b = sorted(other.glob("*/record.jsonl"))[0].read_bytes()
     assert rec_a == rec_b
@@ -505,34 +569,25 @@ def test_record_log_structure(tmp_path):
 # A row that ends "complete" at t=93, so t+1 is a multiple of checkpoint_every
 # and the episode stops before its checkpoint at 94.
 COMPLETES_ON_A_CHECKPOINT = """
+starts = [[1, 1]]
+budget = 2000
+scorers = ["nearest"]
+checkpoint_every = 1
+tu_goals = 0
+output_dir = {out}
+
 [maps]
-source = generate
 count = 1
 width = 60
 height = 60
 
-[starts]
-policy = explicit
-poses = 1,1
-
-[episode]
-budget = 2000
-scorer = nearest
-
 [sensor]
-range = 4.0
-rays = 200
+range_lambda = 4.0
+n_rays = 200
 
 [predictor]
-kind = passthrough
+kind = "passthrough"
 ensemble = 2
-
-[metrics]
-checkpoint_every = 1
-tu_goals = 0
-
-[output]
-dir = {out}
 """
 
 
@@ -543,8 +598,8 @@ def _first_row_dir(results):
 def test_replay_reemits_identical_snapshots(tmp_path):
     configs = [
         _write_experiment(tmp_path),
-        write_config(tmp_path / "complete.ini",
-                     COMPLETES_ON_A_CHECKPOINT.format(out=tmp_path / "complete")),
+        write_config(tmp_path / "complete.toml",
+                     COMPLETES_ON_A_CHECKPOINT.format(out=json.dumps(str(tmp_path / "complete")))),
     ]
     for i, cfg_path in enumerate(configs):
         cfg = parse_config(cfg_path)
@@ -693,7 +748,7 @@ def test_failed_row_leaves_its_traceback(tmp_path):
 
 def test_cli_generate_maps_and_score_map(tmp_path, capsys):
     rc = main(["generate-maps", "--out", str(tmp_path / "maps"), "--count", "2",
-               "--width", "60", "--height", "60", "--seed", "3"])
+               "--width", "60", "--height", "60", "--map-seed", "3"])
     assert rc == 0
     maps = sorted((tmp_path / "maps").glob("*.pgm"))
     assert len(maps) == 2
@@ -717,12 +772,12 @@ def test_cli_score_map_rejects_zero_tu_goals(tmp_path, capsys):
 
 
 def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys):
-    cfg_path = write_config(tmp_path / "exp.ini", "[maps]\nsource = files\n")
+    cfg_path = write_config(tmp_path / "exp.toml", "[maps]\nkind = 'files'\n")
     assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr() == (
         "", "explore: error: [maps] glob: required when maps come from files\n")
     assert main(["generate-maps", "--out", str(tmp_path / "maps"), "--count", "0"]) == 2
-    assert capsys.readouterr() == ("", "explore: error: count: must be >= 1, got 0\n")
+    assert capsys.readouterr() == ("", "explore: error: [maps] count: must be >= 1, got 0\n")
     assert not (tmp_path / "maps").exists()
 
 
@@ -731,3 +786,47 @@ def test_cli_run_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "4 rows, 4 ok" in out
+
+
+def test_cli_score_map_prints_the_tu_of_its_inputs(tmp_path, capsys):
+    gt_path, obs_path = tmp_path / "gt.pgm", tmp_path / "obs.pgm"
+    save_pgm(generate_floorplan(0, 60, 60), gt_path)
+    save_pgm(new_grid(60, 60), obs_path)  # all unknown: plans cross unseen walls
+    start = corner_starts(load_pgm(gt_path))[0]
+    argv = ["score-map", str(obs_path), str(gt_path), "--tu-start", f"{start.x},{start.y}",
+            "--tu-goals", "20", "--tu-seed", "3"]
+    assert main(argv) == 0
+    tu = topological_understanding(load_pgm(obs_path), load_pgm(gt_path), start,
+                                   n_goals=20, seed=3)
+    assert 0.0 < tu < 1.0
+    assert capsys.readouterr().out.splitlines()[-1] == f"topological_understanding: {tu:.4f}"
+
+
+def test_cli_score_map_reports_bad_input_in_one_line(tmp_path, capsys):
+    room, small = tmp_path / "room.pgm", tmp_path / "small.pgm"
+    save_pgm(OccupancyGrid(_sealed_box(), 0.1), room)
+    save_pgm(OccupancyGrid(_sealed_box(12), 0.1), small)
+    (tmp_path / "text.pgm").write_text("not a map\n")
+    for argv, message in (
+        ([str(room), str(room), "--tu-start", "0,0"], "must be a free ground-truth cell"),
+        ([str(small), str(room)], "vs footprint"),
+        ([str(tmp_path / "nope.pgm"), str(room)], "No such file"),
+        ([str(tmp_path / "text.pgm"), str(room)], "not a binary PGM"),
+    ):
+        assert main(["score-map", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert err.startswith("explore: error: ") and message in err, err
+    for start in ("1", "1,x", "1,2,3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["score-map", str(room), str(room), "--tu-start", start])
+        assert exc.value.code == 2
+        assert "--tu-start: expected x,y" in capsys.readouterr().err
+
+
+def test_cli_replay_reports_an_unreadable_record(tmp_path, capsys):
+    (tmp_path / "text.jsonl").write_text("not json\n")
+    for name in ("nope.jsonl", "text.jsonl"):
+        assert main(["replay", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("replay failed: ")
