@@ -117,16 +117,20 @@ def member_seed(row_seed: int, map_index: int, member: int) -> int:
     return int(np.random.SeedSequence((row_seed, map_index, member)).generate_state(1)[0])
 
 
+def _corpus_paths(spec: PredictorSpec) -> list[str]:
+    paths = sorted(globmod.glob(spec.corpus))
+    if not paths:
+        raise ConfigError(f"[predictor] corpus: {spec.corpus!r} matched no files")
+    return paths
+
+
 def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> list:
     if spec.kind == "passthrough":
         return [PassThroughPredictor() for _ in range(spec.ensemble)]
     if spec.kind == "noisy_oracle":
         return [NoisyOraclePredictor(gt, spec.flip_rate, s) for s in seeds]
     if spec.kind == "patch":
-        paths = sorted(globmod.glob(spec.corpus))
-        if not paths:
-            raise ConfigError(f"[predictor] corpus: {spec.corpus!r} matched no files")
-        corpus = [load_pgm(p, resolution=gt.resolution) for p in paths]
+        corpus = [load_pgm(p, resolution=gt.resolution) for p in _corpus_paths(spec)]
         return [PatchInpaintingPredictor(corpus[i::spec.ensemble] or corpus, spec.block, spec.ring)
                 for i in range(spec.ensemble)]
     commands = [c.strip() for c in spec.command.split(";") if c.strip()]  # external
@@ -299,6 +303,8 @@ def _run_row_task(args):
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Run every (map, start, scorer, seed) combination; returns CSV rows."""
+    if cfg.predictor.kind == "patch":
+        _corpus_paths(cfg.predictor)  # an empty corpus is a config error, not a failed row
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -7,14 +7,15 @@ Both casts walk `trace.ray_cell_table` and end each ray with
 mask. Endpoints and visibility masks are (N, 2) int arrays with columns
 (x, y), like `Scan.endpoints`.
 
-A probabilistic ray accumulates the occupancy value of every new cell it
-traverses and stops once the running total reaches the threshold epsilon;
-a cell of value 1.0 therefore stops any ray with epsilon <= 1, which makes
-the probabilistic and deterministic casts coincide on binary maps. The
-viewpoint's own cell never contributes to the total, so standing on an
-uncertain predicted cell does not self-terminate the cast. A deterministic
-ray stops at the first cell above 0.5, so on a three-label observed map
-unknown cells (0.5) let it through and only observed walls stop it.
+A probabilistic ray accumulates the occupancy value of each cell it
+traverses, once per cell, and stops once the running total reaches the
+threshold epsilon; a cell of value 1.0 therefore stops any ray with
+epsilon <= 1, which makes the probabilistic and deterministic casts
+coincide on binary maps. The viewpoint's own cell never contributes to the
+total, so standing on an uncertain predicted cell does not self-terminate
+the cast. A deterministic ray stops at the first cell above 0.5, so on a
+three-label observed map unknown cells (0.5) let it through and only
+observed walls stop it.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, term_fn)
     if not grid.in_bounds(viewpoint.x, viewpoint.y):
         raise ValueError(f"viewpoint {viewpoint} is outside the grid")
     range_cells = cfg.range_lambda / grid.resolution
-    cx, cy, inb, new = ray_cell_table(viewpoint, cfg.n_rays, range_cells, grid.shape)
+    cx, cy, inb = ray_cell_table(viewpoint, cfg.n_rays, range_cells, grid.shape)
     values = gather_values(grid.cells, cx, cy)
-    not_origin = (cx != viewpoint.x) | (cy != viewpoint.y)
-    contributes = inb & new & not_origin
+    contributes = inb.copy()
+    contributes[:, 0] = False  # column 0 is the viewpoint's own cell
     return ray_ends(cx, cy, inb, term_fn(values, contributes))[2]
 
 

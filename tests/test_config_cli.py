@@ -781,6 +781,28 @@ def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys):
     assert not (tmp_path / "maps").exists()
 
 
+def test_cli_run_rejects_an_empty_corpus_before_any_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path / "exp.toml", textwrap.dedent("""
+        starts = [[5, 5]]
+        scorers = ["nearest", "mapex"]
+        output_dir = "out"
+
+        [maps]
+        count = 1
+        width = 60
+        height = 60
+
+        [predictor]
+        kind = "patch"
+        corpus = "nothing/*.pgm"
+    """))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr() == (
+        "", "explore: error: [predictor] corpus: 'nothing/*.pgm' matched no files\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_exit_code(tmp_path, capsys):
     cfg_path = _write_experiment(tmp_path)
     assert main(["run", str(cfg_path)]) == 0

@@ -84,6 +84,25 @@ def test_probabilistic_matches_accumulation_oracle_on_continuous_maps():
                 mean.cells, 32, 32, angle, range_cells, cfg.epsilon)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side=st.integers(4, 32), vx=st.integers(0, 31),
+       vy=st.integers(0, 31), n_rays=st.integers(8, 64), range_dm=st.integers(1, 60),
+       epsilon=st.floats(0.05, 3.0))
+def test_probabilistic_matches_accumulation_oracle_from_any_viewpoint(seed, side, vx, vy, n_rays,
+                                                                      range_dm, epsilon):
+    # Edge viewpoints and ranges up to past the far corner: rays leave the
+    # grid at every side and some stay inside it.
+    rng = np.random.default_rng(seed)
+    mean = OccupancyGrid(rng.random((side, side)), 0.1)
+    x, y = vx % side, vy % side
+    cfg = RaycastConfig(epsilon=epsilon, n_rays=n_rays, range_lambda=range_dm / 10)
+    ends = probabilistic_raycast(GridPose(x, y), mean, cfg)
+    assert ends.shape == (n_rays, 2)
+    for j, end in enumerate(ends.tolist()):
+        angle = j * (2.0 * math.pi / n_rays)
+        assert tuple(end) == accumulate_ray_oracle(mean.cells, x, y, angle, range_dm, epsilon), j
+
+
 def test_binary_map_probabilistic_equals_deterministic_equals_scan():
     rng = np.random.default_rng(22)
     for _ in range(10):

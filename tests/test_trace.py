@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exploresim.trace import line_cells
+from exploresim.trace import line_cells, ray_offset_table
 
 
 def bresenham_line(a, b) -> list[tuple[int, int]]:
@@ -65,3 +65,12 @@ def test_line_cells_equals_the_concatenated_oracle(pairs):
     assert cells.shape == (sum(max(abs(q[0] - p[0]), abs(q[1] - p[1])) + 1
                                for p, q in pairs), 2)
     assert cells.tolist() == oracle_cells(a.tolist(), b.tolist())
+
+
+def test_the_default_ray_table_is_small_and_read_only():
+    # 2,500 rays of 200 cells: one entry per distinct cell, not per sample.
+    tables = ray_offset_table(2500, 200.0)
+    assert sum(a.nbytes for a in tables) <= 6_000_000
+    for a in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0

@@ -28,22 +28,25 @@ from exploresim import (
 
 def walk_ray_oracle(cells, x, y, angle, range_cells):
     """Independent reference walk: sample every quarter cell along the ray
-    (cell = origin + floor(0.5 + d*dir)), report the first occupied cell,
-    else the last in-bounds cell."""
+    (cell = origin + floor(0.5 + d*dir)). Returns (end, hit, passed): the
+    first occupied cell, else the last in-bounds cell; whether the ray hit;
+    and the set of (x, y) cells it passed through without hitting."""
     h, w = cells.shape
     dx, dy = math.cos(angle), math.sin(angle)
     n = int(math.floor(range_cells / 0.25 + 1e-9))
     last = (x, y)
+    passed = set()
     for k in range(n + 1):
         d = k * 0.25
         cx = x + math.floor(0.5 + d * dx)
         cy = y + math.floor(0.5 + d * dy)
         if not (0 <= cx < w and 0 <= cy < h):
-            return last, False
+            return last, False, passed
         if cells[cy, cx] > 0.5:
-            return (cx, cy), True
+            return (cx, cy), True, passed
         last = (cx, cy)
-    return last, False
+        passed.add(last)
+    return last, False, passed
 
 
 def random_binary_map(rng, n, density=0.2):
@@ -85,9 +88,34 @@ def test_scan_endpoints_match_quarter_step_walk_oracle():
         range_cells = spec.range_lambda / gt.resolution
         for j in range(spec.n_rays):
             angle = j * (2.0 * math.pi / spec.n_rays)
-            (ex, ey), hit = walk_ray_oracle(gt.cells, 32, 32, angle, range_cells)
+            (ex, ey), hit, _ = walk_ray_oracle(gt.cells, 32, 32, angle, range_cells)
             assert (scan.endpoints[j, 0], scan.endpoints[j, 1]) == (ex, ey)
             assert scan.hits[j] == hit
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side=st.integers(4, 32),
+       density=st.floats(0.0, 0.6), pick=st.integers(0, 2**16),
+       n_rays=st.integers(4, 64), range_dm=st.integers(1, 60))
+def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, side, density, pick, n_rays,
+                                                            range_dm):
+    # Any free pose, border cells included, and ranges up to past the far
+    # corner: rays leave the grid at every side and some stay inside it.
+    rng = np.random.default_rng(seed)
+    gt = OccupancyGrid((rng.random((side, side)) < density).astype(float), 0.1)
+    free_ys, free_xs = np.nonzero(gt.cells == FREE)
+    if len(free_xs) == 0:
+        return
+    x, y = int(free_xs[pick % len(free_xs)]), int(free_ys[pick % len(free_xs)])
+    spec = SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays)
+    scan = simulate_scan(gt, GridPose(x, y), spec)
+    passed = set()
+    for j in range(n_rays):
+        end, hit, cells = walk_ray_oracle(gt.cells, x, y, j * (2.0 * math.pi / n_rays), range_dm)
+        assert (tuple(scan.endpoints[j].tolist()), scan.hits[j]) == (end, hit), j
+        passed |= cells
+    assert set(map(tuple, scan.free_cells.tolist())) == passed
+    assert len(scan.free_cells) == len(passed)
 
 
 def test_scan_rotation_symmetry_on_open_map():
