@@ -13,12 +13,13 @@ by the lines `planner.run_episode` emits (its docstring lists their types
 and keys), plus checkpoint PGM snapshots of the observed/mean/variance
 maps. Records contain no wall-clock data, so a rerun with the same config
 and seed is byte-identical. The header line alone determines the episode:
-it holds the row's `EpisodeConfig` and `PredictorSpec` by field name, and
-`replay` rebuilds them from it, checks that the re-run reproduces every
-line of the record, then re-emits the snapshots. The batch is resumable: a
-row whose outputs exist and whose record starts with the header this run
-would write is not re-executed. A rejected config, or a score-map input it
-cannot read, exits 2 with one line on stderr.
+it holds the row's map as a one-map `MapSource`, its `EpisodeConfig` and
+its `PredictorSpec`, each by field name, and `replay` rebuilds them from
+it, checks that the re-run reproduces every line of the record, then
+re-emits the snapshots. The batch is resumable: a row whose outputs exist
+and whose record starts with the header this run would write is not
+re-executed. A rejected config, or a score-map input it cannot read, exits
+2 with one line on stderr, before any row runs or any output is written.
 """
 
 from __future__ import annotations
@@ -89,26 +90,37 @@ def _binarized(grid: OccupancyGrid) -> OccupancyGrid:
     return OccupancyGrid((grid.cells > 0.5).astype(np.float64), grid.resolution)
 
 
-def _map_descriptors(maps: MapSource) -> list[tuple[str, dict]]:
-    """(label, record-header descriptor) per map; the files are globbed once.
-    File paths are absolute, so a record replays from any directory."""
-    if maps.kind == "files":
-        paths = sorted(globmod.glob(maps.glob))
-        if not paths:
-            raise ConfigError(f"[maps] glob: {maps.glob!r} matched no files")
-        return [(Path(p).stem, {"kind": "file", "path": os.path.abspath(p),
-                                "resolution": maps.resolution}) for p in paths]
-    return [(f"gen{seed:04d}", {
-        "kind": "generated", "seed": seed,
-        "width": maps.width, "height": maps.height,
-        "rooms_min": maps.rooms_min, "rooms_max": maps.rooms_max,
-        "corridor_width": maps.corridor_width, "resolution": maps.resolution,
-    }) for seed in range(maps.map_seed, maps.map_seed + maps.count)]
+def _map_sources(maps: MapSource) -> list[tuple[str, MapSource]]:
+    """(label, one-map MapSource) per map. A file's glob is its escaped absolute
+    path, which matches only that file from any directory. A label names a row
+    directory, so two files may not share a stem."""
+    if maps.kind == "generate":
+        return [(f"gen{seed:04d}", replace(maps, map_seed=seed, count=1))
+                for seed in range(maps.map_seed, maps.map_seed + maps.count)]
+    paths = {}
+    for p in sorted(globmod.glob(maps.glob)):
+        if (other := paths.setdefault(Path(p).stem, p)) != p:
+            raise ConfigError(f"[maps] glob: {other} and {p} share the label {Path(p).stem!r}")
+    if not paths:
+        raise ConfigError(f"[maps] glob: {maps.glob!r} matched no files")
+    return [(label, replace(maps, glob=globmod.escape(os.path.abspath(p))))
+            for label, p in paths.items()]
 
 
-def materialize_maps(maps: MapSource) -> list[tuple[str, OccupancyGrid]]:
-    """(label, binary ground truth) pairs from files or the generator."""
-    return [(label, _gt_from_descriptor(desc)) for label, desc in _map_descriptors(maps)]
+def materialize_maps(maps: MapSource) -> list[tuple[str, MapSource, OccupancyGrid]]:
+    """(label, one-map MapSource, binary ground truth) per map, from files or
+    the generator; a files source is globbed once."""
+    out = []
+    for label, one in _map_sources(maps):
+        if one.kind == "files":
+            [path] = globmod.glob(one.glob)
+            gt = _binarized(load_pgm(path, resolution=one.resolution))
+        else:
+            gt = generate_floorplan(one.map_seed, one.width, one.height,
+                                    (one.rooms_min, one.rooms_max), one.corridor_width,
+                                    one.resolution)
+        out.append((label, one, gt))
+    return out
 
 
 def member_seed(row_seed: int, map_index: int, member: int) -> int:
@@ -163,16 +175,6 @@ def record_lines(record: EpisodeRecord, header: dict) -> list[str]:
     return [_dumps(header), *map(_dumps, record.lines)]
 
 
-def _gt_from_descriptor(desc: dict) -> OccupancyGrid:
-    if desc["kind"] == "file":
-        return _binarized(load_pgm(desc["path"], resolution=desc["resolution"]))
-    return generate_floorplan(
-        desc["seed"], width=desc["width"], height=desc["height"],
-        room_count_range=(desc["rooms_min"], desc["rooms_max"]),
-        corridor_width=desc["corridor_width"], resolution=desc["resolution"],
-    )
-
-
 def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
     written = []
     for cp in record.checkpoints:
@@ -183,8 +185,8 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
 
 
 def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
-    """The record's header line; `episode` and `predictor` are dataclasses by
-    field name. File paths are absolute, so the record replays anywhere.
+    """The record's header line; `map`, `episode` and `predictor` are dataclasses
+    by field name. File paths are absolute, so the record replays anywhere.
     `tu_goals` and `snapshots` are here only so that a change re-runs the row."""
     episode = EpisodeConfig(
         budget_t=cfg.budget, scorer=spec.scorer, sensor=cfg.sensor, raycast=cfg.raycast,
@@ -194,7 +196,7 @@ def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
     corpus = cfg.predictor.corpus and os.path.abspath(cfg.predictor.corpus)
     return {
         "type": "header",
-        "map": _map_descriptors(cfg.maps)[spec.map_index][1],
+        "map": asdict(dict(_map_sources(cfg.maps))[spec.map_label]),
         "map_label": spec.map_label,
         "start": [spec.start.x, spec.start.y],
         "seed": spec.seed,
@@ -306,11 +308,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     if cfg.predictor.kind == "patch":
         _corpus_paths(cfg.predictor)  # an empty corpus is a config error, not a failed row
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = []
-    for mi, (label, desc) in enumerate(_map_descriptors(cfg.maps)):
-        gt = _gt_from_descriptor(desc)
+    for mi, (label, one, gt) in enumerate(materialize_maps(cfg.maps)):
         starts = corner_starts(gt) if cfg.starts == "corners" else cfg.starts
         for si, start in enumerate(starts):
             if not gt.in_bounds(start.x, start.y) or gt.at(start) != 0.0:
@@ -318,7 +318,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
             for scorer in cfg.scorers:
                 for seed in cfg.seeds:
                     spec = RowSpec(label, mi, start, si, scorer, seed)
-                    tasks.append((cfg, spec, gt, str(out_dir)))
+                    tasks.append((replace(cfg, maps=one), spec, gt, str(out_dir)))
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once the config is accepted
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -341,9 +342,10 @@ def replay(record_path, out_dir) -> list[Path]:
     record_path = Path(record_path)
     lines = record_path.read_text().splitlines()
     header = json.loads(lines[0]) if lines else {}
-    if header.get("type") != "header" or "episode" not in header:
+    if (header.get("type") != "header" or "episode" not in header
+            or set(header.get("map", ())) != {f.name for f in fields(MapSource)}):
         raise RecordMismatchError(f"{record_path}: no header line in this version's format")
-    gt = _gt_from_descriptor(header["map"])
+    [(_, _, gt)] = materialize_maps(MapSource(**header["map"]))
     ep_cfg, ensemble = _episode_inputs(header, gt)
     record = run_episode(gt, GridPose(*header["start"]), ep_cfg, ensemble)
     for n, (old, new) in enumerate(zip_longest(lines, record_lines(record, header)), 1):
@@ -381,7 +383,7 @@ def _cmd_generate_maps(args) -> int:
         raise ConfigError(f"[maps] {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for label, gt in materialize_maps(maps):
+    for label, _, gt in materialize_maps(maps):
         path = out / f"{label}.pgm"
         save_pgm(gt, path)
         print(path)
@@ -423,7 +425,7 @@ def _positive_int(text: str) -> int:
 def _cmd_replay(args) -> int:
     try:
         written = replay(args.record, args.out)
-    except (RecordMismatchError, OSError, json.JSONDecodeError) as exc:
+    except (RecordMismatchError, ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 1
     for p in written:

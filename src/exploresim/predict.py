@@ -23,6 +23,10 @@ import numpy as np
 from .errors import EnsembleError, ExternalPredictorError
 from .grid import UNKNOWN, OccupancyGrid, load_pgm, save_pgm
 
+# Seconds an external predictor may take for one prediction before it is
+# killed and the call fails, so that a hung predictor cannot hang a batch.
+EXTERNAL_TIMEOUT_S = 120.0
+
 
 def clamp_to_observed(prediction: np.ndarray, observed: OccupancyGrid) -> np.ndarray:
     """Known observed cells override the prediction."""
@@ -130,7 +134,8 @@ class ExternalPredictor:
     """Runs `<command> <input.pgm> <output.pgm>` to produce a prediction.
 
     The command gets the observed map as a P5 file and must write its
-    prediction (same dimensions) to the output path, exiting 0.
+    prediction (same dimensions) to the output path, exiting 0 within
+    `EXTERNAL_TIMEOUT_S` seconds.
     """
 
     def __init__(self, command):
@@ -144,9 +149,12 @@ class ExternalPredictor:
             in_path = Path(tmp) / "observed.pgm"
             out_path = Path(tmp) / "predicted.pgm"
             save_pgm(observed, in_path)
-            proc = subprocess.run(
-                [*cmd, str(in_path), str(out_path)], capture_output=True, text=True
-            )
+            try:
+                proc = subprocess.run([*cmd, str(in_path), str(out_path)], capture_output=True,
+                                      text=True, timeout=EXTERNAL_TIMEOUT_S)
+            except subprocess.TimeoutExpired:  # run() has killed the child
+                raise ExternalPredictorError(f"{shlex.join(cmd)} did not finish within "
+                                             f"{EXTERNAL_TIMEOUT_S:g} s; killed") from None
             if proc.returncode != 0:
                 raise ExternalPredictorError(
                     f"{cmd[0]} exited {proc.returncode}; stderr: {proc.stderr.strip()[-500:]}"

@@ -5,7 +5,7 @@ import sys
 import tempfile
 import textwrap
 import tomllib
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -650,15 +650,22 @@ def test_replay_verifies_the_record(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and f"t={t}" in err
     assert main(["replay", str(record), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
 
-    # A record written before the header held the dataclasses by field name.
+    # Records written before the header held the dataclasses, then the map
+    # source, by field name.
     old = tmp_path / "old.jsonl"
     lines = record.read_text().splitlines()
     header = json.loads(lines[0])
-    header.pop("episode")
-    old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    assert main(["replay", str(old), "--out", str(tmp_path / "out")]) == 1
-    assert "no header line" in capsys.readouterr().err
+    old_map = {"kind": "generated", "seed": 0, "width": 60, "height": 60, "rooms_min": 2,
+               "rooms_max": 3, "corridor_width": 6, "resolution": 0.1}
+    for header in ({k: v for k, v in header.items() if k != "episode"},
+                   header | {"map": old_map}):
+        old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert main(["replay", str(old), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "no header line in this version's format" in err
 
 
 @settings(max_examples=15, deadline=None)
@@ -675,7 +682,7 @@ def test_replay_reproduces_any_record(map_seed, corner, scorer, predictor):
             predictor=PredictorSpec(kind=predictor, ensemble=2), checkpoint_every=7,
             tu_goals=0, output_dir=tmp,
         )
-        label, gt = materialize_maps(cfg.maps)[0]
+        label, _, gt = materialize_maps(cfg.maps)[0]
         spec = RowSpec(label, 0, corner_starts(gt)[corner], corner, scorer, 0)
         assert run_row(cfg, spec, gt, out)["status"] == "ok"
         originals = sorted(p.name for p in (out / spec.name).glob("*.pgm"))
@@ -705,10 +712,10 @@ def test_tu_final_scores_the_final_map(tmp_path):
     assert tu_final == {30: 0.375, 50: 0.375}
 
 
-def test_replay_from_another_directory_with_relative_globs(tmp_path, monkeypatch):
+def test_replay_from_another_directory_with_relative_globs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "maps").mkdir()
-    save_pgm(generate_floorplan(0, 60, 60), tmp_path / "maps" / "gen0000.pgm")
+    save_pgm(generate_floorplan(0, 60, 60), tmp_path / "maps" / "plan[1].pgm")
     cfg = ExperimentConfig(
         maps=MapSource(kind="files", glob="maps/*.pgm"), starts=[GridPose(1, 1)],
         scorers=["nearest"], budget=10, sensor=SensorSpec(3.0, 120),
@@ -718,13 +725,20 @@ def test_replay_from_another_directory_with_relative_globs(tmp_path, monkeypatch
     assert run_experiment(cfg)[0]["status"] == "ok"
     record = _first_row_dir(tmp_path / "results") / "record.jsonl"
     header = json.loads(record.read_text().splitlines()[0])
-    assert header["map"]["path"] == str(tmp_path / "maps" / "gen0000.pgm")
+    # Absolute, and escaped: the pattern "plan[1].pgm" would match only "plan1.pgm".
+    assert header["map"]["glob"] == str(tmp_path / "maps" / "plan[[]1].pgm")
     assert header["predictor"]["corpus"] == str(tmp_path / "maps" / "*.pgm")
 
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
     written = replay(record, tmp_path / "replayed")
     assert sorted(p.name for p in written) == sorted(p.name for p in record.parent.glob("*.pgm"))
+
+    (tmp_path / "maps" / "plan[1].pgm").unlink()
+    assert main(["replay", str(record), "--out", str(tmp_path / "replayed")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("replay failed: ") and "matched no files" in err
 
 
 def test_failed_row_leaves_its_traceback(tmp_path):
@@ -852,3 +866,60 @@ def test_cli_replay_reports_an_unreadable_record(tmp_path, capsys):
         assert main(["replay", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("replay failed: ")
+
+
+def test_a_files_batch_globs_its_maps_once(tmp_path, monkeypatch):
+    (tmp_path / "maps").mkdir()
+    for seed in (0, 1):
+        save_pgm(generate_floorplan(seed, 60, 60), tmp_path / "maps" / f"gen{seed:04d}.pgm")
+    cfg = ExperimentConfig(
+        maps=MapSource(kind="files", glob=str(tmp_path / "maps" / "*.pgm")),
+        starts=[GridPose(1, 1)], scorers=["nearest", "mapex"], budget=10,
+        sensor=SensorSpec(3.0, 120), predictor=PredictorSpec(kind="passthrough", ensemble=1),
+        checkpoint_every=5, tu_goals=0, output_dir=str(tmp_path / "results"),
+    )
+    patterns = []
+    real_glob = cli.globmod.glob
+    monkeypatch.setattr(cli.globmod, "glob", lambda p: patterns.append(p) or real_glob(p))
+    rows = run_experiment(cfg)
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert patterns.count(cfg.maps.glob) == 1
+    # Each row's header names its own file, by every MapSource field.
+    for row_dir in sorted((tmp_path / "results").glob("gen*")):
+        header = json.loads((row_dir / "record.jsonl").read_text().splitlines()[0])
+        assert header["map"] == asdict(replace(cfg.maps, glob=str(
+            tmp_path / "maps" / f"{header['map_label']}.pgm")))
+
+
+def test_cli_run_rejects_two_map_files_with_one_stem(tmp_path, capsys):
+    # Both would write the rows of map "plan" into the same row directories.
+    for sub in ("a", "b"):
+        (tmp_path / "maps" / sub).mkdir(parents=True)
+        save_pgm(generate_floorplan(0, 60, 60), tmp_path / "maps" / sub / "plan.pgm")
+    cfg_path = write_config(tmp_path / "exp.toml", textwrap.dedent(f"""
+        output_dir = {json.dumps(str(tmp_path / "results"))}
+
+        [maps]
+        glob = {json.dumps(str(tmp_path / "maps" / "*" / "plan.pgm"))}
+    """))
+    assert main(["run", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("explore: error: [maps] glob: ")
+    assert str(tmp_path / "maps" / "a" / "plan.pgm") in err
+    assert str(tmp_path / "maps" / "b" / "plan.pgm") in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ('starts = [[0, 0]]\n\n[maps]\ncount = 1\nwidth = 60\nheight = 60\n',
+     "start GridPose(x=0, y=0) is not a free cell of map gen0000"),
+    ('[maps]\nglob = "none/*.pgm"\n', "[maps] glob: 'none/*.pgm' matched no files"),
+])
+def test_cli_run_rejected_config_makes_no_output_directory(tmp_path, capsys, monkeypatch,
+                                                          setting, message):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path / "exp.toml", 'output_dir = "out"\n' + setting)
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr() == ("", f"explore: error: {message}\n")
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
+import os
 import statistics
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from exploresim import (
     ensemble_predict,
     new_grid,
 )
+from exploresim import predict as predict_module
 from exploresim.predict import clamp_to_observed
 
 
@@ -241,3 +244,17 @@ def test_external_missing_output():
     observed = new_grid(4, 4)
     with pytest.raises(ExternalPredictorError):
         ExternalPredictor([sys.executable, "-c", "pass"]).predict(observed)
+
+
+def test_external_timeout_kills_a_hung_predictor(tmp_path, monkeypatch):
+    monkeypatch.setattr(predict_module, "EXTERNAL_TIMEOUT_S", 0.8)
+    pid_file = tmp_path / "pid"
+    hung = [sys.executable, "-c",
+            f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); "
+            "time.sleep(30)"]
+    t0 = time.monotonic()
+    with pytest.raises(ExternalPredictorError, match=r"did not finish within 0\.8 s"):
+        ExternalPredictor(hung).predict(new_grid(4, 4))
+    assert time.monotonic() - t0 < 5
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
