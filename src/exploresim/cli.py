@@ -39,10 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, MapSource, PredictorSpec, parse_config
+from .config import ExperimentConfig, MapSource, PredictorSpec, from_table, parse_config
 from .errors import ConfigError, RecordMismatchError
 from .grid import GridPose, OccupancyGrid, load_pgm, save_pgm
-from .infogain import RaycastConfig
 from .metrics import (
     auc,
     building_footprint,
@@ -57,7 +56,7 @@ from .predict import (
     PassThroughPredictor,
     PatchInpaintingPredictor,
 )
-from .world import SensorSpec, generate_floorplan
+from .world import generate_floorplan
 
 CSV_COLUMNS = [
     "map", "start_x", "start_y", "scorer", "seed", "status", "end_reason", "steps",
@@ -209,16 +208,23 @@ def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
     }
 
 
+def _from_header(cls, header: dict, key: str):
+    """The dataclass a record header stores under `key`, by field name. A
+    value the dataclass rejects raises RecordMismatchError."""
+    try:
+        return from_table(cls, header[key], key)
+    except (ConfigError, TypeError) as exc:  # TypeError: a field is missing
+        raise RecordMismatchError(f"record header {exc}") from None
+
+
 def _episode_inputs(header: dict, gt: OccupancyGrid) -> tuple[EpisodeConfig, list]:
     """The episode config and predictor ensemble a record header describes.
 
     `run_row` and `replay` both build their episode here, so a record's
     header is all it takes to re-run the row.
     """
-    episode = header["episode"]
-    ep_cfg = EpisodeConfig(**episode | {"sensor": SensorSpec(**episode["sensor"]),
-                                        "raycast": RaycastConfig(**episode["raycast"])})
-    spec = PredictorSpec(**header["predictor"])
+    ep_cfg = _from_header(EpisodeConfig, header, "episode")
+    spec = _from_header(PredictorSpec, header, "predictor")
     return ep_cfg, build_ensemble(spec, gt, header["member_seeds"])
 
 
@@ -338,14 +344,15 @@ def replay(record_path, out_dir) -> list[Path]:
     """Re-run a recorded episode from its header line, check that the re-run
     reproduces every line of the record, then re-emit its checkpoint
     snapshots. Raises RecordMismatchError naming the first line that differs,
-    or when the record has no header this version reads."""
+    or when the record has no header this version reads or one whose values
+    the config dataclasses reject."""
     record_path = Path(record_path)
     lines = record_path.read_text().splitlines()
     header = json.loads(lines[0]) if lines else {}
     if (header.get("type") != "header" or "episode" not in header
             or set(header.get("map", ())) != {f.name for f in fields(MapSource)}):
         raise RecordMismatchError(f"{record_path}: no header line in this version's format")
-    [(_, _, gt)] = materialize_maps(MapSource(**header["map"]))
+    [(_, _, gt)] = materialize_maps(_from_header(MapSource, header, "map"))
     ep_cfg, ensemble = _episode_inputs(header, gt)
     record = run_episode(gt, GridPose(*header["start"]), ep_cfg, ensemble)
     for n, (old, new) in enumerate(zip_longest(lines, record_lines(record, header)), 1):

@@ -154,10 +154,11 @@ def _typed(hint, value):
     raise TypeError(value)
 
 
-def _build(cls, table: dict, name: str | None = None):
-    """`cls` with the fields a TOML table sets. A key, type or value the
-    table or `cls` rejects raises a ConfigError that starts with
-    `[name] key:`, or with `key:` for the top-level table."""
+def from_table(cls, table: dict, name: str | None = None):
+    """`cls` with the fields a table (TOML, or JSON from a record header)
+    sets by name. A key, type or value the table or `cls` rejects raises a
+    ConfigError that starts with `[name] key:`, or with `key:` for the
+    top-level table."""
     where = f"[{name}] " if name else ""
     hints = get_type_hints(cls)
     annotations = {f.name: f.type for f in fields(cls)}
@@ -167,7 +168,7 @@ def _build(cls, table: dict, name: str | None = None):
             kind = "table" if isinstance(value, dict) else "key"
             raise ConfigError(f"{where}{key}: unknown {kind}")
         if is_dataclass(hints[key]) and isinstance(value, dict):
-            values[key] = _build(hints[key], value, key)
+            values[key] = from_table(hints[key], value, key)
             continue
         try:
             values[key] = _typed(hints[key], value)
@@ -192,4 +193,4 @@ def parse_config(path) -> ExperimentConfig:
     maps = data.setdefault("maps", {})
     if isinstance(maps, dict):  # a glob implies map files
         maps.setdefault("kind", "files" if "glob" in maps else "generate")
-    return _build(ExperimentConfig, data)
+    return from_table(ExperimentConfig, data)

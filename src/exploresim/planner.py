@@ -1,5 +1,6 @@
-"""A* local planning on the diagonally-connected grid and the top-level
-exploration episode loop.
+"""A* local planning on the diagonally-connected grid, the one-pass
+search that scores topological understanding with the same move rule, and
+the top-level exploration episode loop.
 
 Planning treats unknown cells as traversable: frontier centroids border
 unknown space by definition, so a plan usually has to cross it. Safety
@@ -115,6 +116,69 @@ def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose
                 seq += 1
                 push(heap, (ng + hcost, -ng, seq, nx, ny))
     return None
+
+
+def reach_avoiding(
+    blocked: np.ndarray, start: GridPose, goals: list[GridPose], avoid: np.ndarray,
+) -> list[bool]:
+    """For each goal, whether some minimal-cost path from `start` on `blocked`
+    reaches it without touching an `avoid` cell.
+
+    One Dijkstra pass with `astar`'s move rule answers every goal. Each
+    cell carries a flag: does a minimal-cost path reach it clear of `avoid`?
+    A strictly cheaper arrival sets the flag from its parent; a tie (within
+    1e-9, while distinct octile costs on these grids differ by more than
+    1e-4) ORs it in. Every parent on a minimal path is cheaper than its
+    child, so a cell's flag is final when the cell is popped, and the pass
+    stops once every goal is popped. An unreachable goal is False.
+    """
+    h, w = blocked.shape
+    if not (0 <= start.x < w and 0 <= start.y < h):
+        raise ValueError(f"start {start} is outside the grid")
+    if blocked[start.y, start.x]:
+        raise ValueError(f"start {start} is on a blocked cell")
+    # A blocked border ring replaces the bounds checks; W is the padded width.
+    # A move is (offset, then the offsets of a diagonal's two orthogonal
+    # cells, 0 for a straight move, and its cost).
+    W = w + 2
+    blk = np.pad(blocked, 1, constant_values=True).ravel().tolist()
+    bad = np.pad(avoid, 1).ravel().tolist()
+    moves = [(dy * W + dx, dx if dy else 0, dy * W if dx else 0, step)
+             for dx, dy, step in _NEIGHBORS]
+    goal_idx = []
+    for g in goals:
+        if not (0 <= g.x < w and 0 <= g.y < h):
+            raise ValueError(f"goal {g} is outside the grid")
+        goal_idx.append((g.y + 1) * W + g.x + 1)
+
+    dist = [math.inf] * len(blk)
+    clear = [False] * len(blk)
+    s = (start.y + 1) * W + start.x + 1
+    dist[s] = 0.0
+    clear[s] = not bad[s]
+    pending = {i for i in goal_idx if not blk[i]}
+    heap = [(0.0, s)]
+    pop = heapq.heappop
+    push = heapq.heappush
+    while heap and pending:
+        d, i = pop(heap)
+        if d > dist[i]:
+            continue  # stale entry, a cheaper route was found since the push
+        pending.discard(i)
+        ci = clear[i]
+        for off, cx, cy, step in moves:
+            j = i + off
+            if blk[j] or (cx and blk[i + cx] and blk[i + cy]):
+                continue  # blocked, or a fully closed corner
+            nd = d + step
+            dj = dist[j]
+            if nd < dj - 1e-9:
+                dist[j] = nd
+                clear[j] = ci and not bad[j]
+                push(heap, (nd, j))
+            elif ci and nd <= dj + 1e-9 and not bad[j]:
+                clear[j] = True
+    return [clear[i] for i in goal_idx]
 
 
 def waypoint_valid(

@@ -668,6 +668,24 @@ def test_replay_verifies_the_record(tmp_path, capsys):
         assert "no header line in this version's format" in err
 
 
+@pytest.mark.parametrize("table, key, value", [
+    ("map", "kind", "file"), ("episode", "budget_t", -1), ("predictor", "ensemble", 0),
+])
+def test_replay_reports_a_rejected_header_value(tmp_path, capsys, table, key, value):
+    # The header has every field name, but one value its dataclass rejects.
+    cfg = ExperimentConfig(maps=MapSource(kind="generate", count=1, width=60, height=60),
+                           predictor=PredictorSpec(kind="passthrough", ensemble=1))
+    header = _row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0, "nearest", 0))
+    header[table][key] = value
+    record = tmp_path / "record.jsonl"
+    record.write_text(json.dumps(header) + "\n")
+    with pytest.raises(RecordMismatchError, match=rf"\[{table}\] {key}: must be"):
+        replay(record, tmp_path / "out")
+    assert main(["replay", str(record), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("replay failed: ")
+
+
 @settings(max_examples=15, deadline=None)
 @given(map_seed=st.integers(0, 99), corner=st.integers(0, 3),
        scorer=st.sampled_from(SCORER_KINDS),
@@ -692,7 +710,7 @@ def test_replay_reproduces_any_record(map_seed, corner, scorer, predictor):
 
 def test_tu_final_scores_the_final_map(tmp_path):
     # The episode runs to t=50 and its last checkpoint is at t=30: tu_final
-    # must be the TU of the final map (0.375), not the t=30 value (0.25), and
+    # must be the TU of the final map (0.55), not the t=30 value (0.275), and
     # must not depend on where the checkpoints fall.
     gt = generate_floorplan(0, 80, 80)
     tu_final = {}
@@ -708,8 +726,8 @@ def test_tu_final_scores_the_final_map(tmp_path):
         assert result["steps"] == 50
         tu_final[every] = result["tu_final"]
         if every == 30:
-            assert result["tu_checkpoints"] == "30:0.2500"  # checkpoints only
-    assert tu_final == {30: 0.375, 50: 0.375}
+            assert result["tu_checkpoints"] == "30:0.2750"  # checkpoints only
+    assert tu_final == {30: 0.55, 50: 0.55}
 
 
 def test_replay_from_another_directory_with_relative_globs(tmp_path, monkeypatch, capsys):

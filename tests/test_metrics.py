@@ -2,12 +2,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exploresim import (
     FREE,
     OCCUPIED,
     GridPose,
     OccupancyGrid,
+    astar,
     auc,
     building_footprint,
     coverage_of,
@@ -15,6 +18,7 @@ from exploresim import (
     new_grid,
     topological_understanding,
 )
+from exploresim.planner import reach_avoiding
 
 
 def _room_with_margin(n=30, margin=6):
@@ -222,6 +226,77 @@ def test_tu_needs_at_least_one_goal():
     gt, (lo, _) = _room_with_margin(24, 4)
     with pytest.raises(ValueError, match="at least one goal"):
         topological_understanding(gt, gt, GridPose(lo + 2, lo + 2), n_goals=0, seed=0)
+
+
+def tu_astar_reference(predicted, gt, start, *, n_goals, seed):
+    """TU scored by one A* search per goal: a goal counts when A*'s own path
+    touches no ground-truth wall. It samples the same goals as
+    `topological_understanding`, which counts a goal when any minimal-cost
+    path does, so it is a lower bound on it."""
+    footprint = building_footprint(gt)
+    free = (gt.cells < 0.25) & footprint
+    free[start.y, start.x] = False
+    candidates = np.argwhere(free)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(candidates), size=n_goals, replace=len(candidates) < n_goals)
+    blocked = predicted.cells > 0.5
+    if blocked[start.y, start.x]:
+        return 0.0
+    gt_occ = gt.cells > 0.5
+    successes = 0
+    for k in picks:
+        gy, gx = candidates[k]
+        path = astar(blocked, start, GridPose(int(gx), int(gy)))
+        if path is not None and not any(gt_occ[p.y, p.x] for p in path):
+            successes += 1
+    return successes / n_goals
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side_x=st.integers(8, 24), side_y=st.integers(8, 24),
+       density=st.floats(0.0, 0.4), flips=st.floats(0.0, 0.4), pick=st.integers(0, 2**16),
+       n_goals=st.integers(1, 30))
+def test_tu_is_at_least_the_astar_reference(seed, side_x, side_y, density, flips, pick,
+                                            n_goals):
+    rng = np.random.default_rng(seed)
+    cells = (rng.random((side_y, side_x)) < density).astype(float)
+    cells[0, :] = cells[-1, :] = cells[:, 0] = cells[:, -1] = OCCUPIED  # all in the footprint
+    gt = OccupancyGrid(cells, 0.1)
+    ys, xs = np.nonzero(gt.cells == FREE)  # density <= 0.4 leaves free cells
+    start = GridPose(int(xs[pick % len(xs)]), int(ys[pick % len(xs)]))
+    flipped = rng.random(gt.shape) < flips
+    noisy = OccupancyGrid(np.where(flipped, 1.0 - gt.cells, gt.cells), 0.1)
+    same = OccupancyGrid(np.where(gt.cells > 0.5, 0.9, 0.2), 0.1)  # binarizes to gt
+    args = dict(n_goals=n_goals, seed=seed)
+    assert topological_understanding(noisy, gt, start, **args) >= \
+        tu_astar_reference(noisy, gt, start, **args)
+    assert topological_understanding(same, gt, start, **args) == \
+        tu_astar_reference(same, gt, start, **args)
+
+
+def test_tu_counts_a_goal_when_any_minimal_plan_avoids_the_walls():
+    # Two routes of equal cost round a pillar from S to G; the ground truth
+    # has a wall on the route A* takes, which the prediction misses.
+    #   #######
+    #   #.....#
+    #   #.###.#
+    #   #S###G#
+    #   #.###.#
+    #   #.....#
+    #   #######
+    cells = np.zeros((7, 7))
+    cells[0, :] = cells[-1, :] = cells[:, 0] = cells[:, -1] = OCCUPIED
+    cells[2:5, 2:5] = OCCUPIED
+    pred = OccupancyGrid(cells.copy(), 0.1)
+    start, goal = GridPose(1, 3), GridPose(5, 3)
+    path = astar(pred.cells > 0.5, start, goal)
+    wall = next(p for p in path if p.y in (1, 5) and p.x == 3)
+    cells[wall.y, wall.x] = OCCUPIED
+    gt = OccupancyGrid(cells, 0.1)
+    assert reach_avoiding(pred.cells > 0.5, start, [goal], gt.cells > 0.5) == [True]
+    args = dict(n_goals=20, seed=0)
+    assert topological_understanding(pred, gt, start, **args) > \
+        tu_astar_reference(pred, gt, start, **args)
 
 
 def test_auc_constant_series():

@@ -23,6 +23,7 @@ from exploresim import (
     run_episode,
     waypoint_valid,
 )
+from exploresim.planner import reach_avoiding
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,11 +33,14 @@ def path_cost(path):
     return sum(SQRT2 if (a.x != b.x and a.y != b.y) else 1.0 for a, b in zip(path, path[1:]))
 
 
-def ucs_cost_oracle(blocked, start, goal):
+def ucs_cost_oracle(blocked, start, goal, removed=None):
     """Independent uniform-cost search over the same move rules; returns the
-    optimal cost or None."""
+    optimal cost or None. `removed` cells may not be entered, but do not
+    close corners."""
     h, w = blocked.shape
-    if blocked[goal[1], goal[0]]:
+    if removed is None:
+        removed = np.zeros_like(blocked)
+    if blocked[goal[1], goal[0]] or removed[goal[1], goal[0]] or removed[start[1], start[0]]:
         return None
     dist = {start: 0.0}
     heap = [(0.0, start)]
@@ -51,7 +55,7 @@ def ucs_cost_oracle(blocked, start, goal):
                 if dx == dy == 0:
                     continue
                 nx, ny = x + dx, y + dy
-                if not (0 <= nx < w and 0 <= ny < h) or blocked[ny, nx]:
+                if not (0 <= nx < w and 0 <= ny < h) or blocked[ny, nx] or removed[ny, nx]:
                     continue
                 if dx and dy and blocked[y, nx] and blocked[ny, x]:
                     continue
@@ -131,6 +135,54 @@ def test_astar_cost_matches_ucs_oracle_on_random_maps():
             assert path_cost(path) == pytest.approx(oracle, abs=1e-9)
             agree_paths += 1
     assert agree_paths > 50  # the fixture produces plenty of solvable cases
+
+
+def _random_case(seed, side_x, side_y, density, picks):
+    """A random (blocked, start, goals) case: walls at `density` (at most
+    0.4, so some of the 64 or more cells are free), any free start, and
+    goals picked from the free cells."""
+    rng = np.random.default_rng(seed)
+    blocked = rng.random((side_y, side_x)) < density
+    ys, xs = np.nonzero(~blocked)
+    cells = [GridPose(int(x), int(y)) for x, y in zip(xs, ys)]
+    return blocked, cells[picks[0] % len(cells)], [cells[p % len(cells)] for p in picks[1:]]
+
+
+_CASES = dict(seed=st.integers(0, 2**32 - 1), side_x=st.integers(8, 24),
+              side_y=st.integers(8, 24), density=st.floats(0.0, 0.4),
+              picks=st.lists(st.integers(0, 2**16), min_size=2, max_size=6))
+
+
+@settings(deadline=None)
+@given(**_CASES)
+def test_reach_with_nothing_to_avoid_is_astar_reachability(seed, side_x, side_y, density, picks):
+    blocked, start, goals = _random_case(seed, side_x, side_y, density, picks)
+    reached = reach_avoiding(blocked, start, goals, np.zeros_like(blocked))
+    assert reached == [astar(blocked, start, g) is not None for g in goals]
+
+
+@settings(deadline=None)
+@given(**_CASES, avoid_seed=st.integers(0, 2**32 - 1), avoid_density=st.floats(0.0, 0.4))
+def test_reach_avoiding_is_two_distance_fields(seed, side_x, side_y, density, picks,
+                                               avoid_seed, avoid_density):
+    # A goal counts exactly when keeping out of `avoid` costs nothing: the
+    # optimal cost without the avoided cells equals the optimal cost.
+    blocked, start, goals = _random_case(seed, side_x, side_y, density, picks)
+    avoid = np.random.default_rng(avoid_seed).random(blocked.shape) < avoid_density
+    reached = reach_avoiding(blocked, start, goals, avoid)
+    for g, got in zip(goals, reached):
+        best = ucs_cost_oracle(blocked, (start.x, start.y), (g.x, g.y))
+        clear = ucs_cost_oracle(blocked, (start.x, start.y), (g.x, g.y), avoid)
+        assert got == (clear is not None and abs(clear - best) < 1e-6)
+
+
+def test_reach_avoiding_rejects_a_bad_start_or_goal():
+    blocked = np.zeros((4, 4), dtype=bool)
+    blocked[0, 0] = True
+    with pytest.raises(ValueError, match="blocked"):
+        reach_avoiding(blocked, GridPose(0, 0), [GridPose(1, 1)], blocked)
+    with pytest.raises(ValueError, match="outside"):
+        reach_avoiding(blocked, GridPose(1, 1), [GridPose(4, 1)], blocked)
 
 
 def _mk_observed(n=16):
