@@ -183,6 +183,10 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
     return written
 
 
+_HEADER_KEYS = {"type", "map", "map_label", "start", "seed", "episode", "predictor",
+                "member_seeds", "tu_goals", "snapshots"}  # what `_row_header` writes
+
+
 def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
     """The record's header line; `map`, `episode` and `predictor` are dataclasses
     by field name. File paths are absolute, so the record replays anywhere.
@@ -349,8 +353,8 @@ def replay(record_path, out_dir) -> list[Path]:
     record_path = Path(record_path)
     lines = record_path.read_text().splitlines()
     header = json.loads(lines[0]) if lines else {}
-    if (header.get("type") != "header" or "episode" not in header
-            or set(header.get("map", ())) != {f.name for f in fields(MapSource)}):
+    if (set(header) != _HEADER_KEYS or header["type"] != "header"
+            or set(header["map"]) != {f.name for f in fields(MapSource)}):
         raise RecordMismatchError(f"{record_path}: no header line in this version's format")
     [(_, _, gt)] = materialize_maps(_from_header(MapSource, header, "map"))
     ep_cfg, ensemble = _episode_inputs(header, gt)

@@ -2,7 +2,8 @@
 visibility-mask construction by flood fill, and the gain sum over the
 variance map.
 
-Both casts walk `trace.ray_cell_table` and end each ray with
+Both casts walk the flat cell indices of `trace.ray_cell_table`, read the
+map through them with `trace.gather_values` and end each ray with
 `trace.ray_ends`, the sensor's own stop rule; they differ only in the stop
 mask. Endpoints and visibility masks are (N, 2) int arrays with columns
 (x, y), like `Scan.endpoints`.
@@ -54,11 +55,11 @@ def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, term_fn)
     if not grid.in_bounds(viewpoint.x, viewpoint.y):
         raise ValueError(f"viewpoint {viewpoint} is outside the grid")
     range_cells = cfg.range_lambda / grid.resolution
-    cx, cy, inb = ray_cell_table(viewpoint, cfg.n_rays, range_cells, grid.shape)
-    values = gather_values(grid.cells, cx, cy)
-    contributes = inb.copy()
+    idx, length = ray_cell_table(viewpoint, cfg.n_rays, range_cells, grid.shape)
+    values = gather_values(grid.cells, idx)
+    contributes = np.arange(idx.shape[1]) < length[:, None]
     contributes[:, 0] = False  # column 0 is the viewpoint's own cell
-    return ray_ends(cx, cy, inb, term_fn(values, contributes))[2]
+    return ray_ends(idx, length, term_fn(values, contributes), grid.width)[2]
 
 
 def probabilistic_raycast(

@@ -16,16 +16,26 @@ along direction (dx, dy) lands in the cell
     (origin.x + floor(0.5 + d*dx), origin.y + floor(0.5 + d*dy))
 
 so the visited-cell pattern is identical from every origin cell and can be
-precomputed per (ray count, range) as integer offset tables. The step of
-0.25 is a power of two, so the sample distances k*STEP are exact in float64
-and the walk is bit-reproducible. Both offsets are monotone in d, so a ray
-never re-enters a cell it has left: the table keeps each ray's distinct
-cells in walk order, column 0 being the origin cell, and pads the shorter
-rays to the longest one. `ray_cell_table` masks the padding out of its
-in-bounds prefix and cuts the columns after the longest in-bounds prefix
-of any ray. A ray that leaves the grid early still has columns up to that
-cut, whose cells lie off the grid; the prefix mask hides their values, and
-`gather_values` clamps their indices so that the read stays legal.
+precomputed per (ray count, range). The step of 0.25 is a power of two, so
+the sample distances k*STEP are exact in float64 and the walk is
+bit-reproducible. Both offsets are monotone in d, so a ray never re-enters
+a cell it has left.
+
+`ray_table` caches, per (ray count, range, grid width), each ray's distinct
+cells in walk order as flat offsets `offy * width + offx` (column 0 is the
+origin cell, shorter rays are padded with 0), and two exit tables:
+`tx[ray, k]` is the number of the ray's leading cells with |offx| <= k, and
+`ty` the same for |offy|. A ray heading to +x leaves a grid of width w
+after its leading cells with offx <= w-1-x; one heading to -x after those
+with |offx| <= x. Since the offsets are monotone, the in-bounds prefix of
+a ray from a pose is the smaller of its two exit-table entries at the
+pose's distances to the edges it heads for, clipped to the range; the
+padding, which lies past the ray's last cell, is never inside it. `ray_cell_table`
+adds the origin's flat index to the table's columns up to the longest
+prefix; a ray that leaves the grid early still has columns up to that cut,
+whose indices lie off the grid or wrap onto other rows. The prefix lengths
+hide their values, and `gather_values` clamps the indices so that the read
+stays legal.
 
 A segment from a to b has max(|dx|, |dy|) + 1 cells; the i-th moves each
 axis i * |d| / max(|dx|, |dy|) cells towards b, rounded half down. These
@@ -37,6 +47,7 @@ the walk from b to a.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,59 +59,93 @@ STEP = 0.25  # sample spacing along a ray, in cells
 # range yields the full sample count.
 _COUNT_GUARD = 1e-9
 
+_BLOCK = 256  # rays per block of the table build; bounds its float temporaries
+
+
+class RayTable(NamedTuple):
+    """Per-ray flat cell offsets and exit tables; see the module docstring."""
+
+    flat: np.ndarray  # (n_rays, n_cols) intp
+    tx: np.ndarray  # (n_rays, R + 1) int16
+    ty: np.ndarray  # (n_rays, R + 1) int16
+    east: np.ndarray  # (n_rays,) bool: offx never falls below 0
+    south: np.ndarray  # (n_rays,) bool: offy never falls below 0
+
+
+def _exit_table(off: np.ndarray, valid: np.ndarray, reach: int) -> np.ndarray:
+    """(rays, reach + 1): per ray, the number of valid cells with |off| <= k."""
+    rows = np.arange(len(off))[:, None] * (reach + 1)
+    hist = np.bincount((rows + np.abs(off))[valid], minlength=len(off) * (reach + 1))
+    return hist.reshape(len(off), reach + 1).cumsum(axis=1).astype(np.int16)
+
 
 @lru_cache(maxsize=8)
-def ray_offset_table(n_rays: int, range_cells: float):
-    """Cached per-ray cell offsets (offx, offy, count): offx and offy are
-    (n_rays, n_cells) with each ray's distinct cells in walk order, padded
-    with (0, 0) after the ray's `count` cells. Column 0 is the origin cell.
-    The arrays are read-only."""
+def ray_table(n_rays: int, range_cells: float, width: int) -> RayTable:
+    """The cached `RayTable` of `n_rays` rays of `range_cells` cells on grids
+    `width` cells wide. Built `_BLOCK` rays at a time; the arrays are
+    read-only."""
     angles = np.arange(n_rays, dtype=np.float64) * (2.0 * np.pi / n_rays)
     n_samples = int(np.floor(range_cells / STEP + _COUNT_GUARD)) + 1
     dist = np.arange(n_samples, dtype=np.float64) * STEP
-    sx = np.floor(0.5 + np.cos(angles)[:, None] * dist).astype(np.int32)
-    sy = np.floor(0.5 + np.sin(angles)[:, None] * dist).astype(np.int32)
-    moved = (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
-    col = np.zeros(sx.shape, dtype=np.int32)  # the column of each sample's cell
-    np.cumsum(moved, axis=1, dtype=np.int32, out=col[:, 1:])
-    count = col[:, -1] + 1
-    rows = np.arange(n_rays)[:, None]
-    offx = np.zeros((n_rays, count.max()), dtype=np.int32)
-    offy = np.zeros_like(offx)
-    # The samples of one cell write the same offsets to the same column.
-    offx[rows, col] = sx
-    offy[rows, col] = sy
-    for a in (offx, offy, count):
+    reach = int(np.floor(0.5 + dist[-1]))  # no offset is larger
+    tx = np.empty((n_rays, reach + 1), dtype=np.int16)
+    ty = np.empty_like(tx)
+    east = np.empty(n_rays, dtype=bool)
+    south = np.empty_like(east)
+    blocks = []
+    for lo in range(0, n_rays, _BLOCK):
+        hi = min(lo + _BLOCK, n_rays)
+        sx = np.floor(0.5 + np.cos(angles[lo:hi])[:, None] * dist).astype(np.int32)
+        sy = np.floor(0.5 + np.sin(angles[lo:hi])[:, None] * dist).astype(np.int32)
+        moved = (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
+        col = np.zeros(sx.shape, dtype=np.int32)  # the column of each sample's cell
+        np.cumsum(moved, axis=1, dtype=np.int32, out=col[:, 1:])
+        count = col[:, -1] + 1
+        rows = np.arange(hi - lo)[:, None]
+        offx = np.zeros((hi - lo, count.max()), dtype=np.int32)
+        offy = np.zeros_like(offx)
+        # The samples of one cell write the same offsets to the same column.
+        offx[rows, col] = sx
+        offy[rows, col] = sy
+        valid = np.arange(offx.shape[1]) < count[:, None]
+        tx[lo:hi] = _exit_table(offx, valid, reach)
+        ty[lo:hi] = _exit_table(offy, valid, reach)
+        east[lo:hi] = offx.min(axis=1) >= 0
+        south[lo:hi] = offy.min(axis=1) >= 0
+        blocks.append(offy * width + offx)
+    flat = np.zeros((n_rays, max(b.shape[1] for b in blocks)), dtype=np.intp)
+    for lo, b in zip(range(0, n_rays, _BLOCK), blocks):
+        flat[lo : lo + len(b), : b.shape[1]] = b
+    table = RayTable(flat, tx, ty, east, south)
+    for a in table:
         a.flags.writeable = False
-    return offx, offy, count
+    return table
 
 
 def ray_cell_table(origin: GridPose, n_rays: int, range_cells: float, shape):
     """The cells of all rays from the center of `origin`, in walk order.
 
-    Returns (cx, cy, inbounds), each of shape (n_rays, n_cols). Column 0 is
-    the origin cell. `inbounds` is a prefix mask per ray (a ray never
-    re-enters the grid) that also hides the padding after a ray's last
-    cell; `n_cols` is the longest prefix.
+    Returns (idx, length): `idx` is (n_rays, n_cols) flat indices into a
+    grid of `shape`, column 0 being the origin cell, and `length` is each
+    ray's in-bounds prefix length (n_rays,); `n_cols` is the longest.
     """
     h, w = shape
-    offx, offy, count = ray_offset_table(n_rays, float(range_cells))
-    cx = origin.x + offx
-    cy = origin.y + offy
-    inb = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-    inb &= np.arange(offx.shape[1]) < count[:, None]
-    np.logical_and.accumulate(inb, axis=1, out=inb)
-    n_cols = int(inb.sum(axis=1).max())
-    return cx[:, :n_cols], cy[:, :n_cols], inb[:, :n_cols]
+    t = ray_table(n_rays, float(range_cells), w)
+    reach = t.tx.shape[1] - 1
+    x, y = origin.x, origin.y
+    xe, xw = min(w - 1 - x, reach), min(x, reach)
+    ys, yn = min(h - 1 - y, reach), min(y, reach)
+    length = np.minimum(np.where(t.east, t.tx[:, xe], t.tx[:, xw]),
+                        np.where(t.south, t.ty[:, ys], t.ty[:, yn]))
+    return y * w + x + t.flat[:, : length.max()], length
 
 
-def gather_values(cells: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """cells[cy, cx] with out-of-bounds indices clamped (mask them yourself)."""
-    flat = cy.astype(np.int64) * cells.shape[1] + cx
-    return cells.ravel().take(flat, mode="clip")
+def gather_values(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """cells.flat[idx] with out-of-bounds indices clamped (mask them yourself)."""
+    return cells.ravel().take(idx, mode="clip")
 
 
-def ray_ends(cx: np.ndarray, cy: np.ndarray, inb: np.ndarray, stop: np.ndarray):
+def ray_ends(idx: np.ndarray, length: np.ndarray, stop: np.ndarray, width: int):
     """Where each ray of a `ray_cell_table` ends.
 
     A ray ends at its first in-bounds cell where `stop` is true, else at
@@ -108,11 +153,14 @@ def ray_ends(cx: np.ndarray, cy: np.ndarray, inb: np.ndarray, stop: np.ndarray):
     end column and whether `stop` ended the ray, both (n_rays,), and
     the end cells as an (n_rays, 2) int array with columns (x, y).
     """
-    stop = stop & inb
-    stopped = stop.any(axis=1)
-    end_idx = np.where(stopped, np.argmax(stop, axis=1), inb.sum(axis=1) - 1)
-    rows = np.arange(len(end_idx))
-    return end_idx, stopped, np.stack([cx[rows, end_idx], cy[rows, end_idx]], axis=1)
+    rows = np.arange(len(length))
+    # The first stop cell of the whole row ends the ray if it lies in the
+    # prefix; a row without one has argmax 0 and stop[0] false.
+    first = np.argmax(stop, axis=1)
+    stopped = stop[rows, first] & (first < length)
+    end_idx = np.where(stopped, first, length - 1)
+    end = idx[rows, end_idx]
+    return end_idx, stopped, np.stack([end % width, end // width], axis=1)
 
 
 def line_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -62,16 +62,16 @@ def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
         raise InvalidStateError(f"scan pose {pose} is not on a free ground-truth cell")
 
     range_cells = spec.range_lambda / gt.resolution
-    cx, cy, inb = ray_cell_table(pose, spec.n_rays, range_cells, gt.shape)
-    occupied = gather_values(gt.cells > 0.5, cx, cy)
-    end_idx, hits, endpoints = ray_ends(cx, cy, inb, occupied)
+    idx, length = ray_cell_table(pose, spec.n_rays, range_cells, gt.shape)
+    occupied = gather_values(gt.cells > 0.5, idx)
+    end_idx, hits, endpoints = ray_ends(idx, length, occupied, gt.width)
 
     # Every cell strictly before the endpoint is free space the ray passed
     # through; for miss rays the endpoint itself is free too. All of these
     # cells lie in the ray's in-bounds prefix.
-    traversed = np.arange(cx.shape[1]) < (end_idx + ~hits)[:, None]
+    traversed = np.arange(idx.shape[1]) < (end_idx + ~hits)[:, None]
     seen = np.zeros(gt.cells.size, dtype=bool)
-    seen[cy[traversed].astype(np.int64) * gt.width + cx[traversed]] = True
+    seen[idx[traversed]] = True
     flat = np.nonzero(seen)[0]
     free_cells = np.stack([flat % gt.width, flat // gt.width], axis=1)
 

@@ -686,6 +686,21 @@ def test_replay_reports_a_rejected_header_value(tmp_path, capsys, table, key, va
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("replay failed: ")
 
 
+def test_replay_requires_exactly_the_header_keys_a_row_writes(tmp_path, capsys):
+    cfg = ExperimentConfig(maps=MapSource(kind="generate", count=1, width=60, height=60),
+                           predictor=PredictorSpec(kind="passthrough", ensemble=1))
+    header = _row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0, "nearest", 0))
+    record = tmp_path / "record.jsonl"
+    broken = [{k: v for k, v in header.items() if k != key} for key in header]
+    for bad in [*broken, header | {"extra": 1}]:
+        record.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(RecordMismatchError, match="no header line in this version's format"):
+            replay(record, tmp_path / "out")
+        assert main(["replay", str(record), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("replay failed: ")
+
+
 @settings(max_examples=15, deadline=None)
 @given(map_seed=st.integers(0, 99), corner=st.integers(0, 3),
        scorer=st.sampled_from(SCORER_KINDS),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exploresim import (
@@ -84,23 +84,48 @@ def test_probabilistic_matches_accumulation_oracle_on_continuous_maps():
                 mean.cells, 32, 32, angle, range_cells, cfg.epsilon)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), side=st.integers(4, 32), vx=st.integers(0, 31),
-       vy=st.integers(0, 31), n_rays=st.integers(8, 64), range_dm=st.integers(1, 60),
-       epsilon=st.floats(0.05, 3.0))
-def test_probabilistic_matches_accumulation_oracle_from_any_viewpoint(seed, side, vx, vy, n_rays,
-                                                                      range_dm, epsilon):
-    # Edge viewpoints and ranges up to past the far corner: rays leave the
-    # grid at every side and some stay inside it.
+_any_grid = dict(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40),
+                 height=st.integers(1, 40), vx=st.integers(0, 39), vy=st.integers(0, 39),
+                 n_rays=st.integers(8, 64), range_dm=st.integers(1, 60))
+# A 40x6 strip from its middle: 10 cells of range pass the top and bottom
+# edges but neither end.
+_strip = dict(seed=1, width=40, height=6, vx=20, vy=2, n_rays=64, range_dm=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_any_grid, epsilon=st.floats(0.05, 3.0))
+@example(**_strip, epsilon=2.0)
+def test_probabilistic_matches_accumulation_oracle_from_any_viewpoint(seed, width, height, vx, vy,
+                                                                      n_rays, range_dm, epsilon):
+    # Any grid shape, edge viewpoints and ranges up to past the far corner:
+    # rays leave the grid at every side and some stay inside it.
     rng = np.random.default_rng(seed)
-    mean = OccupancyGrid(rng.random((side, side)), 0.1)
-    x, y = vx % side, vy % side
+    mean = OccupancyGrid(rng.random((height, width)), 0.1)
+    x, y = vx % width, vy % height
     cfg = RaycastConfig(epsilon=epsilon, n_rays=n_rays, range_lambda=range_dm / 10)
     ends = probabilistic_raycast(GridPose(x, y), mean, cfg)
     assert ends.shape == (n_rays, 2)
     for j, end in enumerate(ends.tolist()):
         angle = j * (2.0 * math.pi / n_rays)
         assert tuple(end) == accumulate_ray_oracle(mean.cells, x, y, angle, range_dm, epsilon), j
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_any_grid, density=st.floats(0.0, 0.6))
+@example(**_strip, density=0.1)
+def test_deterministic_matches_accumulation_oracle_from_any_viewpoint(seed, width, height, vx, vy,
+                                                                      n_rays, range_dm, density):
+    # On a binary map the first occupied cell past the viewpoint is where a
+    # running total of cell values reaches 1; the viewpoint may be a wall.
+    rng = np.random.default_rng(seed)
+    grid = OccupancyGrid((rng.random((height, width)) < density).astype(float), 0.1)
+    x, y = vx % width, vy % height
+    cfg = RaycastConfig(n_rays=n_rays, range_lambda=range_dm / 10)
+    ends = deterministic_raycast(GridPose(x, y), grid, cfg)
+    assert ends.shape == (n_rays, 2)
+    for j, end in enumerate(ends.tolist()):
+        angle = j * (2.0 * math.pi / n_rays)
+        assert tuple(end) == accumulate_ray_oracle(grid.cells, x, y, angle, range_dm, 1.0), j
 
 
 def test_binary_map_probabilistic_equals_deterministic_equals_scan():
@@ -118,16 +143,15 @@ def test_binary_map_probabilistic_equals_deterministic_equals_scan():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), side=st.integers(4, 32), vx=st.integers(0, 31),
-       vy=st.integers(0, 31), n_rays=st.integers(8, 64), range_dm=st.integers(1, 30))
-def test_observed_map_cast_equals_cast_with_unknown_as_free(seed, side, vx, vy, n_rays,
+@given(**_any_grid)
+def test_observed_map_cast_equals_cast_with_unknown_as_free(seed, width, height, vx, vy, n_rays,
                                                             range_dm):
     # The observed_map scorer casts the three-label observed map directly:
     # unknown must let rays through exactly as free space does.
     rng = np.random.default_rng(seed)
-    observed = OccupancyGrid(rng.choice([FREE, UNKNOWN, OCCUPIED], size=(side, side)), 0.1)
+    observed = OccupancyGrid(rng.choice([FREE, UNKNOWN, OCCUPIED], size=(height, width)), 0.1)
     as_free = OccupancyGrid(np.where(observed.cells == UNKNOWN, FREE, observed.cells), 0.1)
-    vp = GridPose(vx % side, vy % side)
+    vp = GridPose(vx % width, vy % height)
     cfg = RaycastConfig(n_rays=n_rays, range_lambda=range_dm / 10)
     ends = deterministic_raycast(vp, observed, cfg)
     assert ends.shape == (n_rays, 2)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exploresim.trace import line_cells, ray_offset_table
+from exploresim.trace import line_cells, ray_table
 
 
 def bresenham_line(a, b) -> list[tuple[int, int]]:
@@ -68,9 +68,10 @@ def test_line_cells_equals_the_concatenated_oracle(pairs):
 
 
 def test_the_default_ray_table_is_small_and_read_only():
-    # 2,500 rays of 200 cells: one entry per distinct cell, not per sample.
-    tables = ray_offset_table(2500, 200.0)
-    assert sum(a.nbytes for a in tables) <= 6_000_000
-    for a in tables:
+    # 2,500 rays of 200 cells on a 200-cell-wide grid: one flat index per
+    # distinct cell, not per sample, and two int16 exit tables.
+    table = ray_table(2500, 200.0, 200)
+    assert table.flat.nbytes + table.tx.nbytes + table.ty.nbytes <= 8_000_000
+    for a in table:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0

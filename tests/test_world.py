@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exploresim import (
@@ -93,16 +93,20 @@ def test_scan_endpoints_match_quarter_step_walk_oracle():
             assert scan.hits[j] == hit
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), side=st.integers(4, 32),
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40), height=st.integers(1, 40),
        density=st.floats(0.0, 0.6), pick=st.integers(0, 2**16),
        n_rays=st.integers(4, 64), range_dm=st.integers(1, 60))
-def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, side, density, pick, n_rays,
-                                                            range_dm):
-    # Any free pose, border cells included, and ranges up to past the far
-    # corner: rays leave the grid at every side and some stay inside it.
+# A 40x6 strip from its middle: 10 cells of range pass the top and bottom
+# edges but neither end.
+@example(seed=1, width=40, height=6, density=0.0, pick=2 * 40 + 20, n_rays=64, range_dm=10)
+def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, width, height, density, pick,
+                                                            n_rays, range_dm):
+    # Any free pose on any grid shape, border cells included, and ranges up
+    # to past the far corner: rays leave the grid at every side and some
+    # stay inside it.
     rng = np.random.default_rng(seed)
-    gt = OccupancyGrid((rng.random((side, side)) < density).astype(float), 0.1)
+    gt = OccupancyGrid((rng.random((height, width)) < density).astype(float), 0.1)
     free_ys, free_xs = np.nonzero(gt.cells == FREE)
     if len(free_xs) == 0:
         return
@@ -116,6 +120,23 @@ def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, side, density,
         passed |= cells
     assert set(map(tuple, scan.free_cells.tolist())) == passed
     assert len(scan.free_cells) == len(passed)
+
+
+def test_one_sensor_scans_grids_of_different_widths():
+    # The ray table holds flat offsets, which depend on the grid width: one
+    # spec must walk the right cells on each grid, in any order.
+    rng = np.random.default_rng(3)
+    spec = SensorSpec(range_lambda=2.5, n_rays=48)
+    for width in (30, 47, 30, 19):
+        cells = (rng.random((30, width)) < 0.15).astype(float)
+        cells[15, 12] = FREE
+        scan = simulate_scan(OccupancyGrid(cells, 0.1), GridPose(12, 15), spec)
+        passed = set()
+        for j in range(spec.n_rays):
+            end, hit, seen = walk_ray_oracle(cells, 12, 15, j * (2.0 * math.pi / spec.n_rays), 25.0)
+            assert (tuple(scan.endpoints[j].tolist()), scan.hits[j]) == (end, hit), (width, j)
+            passed |= seen
+        assert set(map(tuple, scan.free_cells.tolist())) == passed
 
 
 def test_scan_rotation_symmetry_on_open_map():
@@ -144,14 +165,15 @@ def test_scan_soundness_against_ground_truth():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), side=st.integers(4, 32),
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40), height=st.integers(1, 40),
        density=st.floats(0.0, 0.6), pick=st.integers(0, 2**16),
        n_rays=st.integers(8, 64), range_dm=st.integers(1, 30))
-def test_scan_shares_the_scoring_ray_end_rule(seed, side, density, pick, n_rays, range_dm):
+def test_scan_shares_the_scoring_ray_end_rule(seed, width, height, density, pick, n_rays,
+                                              range_dm):
     # On a binary plan, from any free pose, the sensor and the deterministic
     # scoring cast end every ray on the same cell; the scan is sound.
     rng = np.random.default_rng(seed)
-    gt = OccupancyGrid((rng.random((side, side)) < density).astype(float), 0.1)
+    gt = OccupancyGrid((rng.random((height, width)) < density).astype(float), 0.1)
     free_ys, free_xs = np.nonzero(gt.cells == FREE)
     if len(free_xs) == 0:
         return
