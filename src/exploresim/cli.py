@@ -331,6 +331,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
                     tasks.append((replace(cfg, maps=one), spec, gt, str(out_dir)))
     out_dir.mkdir(parents=True, exist_ok=True)  # only once the config is accepted
 
+    workers = min(workers, len(tasks))  # a pool starts all its processes at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_row_task, tasks))
@@ -451,7 +452,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("config")
-    p.add_argument("--workers", type=int, default=1, help="parallel rows (default: 1)")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="parallel rows (default: 1)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("generate-maps", help="write procedural floor plans")

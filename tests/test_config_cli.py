@@ -857,6 +857,71 @@ def test_cli_run_exit_code(tmp_path, capsys):
     assert "4 rows, 4 ok" in out
 
 
+def test_cli_run_rejects_a_worker_count_below_one(tmp_path, capsys):
+    cfg_path = _write_experiment(tmp_path)
+    for workers in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg_path), "--workers", workers])
+        assert exc.value.code == 2
+        assert f"--workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records its size, runs rows in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_a_batch_starts_no_more_pool_processes_than_it_has_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    cfg = _tiny_row_config(tmp_path, scorers=["nearest", "mapex"])
+    rows = run_experiment(cfg, workers=8)
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert _PoolRecorder.sizes == [2]
+    run_experiment(replace(cfg, scorers=["nearest"], output_dir=str(tmp_path / "one")),
+                   workers=8)
+    assert _PoolRecorder.sizes == [2]  # one row runs in this process
+
+
+def test_no_predictor_state_crosses_rows(tmp_path):
+    # Each row gets a fresh ensemble: the same patch row, run twice in one
+    # process, writes the same record and snapshots both times. Two noise
+    # corpora make the members disagree, so the predictions reach the record.
+    rng = np.random.default_rng(0)
+    for k in range(2):
+        save_pgm(OccupancyGrid((rng.random((40, 40)) < 0.3).astype(float)),
+                 tmp_path / f"corpus{k}.pgm")
+    cfg = _tiny_row_config(tmp_path, scorers=["mapex"], budget=30, max_waypoint_age=5,
+                           predictor=PredictorSpec(kind="patch", ensemble=2,
+                                                   corpus=str(tmp_path / "corpus*.pgm")))
+    [(label, one, gt)] = materialize_maps(cfg.maps)
+    spec = RowSpec(label, 0, GridPose(1, 1), 0, "mapex", 0)
+    outputs = []
+    for out in ("first", "second"):
+        run_row(replace(cfg, maps=one), spec, gt, tmp_path / out)
+        row_dir = tmp_path / out / spec.name
+        outputs.append({p.name: p.read_bytes()
+                        for p in [row_dir / "record.jsonl", *row_dir.glob("*.pgm")]})
+    assert outputs[0] == outputs[1]
+    lines = [json.loads(ln) for ln in outputs[0]["record.jsonl"].splitlines()]
+    replans = [ln for ln in lines if ln["type"] == "replan"]
+    assert len(replans) >= 2 and any(s[3] > 0 for r in replans for s in r["scores"])
+
+
 def test_cli_score_map_prints_the_tu_of_its_inputs(tmp_path, capsys):
     gt_path, obs_path = tmp_path / "gt.pgm", tmp_path / "obs.pgm"
     save_pgm(generate_floorplan(0, 60, 60), gt_path)

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exploresim import (
     FREE,
@@ -125,6 +127,66 @@ def test_patch_inpainter_selection_matches_exhaustive_search():
     expected = best[ring : ring + block, ring : ring + block]
     blk_unknown = observed.cells[6:12, 6:12] == UNKNOWN
     assert (out.cells[6:12, 6:12][blk_unknown] == expected[blk_unknown]).all()
+
+
+def _grid_side(block):
+    """Grid sides that are not multiples of the block, some smaller than it."""
+    return st.integers(3, 30).map(lambda n: n + 1 if n % block == 0 else n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), block=st.integers(2, 6), ring=st.integers(1, 3),
+       n_corpus=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_a_reused_patch_member_matches_a_fresh_one(data, block, ring, n_corpus, seed):
+    # One member predicts a sequence of observed maps; after every call its
+    # output must equal that of a member that never saw the earlier maps.
+    rng = np.random.default_rng(seed)
+    corpus = [random_binary(rng, int(rng.integers(block + 2 * ring, 20)))
+              for _ in range(n_corpus)]
+    member = PatchInpaintingPredictor(corpus, block, ring)
+
+    def fresh_labels(h, w):
+        cells = np.full((h, w), UNKNOWN)
+        seen = rng.random((h, w)) < 0.3
+        cells[seen] = rng.choice([FREE, OCCUPIED], size=int(seen.sum()))
+        return cells
+
+    steps = ["new_map", "in_place"] + data.draw(st.lists(
+        st.sampled_from(["reveal", "arbitrary", "in_place", "new_map"]), max_size=6))
+    for step in steps:
+        if step == "new_map":  # mostly of another shape
+            h, w = data.draw(_grid_side(block)), data.draw(_grid_side(block))
+            observed = OccupancyGrid(fresh_labels(h, w), 0.1)
+        else:
+            # "in_place" writes into the grid the member saw last, as integrate_scan does.
+            cells = observed.cells if step == "in_place" else observed.cells.copy()
+            pick = rng.random(cells.shape) < 0.1
+            if step == "reveal":
+                pick &= cells == UNKNOWN
+                cells[pick] = rng.choice([FREE, OCCUPIED], size=int(pick.sum()))
+            else:  # any label to any label, known -> unknown included
+                cells[pick] = rng.choice([FREE, UNKNOWN, OCCUPIED], size=int(pick.sum()))
+            if step != "in_place":
+                observed = OccupancyGrid(cells, 0.1)
+        out = member.predict(observed)
+        fresh = PatchInpaintingPredictor(corpus, block, ring).predict(observed)
+        assert np.array_equal(out.cells, fresh.cells)
+        out.cells[:] = FREE  # a caller writing to its result must not reach the member
+
+
+def test_patch_members_keep_their_own_state():
+    # An all-free and an all-occupied corpus fill every unknown cell with 0
+    # and 1, so the variance is 0.25 there at every call, whatever the
+    # members saw before; members that shared their state would agree.
+    rng = np.random.default_rng(11)
+    members = [PatchInpaintingPredictor([OccupancyGrid(np.full((12, 12), v))], 4, 2)
+               for v in (FREE, OCCUPIED)]
+    observed = random_three_label(rng, 21)
+    for _ in range(3):
+        ps = ensemble_predict(members, observed)
+        unknown = observed.cells == UNKNOWN
+        assert (ps.variance.cells[unknown] == 0.25).all()
+        observed.cells[rng.random(observed.shape) < 0.2] = FREE
 
 
 def test_ensemble_identical_members_zero_variance():
