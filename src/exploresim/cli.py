@@ -129,9 +129,15 @@ def member_seed(row_seed: int, map_index: int, member: int) -> int:
 
 
 def _corpus_paths(spec: PredictorSpec) -> list[str]:
+    """The corpus files; patch member i gets every `ensemble`-th one from i.
+    Members that shared a file would predict alike and report no variance,
+    so the corpus must hold at least one file per member."""
     paths = sorted(globmod.glob(spec.corpus))
     if not paths:
         raise ConfigError(f"[predictor] corpus: {spec.corpus!r} matched no files")
+    if len(paths) < spec.ensemble:
+        raise ConfigError(f"[predictor] corpus: {spec.corpus!r} matched {len(paths)} "
+                          f"file(s), fewer than the {spec.ensemble} ensemble members")
     return paths
 
 
@@ -142,7 +148,7 @@ def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> 
         return [NoisyOraclePredictor(gt, spec.flip_rate, s) for s in seeds]
     if spec.kind == "patch":
         corpus = [load_pgm(p, resolution=gt.resolution) for p in _corpus_paths(spec)]
-        return [PatchInpaintingPredictor(corpus[i::spec.ensemble] or corpus, spec.block, spec.ring)
+        return [PatchInpaintingPredictor(corpus[i::spec.ensemble], spec.block, spec.ring)
                 for i in range(spec.ensemble)]
     commands = [c.strip() for c in spec.command.split(";") if c.strip()]  # external
     return [ExternalPredictor(commands[i % len(commands)]) for i in range(spec.ensemble)]
@@ -316,7 +322,7 @@ def _run_row_task(args):
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Run every (map, start, scorer, seed) combination; returns CSV rows."""
     if cfg.predictor.kind == "patch":
-        _corpus_paths(cfg.predictor)  # an empty corpus is a config error, not a failed row
+        _corpus_paths(cfg.predictor)  # a short corpus is a config error, not a failed row
     out_dir = Path(cfg.output_dir)
 
     tasks = []

@@ -91,12 +91,15 @@ def visibility_mask(
     viewpoint: GridPose, endpoints: np.ndarray, observed: OccupancyGrid
 ) -> np.ndarray:
     """Unknown cells inside the endpoint polygon, reachable from the viewpoint,
-    as an (N, 2) int array with columns (x, y).
+    as an (N, 2) int64 array with columns (x, y), listed in row-major order
+    (by y, then x); `info_gain` sums the variance in this order.
 
     The closed polyline joining consecutive endpoints is rasterized as an
     8-connected barrier; a 4-connected flood from the viewpoint collects the
-    enclosed region; known observed cells are then removed. The mask is
-    empty when the viewpoint lies on its own boundary polygon.
+    enclosed region. A region cell is kept when it is unknown in the
+    observed map and within range: its squared integer distance to the
+    viewpoint, dx*dx + dy*dy, is at most that of the farthest endpoint. The
+    mask is empty when the viewpoint lies on its own boundary polygon.
     """
     empty = np.empty((0, 2), dtype=np.int64)
     if len(endpoints) == 0:
@@ -119,17 +122,15 @@ def visibility_mask(
         return empty
 
     labels, _ = ndimage.label(~barrier)  # 4-connected by default
-    region = labels == labels[vy, vx]
-
-    ys, xs = np.nonzero(region)
-    xs = xs + x0
-    ys = ys + y0
-
-    # Clip to sensor range and drop already-known cells.
-    range_cells = np.hypot(xs - viewpoint.x, ys - viewpoint.y)
-    max_range = np.hypot(ex - viewpoint.x, ey - viewpoint.y).max()
-    keep = (range_cells <= max_range) & (observed.cells[ys, xs] == UNKNOWN)
-    return np.stack([xs[keep], ys[keep]], axis=1)
+    keep = labels == labels[vy, vx]
+    keep &= observed.cells[y0:y1, x0:x1] == UNKNOWN
+    # Range clip in exact integer arithmetic: squared distances, no sqrt.
+    dy = np.arange(y0, y1) - viewpoint.y
+    dx = np.arange(x0, x1) - viewpoint.x
+    reach = ((ex - viewpoint.x) ** 2 + (ey - viewpoint.y) ** 2).max()
+    keep &= dy[:, None] ** 2 + dx**2 <= reach
+    ys, xs = np.divmod(np.flatnonzero(keep), x1 - x0)
+    return np.stack([xs + x0, ys + y0], axis=1)
 
 
 def info_gain(mask: np.ndarray, variance_map: OccupancyGrid) -> float:

@@ -12,8 +12,10 @@ for a single member and bounded by 0.25 for values in [0, 1].
 `PatchInpaintingPredictor` is the one member that keeps state between
 calls: a copy of the last observed map and of the last output. A block's
 output depends only on its context window, so a later call on a map of the
-same shape recomputes just the blocks whose window changed and copies the
-rest; the result is the one a fresh member would return.
+same shape works inside one window, the box of the changed cells grown by
+the ring and widened to whole blocks: it recomputes just the blocks there
+whose context changed and leaves the rest of its last output as it was;
+the result is the one a fresh member would return.
 """
 
 from __future__ import annotations
@@ -83,11 +85,16 @@ class PatchInpaintingPredictor:
     window of the observed map and of nothing else. The member keeps a copy
     of the last observed map and of the last output. On a call with a map
     of the same shape it takes the cells that changed and grows them by the
-    ring: a block touches a grown cell exactly when its window changed. Of
-    those blocks, the ones with an unknown cell are matched again; every
-    other cell keeps its last output, or takes the map's value where it
-    changed. So the output equals a fresh member's bit for bit. The first
-    call, and a call on a map of another shape, matches every block.
+    ring: a block touches a grown cell exactly when its window changed. All
+    such blocks lie in one window: the box of the changed cells, grown by
+    the ring and widened on both sides to whole blocks, so that a block is
+    either wholly inside it or wholly outside. Only that window is read and
+    updated. Of its blocks, those that touch a grown cell and hold an
+    unknown cell are matched again; every other cell keeps its last output,
+    or takes the map's value where it changed. So the output equals a fresh
+    member's bit for bit. A call on an unchanged map returns the last
+    output; the first call, and a call on a map of another shape, matches
+    every block.
 
     Corpus windows are cut every `stride` cells (default: block_size). The
     config never sets it; tests pass stride 1, which takes every window, to
@@ -120,26 +127,45 @@ class PatchInpaintingPredictor:
         b, r = self.block_size, self.ring
         side = b + 2 * r
         cells = observed.cells
-        unknown = cells == UNKNOWN
-        if self._last_observed is not None and self._last_observed.shape == cells.shape:
-            changed = self._last_observed != cells
-            out = np.where(changed, cells, self._last_output)
-            stale = ndimage.maximum_filter(changed, size=2 * r + 1, mode="constant")
+        last = self._last_observed
+        if last is not None and last.shape == cells.shape:
+            changed = last != cells
+            rows = np.flatnonzero(changed.any(axis=1))
+            if rows.size == 0:
+                return OccupancyGrid(self._last_output.copy(), observed.resolution)
+            cols = np.flatnonzero(changed.any(axis=0))
+            # Every block whose window changed lies in this window: the
+            # changed cells' box grown by the ring, out to whole blocks.
+            y0, y1 = _block_span(rows[0] - r, rows[-1] + r + 1, b, cells.shape[0])
+            x0, x1 = _block_span(cols[0] - r, cols[-1] + r + 1, b, cells.shape[1])
+            win = np.s_[y0:y1, x0:x1]
+            out = self._last_output
+            np.copyto(out[win], cells[win], where=changed[win])
+            last[win] = cells[win]
+            # Each changed cell lies a ring inside the window, or the grid
+            # ends there, so the window alone filters as the whole grid does.
+            stale = ndimage.maximum_filter(changed[win], size=2 * r + 1, mode="constant")
         else:
+            (y0, x0), (y1, x1) = (0, 0), cells.shape
             out = cells.copy()
-            stale = np.ones(cells.shape, dtype=bool)
-        todo = _blocks_with_any(stale, b) & _blocks_with_any(unknown, b)
+            stale = None
+            self._last_observed = cells.copy()
+            self._last_output = out
+        unknown = cells[y0:y1, x0:x1] == UNKNOWN
+        todo = _blocks_with_any(unknown, b)
+        if stale is not None:
+            todo &= _blocks_with_any(stale, b)
 
         ys, xs = np.nonzero(todo)
-        for by, bx in zip((ys * b).tolist(), (xs * b).tolist()):
-            blk = unknown[by : by + b, bx : bx + b]
+        for by, bx in zip((y0 + ys * b).tolist(), (x0 + xs * b).tolist()):
+            blk = unknown[by - y0 : by - y0 + b, bx - x0 : bx - x0 + b]
             # Context window around the block, clipped at the borders.
-            y0, x0 = by - r, bx - r
+            wy, wx = by - r, bx - r
             ctx = np.full((side, side), np.nan)
-            sy0, sx0 = max(0, y0), max(0, x0)
-            sy1 = min(observed.height, y0 + side)
-            sx1 = min(observed.width, x0 + side)
-            ctx[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0] = cells[sy0:sy1, sx0:sx1]
+            sy0, sx0 = max(0, wy), max(0, wx)
+            sy1 = min(observed.height, wy + side)
+            sx1 = min(observed.width, wx + side)
+            ctx[sy0 - wy : sy1 - wy, sx0 - wx : sx1 - wx] = cells[sy0:sy1, sx0:sx1]
             known_ring = self.ring_mask & ~np.isnan(ctx) & (ctx != UNKNOWN)
             if known_ring.any():
                 diff = self.patches[:, known_ring] - ctx[known_ring]
@@ -149,9 +175,13 @@ class PatchInpaintingPredictor:
             interior = self.patches[best, r : r + b, r : r + b]
             h, w = blk.shape
             out[by : by + h, bx : bx + w][blk] = interior[:h, :w][blk]
-        self._last_observed = cells.copy()
-        self._last_output = out
         return OccupancyGrid(out.copy(), observed.resolution)
+
+
+def _block_span(lo: int, hi: int, b: int, n: int) -> tuple[int, int]:
+    """[lo, hi) clipped to [0, n) and widened on both sides to whole blocks
+    of b cells; the last block of a side may be short."""
+    return max(0, int(lo)) // b * b, min(n, -(-int(hi) // b) * b)
 
 
 def _blocks_with_any(mask: np.ndarray, b: int) -> np.ndarray:

@@ -752,7 +752,7 @@ def test_replay_from_another_directory_with_relative_globs(tmp_path, monkeypatch
     cfg = ExperimentConfig(
         maps=MapSource(kind="files", glob="maps/*.pgm"), starts=[GridPose(1, 1)],
         scorers=["nearest"], budget=10, sensor=SensorSpec(3.0, 120),
-        predictor=PredictorSpec(kind="patch", ensemble=2, corpus="maps/*.pgm"),
+        predictor=PredictorSpec(kind="patch", ensemble=1, corpus="maps/*.pgm"),
         checkpoint_every=5, tu_goals=0, output_dir="results",
     )
     assert run_experiment(cfg)[0]["status"] == "ok"
@@ -848,6 +848,45 @@ def test_cli_run_rejects_an_empty_corpus_before_any_row(tmp_path, capsys, monkey
     assert capsys.readouterr() == (
         "", "explore: error: [predictor] corpus: 'nothing/*.pgm' matched no files\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_needs_a_corpus_file_per_patch_member(tmp_path, capsys, monkeypatch):
+    # Patch members that shared their one corpus file would all predict the
+    # same map, so the variance, and every mapex score, would be 0.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").mkdir()
+    save_pgm(generate_floorplan(1, 60, 60), tmp_path / "corpus" / "plan.pgm")
+    experiment = textwrap.dedent("""
+        starts = [[1, 1]]
+        scorers = ["mapex"]
+        budget = 10
+        tu_goals = 0
+        output_dir = "out"
+
+        [maps]
+        count = 1
+        width = 60
+        height = 60
+
+        [sensor]
+        range_lambda = 3.0
+        n_rays = 120
+
+        [predictor]
+        kind = "patch"
+        corpus = "corpus/*.pgm"
+        ensemble = {}
+    """)
+    assert main(["run", str(write_config(tmp_path / "two.toml", experiment.format(2)))]) == 2
+    assert capsys.readouterr() == ("", "explore: error: [predictor] corpus: 'corpus/*.pgm' "
+                                       "matched 1 file(s), fewer than the 2 ensemble members\n")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="fewer than the 2 ensemble members"):
+        cli.build_ensemble(PredictorSpec(kind="patch", ensemble=2, corpus="corpus/*.pgm"),
+                           generate_floorplan(0, 60, 60), [0, 1])
+
+    assert main(["run", str(write_config(tmp_path / "one.toml", experiment.format(1)))]) == 0
+    assert "1 rows, 1 ok" in capsys.readouterr().out
 
 
 def test_cli_run_exit_code(tmp_path, capsys):

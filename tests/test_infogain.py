@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from exploresim import (
     simulate_scan,
     visibility_mask,
 )
+from test_trace import bresenham_line
 
 
 def accumulate_ray_oracle(cells, x, y, angle, range_cells, epsilon):
@@ -255,6 +257,61 @@ def test_visibility_mask_degenerate_viewpoint_on_boundary():
     ends = np.array([[4, 4], [5, 4], [4, 5]])  # polygon through vp
     mask = visibility_mask(GridPose(4, 4), ends, observed)
     assert mask.shape == (0, 2)
+
+
+def visibility_mask_oracle(vp, endpoints, cells):
+    """The mask by its definition, one cell at a time: the closed Bresenham
+    polygon i -> i+1 is the barrier, a 4-connected BFS from the viewpoint
+    inside the endpoints' box collects the region, and region cells that
+    are unknown and no farther than the farthest endpoint are listed by
+    (y, x)."""
+    pts = [tuple(p) for p in endpoints.tolist()]
+    if not pts:
+        return []
+    barrier = {c for a, b in zip(pts, pts[1:] + pts[:1]) for c in bresenham_line(a, b)}
+    if (vp.x, vp.y) in barrier:
+        return []
+    xs, ys = [x for x, _ in pts] + [vp.x], [y for _, y in pts] + [vp.y]
+    region, todo = {(vp.x, vp.y)}, deque([(vp.x, vp.y)])
+    while todo:
+        x, y = todo.popleft()
+        for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if (min(xs) <= n[0] <= max(xs) and min(ys) <= n[1] <= max(ys)
+                    and n not in barrier and n not in region):
+                region.add(n)
+                todo.append(n)
+    reach = max(math.hypot(x - vp.x, y - vp.y) for x, y in pts)
+    return [[x, y] for x, y in sorted(region, key=lambda c: (c[1], c[0]))
+            if math.hypot(x - vp.x, y - vp.y) <= reach and cells[y, x] == UNKNOWN]
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_any_grid, source=st.sampled_from(["probabilistic", "deterministic", "free"]),
+       # Free endpoints; None stands for the viewpoint itself.
+       free=st.lists(st.none() | st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=12))
+@example(**_strip, source="free", free=[(3, 1), None, (30, 4), (30, 4), (3, 1)])
+@example(**dict(_strip, vx=39, vy=5), source="probabilistic", free=[])
+@example(**dict(_strip, vx=0, vy=0), source="free", free=[(0, 5), (39, 5), (39, 0)])
+# An open polyline whose region holds an unknown cell exactly as far from
+# the viewpoint as the farthest endpoint: the range test includes it.
+@example(**dict(_strip, vx=22, vy=2), source="free", free=[(36, 5), (38, 3), (28, 4), (13, 1)])
+def test_visibility_mask_matches_its_definition(seed, width, height, vx, vy, n_rays, range_dm,
+                                                source, free):
+    rng = np.random.default_rng(seed)
+    observed = OccupancyGrid(rng.choice([FREE, UNKNOWN, OCCUPIED], size=(height, width)), 0.1)
+    vp = GridPose(vx % width, vy % height)
+    cfg = RaycastConfig(n_rays=n_rays, range_lambda=range_dm / 10)
+    if source == "probabilistic":
+        ends = probabilistic_raycast(vp, OccupancyGrid(rng.random((height, width)) * 0.6, 0.1), cfg)
+    elif source == "deterministic":
+        ends = deterministic_raycast(vp, observed, cfg)
+    else:
+        ends = np.array([(vp.x, vp.y) if c is None else (c[0] % width, c[1] % height)
+                         for c in free], dtype=np.int64).reshape(-1, 2)
+    mask = visibility_mask(vp, ends, observed)
+    assert mask.dtype == np.int64
+    expected = np.array(visibility_mask_oracle(vp, ends, observed.cells), dtype=np.int64)
+    assert np.array_equal(mask, expected.reshape(-1, 2))
 
 
 def test_info_gain_zero_cases():

@@ -151,12 +151,18 @@ def test_a_reused_patch_member_matches_a_fresh_one(data, block, ring, n_corpus, 
         cells[seen] = rng.choice([FREE, OCCUPIED], size=int(seen.sum()))
         return cells
 
-    steps = ["new_map", "in_place"] + data.draw(st.lists(
-        st.sampled_from(["reveal", "arbitrary", "in_place", "new_map"]), max_size=6))
+    steps = ["new_map", "in_place", "local"] + data.draw(st.lists(
+        st.sampled_from(["reveal", "arbitrary", "in_place", "local", "new_map"]), max_size=6))
     for step in steps:
         if step == "new_map":  # mostly of another shape
             h, w = data.draw(_grid_side(block)), data.draw(_grid_side(block))
             observed = OccupancyGrid(fresh_labels(h, w), 0.1)
+        elif step == "local":  # a rectangle a few cells across changes in place, as a scan does
+            h, w = observed.shape
+            y, x = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+            dy, dx = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+            patch = observed.cells[y : y + dy, x : x + dx]
+            patch[:] = rng.choice([FREE, UNKNOWN, OCCUPIED], size=patch.shape)
         else:
             # "in_place" writes into the grid the member saw last, as integrate_scan does.
             cells = observed.cells if step == "in_place" else observed.cells.copy()
@@ -172,6 +178,24 @@ def test_a_reused_patch_member_matches_a_fresh_one(data, block, ring, n_corpus, 
         fresh = PatchInpaintingPredictor(corpus, block, ring).predict(observed)
         assert np.array_equal(out.cells, fresh.cells)
         out.cells[:] = FREE  # a caller writing to its result must not reach the member
+
+
+def test_a_reused_member_rematches_a_short_last_block_beyond_the_change():
+    # Side 10 with block 4: the last block row is rows 8-9, and its unknown
+    # cells lie in row 9. Row 7 changes; grown by the ring it reaches row 8
+    # only, yet row 7 is in the block's ring, so the block must be matched
+    # again: 3 of its 5 known ring cells now match the all-occupied patch.
+    corpus = [OccupancyGrid(np.full((6, 6), v)) for v in (FREE, OCCUPIED)]
+    member = PatchInpaintingPredictor(corpus, block_size=4, ring=1)
+    before = np.full((10, 10), FREE)
+    before[9, 8:] = UNKNOWN
+    assert (member.predict(OccupancyGrid(before)).cells[9, 8:] == FREE).all()
+    after = before.copy()
+    after[7, 7:] = OCCUPIED
+    out = member.predict(OccupancyGrid(after))
+    assert (out.cells[9, 8:] == OCCUPIED).all()
+    fresh = PatchInpaintingPredictor(corpus, block_size=4, ring=1).predict(OccupancyGrid(after))
+    assert np.array_equal(out.cells, fresh.cells)
 
 
 def test_patch_members_keep_their_own_state():
