@@ -4,7 +4,7 @@ There are two kernels: the ray table, which the sensor and both scoring
 casts walk, and `line_cells`, which rasterizes straight segments for the
 visibility-mask polygon and the variance corridor.
 
-`ray_ends` is the one rule for where a ray stops: at its first in-bounds
+`end_columns` is the one rule for where a ray stops: at its first in-bounds
 cell flagged by the caller's stop mask, else at its last in-bounds cell.
 The sensor flags occupied ground-truth cells, the scoring casts flag the
 cell where their termination test first holds.
@@ -30,12 +30,17 @@ after its leading cells with offx <= w-1-x; one heading to -x after those
 with |offx| <= x. Since the offsets are monotone, the in-bounds prefix of
 a ray from a pose is the smaller of its two exit-table entries at the
 pose's distances to the edges it heads for, clipped to the range; the
-padding, which lies past the ray's last cell, is never inside it. `ray_cell_table`
-adds the origin's flat index to the table's columns up to the longest
-prefix; a ray that leaves the grid early still has columns up to that cut,
-whose indices lie off the grid or wrap onto other rows. The prefix lengths
-hide their values, and `gather_values` clamps the indices so that the read
-stays legal.
+padding, which lies past the ray's last cell, is never inside it.
+`prefix_lengths` is the one exit-table rule.
+
+A column past a ray's prefix holds an index that lies off the grid or
+wraps onto another row. Its value is never used, and `gather_values`
+clamps the indices so that the read stays legal. The scoring casts read
+the whole table at once: `ray_cell_table` adds the origin's flat index to
+its columns up to the longest prefix, and `ray_ends` ends every ray of it.
+The sensor (`world.simulate_scan`) walks the table in column blocks of the
+rays still live and calls `end_columns` per block, so its read stops near
+where its rays end.
 
 A segment from a to b has max(|dx|, |dy|) + 1 cells; the i-th moves each
 axis i * |d| / max(|dx|, |dy|) cells towards b, rounded half down. These
@@ -122,6 +127,18 @@ def ray_table(n_rays: int, range_cells: float, width: int) -> RayTable:
     return table
 
 
+def prefix_lengths(t: RayTable, origin: GridPose, shape) -> np.ndarray:
+    """Each ray's in-bounds prefix length (n_rays,) from the center of
+    `origin` on a grid of `shape`, read from the exit tables of `t`."""
+    h, w = shape
+    reach = t.tx.shape[1] - 1
+    x, y = origin.x, origin.y
+    xe, xw = min(w - 1 - x, reach), min(x, reach)
+    ys, yn = min(h - 1 - y, reach), min(y, reach)
+    return np.minimum(np.where(t.east, t.tx[:, xe], t.tx[:, xw]),
+                      np.where(t.south, t.ty[:, ys], t.ty[:, yn]))
+
+
 def ray_cell_table(origin: GridPose, n_rays: int, range_cells: float, shape):
     """The cells of all rays from the center of `origin`, in walk order.
 
@@ -129,15 +146,10 @@ def ray_cell_table(origin: GridPose, n_rays: int, range_cells: float, shape):
     grid of `shape`, column 0 being the origin cell, and `length` is each
     ray's in-bounds prefix length (n_rays,); `n_cols` is the longest.
     """
-    h, w = shape
+    w = shape[1]
     t = ray_table(n_rays, float(range_cells), w)
-    reach = t.tx.shape[1] - 1
-    x, y = origin.x, origin.y
-    xe, xw = min(w - 1 - x, reach), min(x, reach)
-    ys, yn = min(h - 1 - y, reach), min(y, reach)
-    length = np.minimum(np.where(t.east, t.tx[:, xe], t.tx[:, xw]),
-                        np.where(t.south, t.ty[:, ys], t.ty[:, yn]))
-    return y * w + x + t.flat[:, : length.max()], length
+    length = prefix_lengths(t, origin, shape)
+    return origin.y * w + origin.x + t.flat[:, : length.max()], length
 
 
 def gather_values(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -145,21 +157,29 @@ def gather_values(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return cells.ravel().take(idx, mode="clip")
 
 
-def ray_ends(idx: np.ndarray, length: np.ndarray, stop: np.ndarray, width: int):
-    """Where each ray of a `ray_cell_table` ends.
+def end_columns(stop: np.ndarray, length: np.ndarray):
+    """The one rule for where a ray ends, over rows of ray cells.
 
-    A ray ends at its first in-bounds cell where `stop` is true, else at
-    its last in-bounds cell. Returns (end_idx, stopped, endpoints): the
-    end column and whether `stop` ended the ray, both (n_rays,), and
-    the end cells as an (n_rays, 2) int array with columns (x, y).
+    Row i ends at its first column below `length[i]` where `stop` is true,
+    else at column `length[i] - 1`. Returns (end column, stopped), both
+    (n_rows,).
     """
-    rows = np.arange(len(length))
     # The first stop cell of the whole row ends the ray if it lies in the
     # prefix; a row without one has argmax 0 and stop[0] false.
     first = np.argmax(stop, axis=1)
-    stopped = stop[rows, first] & (first < length)
-    end_idx = np.where(stopped, first, length - 1)
-    end = idx[rows, end_idx]
+    stopped = stop[np.arange(len(length)), first] & (first < length)
+    return np.where(stopped, first, length - 1), stopped
+
+
+def ray_ends(idx: np.ndarray, length: np.ndarray, stop: np.ndarray, width: int):
+    """Where each ray of a `ray_cell_table` ends, by `end_columns`.
+
+    Returns (end_idx, stopped, endpoints): the end column and whether
+    `stop` ended the ray, both (n_rays,), and the end cells as an
+    (n_rays, 2) int array with columns (x, y).
+    """
+    end_idx, stopped = end_columns(stop, length)
+    end = idx[np.arange(len(length)), end_idx]
     return end_idx, stopped, np.stack([end % width, end // width], axis=1)
 
 

@@ -23,7 +23,9 @@ from exploresim import (
     integrate_scan,
     new_grid,
     simulate_scan,
+    world,
 )
+from exploresim.trace import gather_values, ray_cell_table, ray_ends
 
 
 def walk_ray_oracle(cells, x, y, angle, range_cells):
@@ -47,6 +49,20 @@ def walk_ray_oracle(cells, x, y, angle, range_cells):
         last = (cx, cy)
         passed.add(last)
     return last, False, passed
+
+
+def assert_scan_matches_oracle(gt, x, y, n_rays, range_dm):
+    """The scan of `n_rays` rays of `range_dm` cells from (x, y) on `gt`
+    (0.1 m cells) ends every ray where the oracle does and marks exactly the
+    cells the oracle passes, once each."""
+    scan = simulate_scan(gt, GridPose(x, y), SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays))
+    passed = set()
+    for j in range(n_rays):
+        end, hit, cells = walk_ray_oracle(gt.cells, x, y, j * (2.0 * math.pi / n_rays), range_dm)
+        assert (tuple(scan.endpoints[j].tolist()), scan.hits[j]) == (end, hit), j
+        passed |= cells
+    assert set(map(tuple, scan.free_cells.tolist())) == passed
+    assert len(scan.free_cells) == len(passed)
 
 
 def random_binary_map(rng, n, density=0.2):
@@ -93,50 +109,84 @@ def test_scan_endpoints_match_quarter_step_walk_oracle():
             assert scan.hits[j] == hit
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40), height=st.integers(1, 40),
-       density=st.floats(0.0, 0.6), pick=st.integers(0, 2**16),
-       n_rays=st.integers(4, 64), range_dm=st.integers(1, 60))
+       density=st.floats(0.0, 0.6), walls=st.lists(st.tuples(st.integers(0, 39),
+                                                              st.integers(0, 39)), max_size=3),
+       pick=st.integers(0, 2**16), n_rays=st.integers(4, 64), range_dm=st.integers(1, 60),
+       first=st.sampled_from([None, 1, 2, 3]))
 # A 40x6 strip from its middle: 10 cells of range pass the top and bottom
 # edges but neither end.
-@example(seed=1, width=40, height=6, density=0.0, pick=2 * 40 + 20, n_rays=64, range_dm=10)
-def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, width, height, density, pick,
-                                                            n_rays, range_dm):
+@example(seed=1, width=40, height=6, density=0.0, walls=[], pick=2 * 40 + 20, n_rays=64,
+         range_dm=10, first=None)
+# Blocks [0, 2), [2, 6), [6, 14): the +x ray from (0, 0) meets a wall on
+# column 2, the first of the second block, with its prefix going on past it.
+@example(seed=0, width=10, height=1, density=0.0, walls=[(2, 0)], pick=0, n_rays=4,
+         range_dm=9, first=2)
+# The +x ray from (0, 0) misses and leaves the grid after column 5, the last
+# of the second block, while the +y ray runs on into the third.
+@example(seed=0, width=6, height=12, density=0.0, walls=[], pick=0, n_rays=4, range_dm=9,
+         first=2)
+# The same with a grid one column narrower: the +x ray's prefix ends inside
+# the second block.
+@example(seed=0, width=5, height=12, density=0.0, walls=[], pick=0, n_rays=4, range_dm=9,
+         first=2)
+def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, width, height, density, walls,
+                                                            pick, n_rays, range_dm, first):
     # Any free pose on any grid shape, border cells included, and ranges up
     # to past the far corner: rays leave the grid at every side and some
-    # stay inside it.
+    # stay inside it. Up to 64 rays fit the scan's default first block;
+    # `first` shrinks it to 1-3 columns, so that rays stop, miss and leave
+    # the grid in many blocks and on block edges.
     rng = np.random.default_rng(seed)
-    gt = OccupancyGrid((rng.random((height, width)) < density).astype(float), 0.1)
-    free_ys, free_xs = np.nonzero(gt.cells == FREE)
+    cells = (rng.random((height, width)) < density).astype(float)
+    for wx, wy in walls:
+        cells[wy % height, wx % width] = OCCUPIED
+    free_ys, free_xs = np.nonzero(cells == FREE)
     if len(free_xs) == 0:
         return
     x, y = int(free_xs[pick % len(free_xs)]), int(free_ys[pick % len(free_xs)])
-    spec = SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays)
-    scan = simulate_scan(gt, GridPose(x, y), spec)
-    passed = set()
-    for j in range(n_rays):
-        end, hit, cells = walk_ray_oracle(gt.cells, x, y, j * (2.0 * math.pi / n_rays), range_dm)
-        assert (tuple(scan.endpoints[j].tolist()), scan.hits[j]) == (end, hit), j
-        passed |= cells
-    assert set(map(tuple, scan.free_cells.tolist())) == passed
-    assert len(scan.free_cells) == len(passed)
+    with pytest.MonkeyPatch.context() as mp:
+        if first is not None:
+            mp.setattr(world, "_FIRST_BLOCK_MIN_COLS", first)
+            mp.setattr(world, "_FIRST_BLOCK_CELLS", 0)
+        assert_scan_matches_oracle(OccupancyGrid(cells, 0.1), x, y, n_rays, range_dm)
+
+
+def one_block_scan(gt, pose, spec):
+    """Reference scan that reads the whole ray table at once: (endpoints,
+    hits, free_cells) as `simulate_scan` returns them."""
+    idx, length = ray_cell_table(pose, spec.n_rays, spec.range_lambda / gt.resolution, gt.shape)
+    end_idx, hits, endpoints = ray_ends(idx, length, gather_values(gt.cells > 0.5, idx), gt.width)
+    seen = np.zeros(gt.cells.size, dtype=bool)
+    seen[idx[np.arange(idx.shape[1]) < (end_idx + ~hits)[:, None]]] = True
+    flat = np.flatnonzero(seen)
+    return endpoints, hits, np.stack([flat % gt.width, flat // gt.width], axis=1)
+
+
+def test_the_default_scan_on_a_generated_plan_equals_a_one_block_read():
+    # 2,500 rays of 200 cells on a 200x200 plan walk several blocks; values,
+    # order and dtypes must equal a read of the whole table.
+    gt = generate_floorplan(0, 200, 200)
+    spec = SensorSpec()
+    free_ys, free_xs = np.nonzero(gt.cells == FREE)
+    rng = np.random.default_rng(11)
+    for i in rng.choice(len(free_xs), 25, replace=False):
+        pose = GridPose(int(free_xs[i]), int(free_ys[i]))
+        scan = simulate_scan(gt, pose, spec)
+        for got, want in zip((scan.endpoints, scan.hits, scan.free_cells),
+                             one_block_scan(gt, pose, spec)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), pose
 
 
 def test_one_sensor_scans_grids_of_different_widths():
     # The ray table holds flat offsets, which depend on the grid width: one
-    # spec must walk the right cells on each grid, in any order.
+    # sensor must walk the right cells on each grid, in any order.
     rng = np.random.default_rng(3)
-    spec = SensorSpec(range_lambda=2.5, n_rays=48)
     for width in (30, 47, 30, 19):
         cells = (rng.random((30, width)) < 0.15).astype(float)
         cells[15, 12] = FREE
-        scan = simulate_scan(OccupancyGrid(cells, 0.1), GridPose(12, 15), spec)
-        passed = set()
-        for j in range(spec.n_rays):
-            end, hit, seen = walk_ray_oracle(cells, 12, 15, j * (2.0 * math.pi / spec.n_rays), 25.0)
-            assert (tuple(scan.endpoints[j].tolist()), scan.hits[j]) == (end, hit), (width, j)
-            passed |= seen
-        assert set(map(tuple, scan.free_cells.tolist())) == passed
+        assert_scan_matches_oracle(OccupancyGrid(cells, 0.1), 12, 15, 48, 25)
 
 
 def test_scan_rotation_symmetry_on_open_map():
