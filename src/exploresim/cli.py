@@ -16,10 +16,11 @@ and seed is byte-identical. The header line alone determines the episode:
 it holds the row's map as a one-map `MapSource`, its `EpisodeConfig` and
 its `PredictorSpec`, each by field name, and `replay` rebuilds them from
 it, checks that the re-run reproduces every line of the record, then
-re-emits the snapshots. The batch is resumable: a row whose outputs exist
-and whose record starts with the header this run would write is not
-re-executed. A rejected config, or a score-map input it cannot read, exits
-2 with one line on stderr, before any row runs or any output is written.
+re-emits the snapshots. The header also names the `RULES` the record was
+made under. The batch is resumable: a row whose outputs exist and whose
+record starts with the header this run would write is not re-executed. A
+rejected config, or a score-map input it cannot read, exits 2 with one
+line on stderr, before any row runs or any output is written.
 """
 
 from __future__ import annotations
@@ -189,14 +190,20 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
     return written
 
 
-_HEADER_KEYS = {"type", "map", "map_label", "start", "seed", "episode", "predictor",
+# The version of the rules that make records and metrics, written in every
+# header. A change that alters them on purpose bumps it, so that a stored row
+# made under other rules runs again and `replay` refuses its record.
+RULES = 1
+
+_HEADER_KEYS = {"type", "rules", "map", "map_label", "start", "seed", "episode", "predictor",
                 "member_seeds", "tu_goals", "snapshots"}  # what `_row_header` writes
 
 
 def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
     """The record's header line; `map`, `episode` and `predictor` are dataclasses
     by field name. File paths are absolute, so the record replays anywhere.
-    `tu_goals` and `snapshots` are here only so that a change re-runs the row."""
+    `rules`, `tu_goals` and `snapshots` are here only so that a change re-runs
+    the row."""
     episode = EpisodeConfig(
         budget_t=cfg.budget, scorer=spec.scorer, sensor=cfg.sensor, raycast=cfg.raycast,
         min_cluster_size=cfg.min_cluster_size, max_waypoint_age=cfg.max_waypoint_age,
@@ -205,6 +212,7 @@ def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
     corpus = cfg.predictor.corpus and os.path.abspath(cfg.predictor.corpus)
     return {
         "type": "header",
+        "rules": RULES,
         "map": asdict(dict(_map_sources(cfg.maps))[spec.map_label]),
         "map_label": spec.map_label,
         "start": [spec.start.x, spec.start.y],
@@ -355,14 +363,17 @@ def replay(record_path, out_dir) -> list[Path]:
     """Re-run a recorded episode from its header line, check that the re-run
     reproduces every line of the record, then re-emit its checkpoint
     snapshots. Raises RecordMismatchError naming the first line that differs,
-    or when the record has no header this version reads or one whose values
-    the config dataclasses reject."""
+    or when the record has no header this version reads, one made under
+    other `RULES`, or one whose values the config dataclasses reject."""
     record_path = Path(record_path)
     lines = record_path.read_text().splitlines()
     header = json.loads(lines[0]) if lines else {}
     if (set(header) != _HEADER_KEYS or header["type"] != "header"
             or set(header["map"]) != {f.name for f in fields(MapSource)}):
         raise RecordMismatchError(f"{record_path}: no header line in this version's format")
+    if header["rules"] != RULES:
+        raise RecordMismatchError(f"{record_path}: recorded under rules {header['rules']}, "
+                                  f"this version runs rules {RULES}")
     [(_, _, gt)] = materialize_maps(_from_header(MapSource, header, "map"))
     ep_cfg, ensemble = _episode_inputs(header, gt)
     record = run_episode(gt, GridPose(*header["start"]), ep_cfg, ensemble)

@@ -2,21 +2,23 @@
 visibility-mask construction by flood fill, and the gain sum over the
 variance map.
 
-Both casts walk the flat cell indices of `trace.ray_cell_table`, read the
-map through them with `trace.gather_values` and end each ray with
-`trace.ray_ends`, the sensor's own stop rule; they differ only in the stop
-mask. Endpoints and visibility masks are (N, 2) int arrays with columns
-(x, y), like `Scan.endpoints`.
+Both casts walk the ray table with `trace.walk_rays`, the sensor's own
+walker: each block reads the map through `trace.gather_values` and ends its
+rays by `trace.end_columns`, the sensor's stop rule. The casts differ only
+in the stop mask. Endpoints and visibility masks are (N, 2) int arrays with
+columns (x, y), like `Scan.endpoints`.
 
 A probabilistic ray accumulates the occupancy value of each cell it
 traverses, once per cell, and stops once the running total reaches the
 threshold epsilon; a cell of value 1.0 therefore stops any ray with
 epsilon <= 1, which makes the probabilistic and deterministic casts
-coincide on binary maps. The viewpoint's own cell never contributes to the
-total, so standing on an uncertain predicted cell does not self-terminate
-the cast. A deterministic ray stops at the first cell above 0.5, so on a
-three-label observed map unknown cells (0.5) let it through and only
-observed walls stop it.
+coincide on binary maps. The total is carried from one block of the walk
+to the next, so it adds up in the same order as one cumsum along the whole
+ray. The viewpoint's own cell never contributes to the total, so standing
+on an uncertain predicted cell does not self-terminate the cast. A
+deterministic ray stops at the first cell above 0.5, so on a three-label
+observed map unknown cells (0.5) let it through and only observed walls
+stop it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import UNKNOWN, GridPose, OccupancyGrid
-from .trace import gather_values, line_cells, ray_cell_table, ray_ends
+from .trace import end_columns, gather_values, line_cells, ray_table, walk_rays
+from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `infogain.ray_cell_table`)
 
 # The running total is a float cumsum; comparing against epsilon minus this
 # guard keeps cell-count arithmetic exact (eight 0.1 cells must reach 0.8).
@@ -51,15 +54,19 @@ class RaycastConfig:
             raise ValueError(f"range_lambda: must be positive, got {self.range_lambda}")
 
 
-def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, term_fn) -> np.ndarray:
+def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, stop_fn) -> np.ndarray:
+    """The endpoints of a walk whose rays stop where `stop_fn(rays, values)` flags."""
     if not grid.in_bounds(viewpoint.x, viewpoint.y):
         raise ValueError(f"viewpoint {viewpoint} is outside the grid")
-    range_cells = cfg.range_lambda / grid.resolution
-    idx, length = ray_cell_table(viewpoint, cfg.n_rays, range_cells, grid.shape)
-    values = gather_values(grid.cells, idx)
-    contributes = np.arange(idx.shape[1]) < length[:, None]
-    contributes[:, 0] = False  # column 0 is the viewpoint's own cell
-    return ray_ends(idx, length, term_fn(values, contributes), grid.width)[2]
+
+    def block(rays, c0, idx, length):
+        values = gather_values(grid.cells, idx)
+        if c0 == 0:
+            values[:, 0] = 0.0  # column 0 is the viewpoint's own cell
+        return end_columns(stop_fn(rays, values), length)
+
+    t = ray_table(cfg.n_rays, cfg.range_lambda / grid.resolution, grid.width)
+    return walk_rays(t, viewpoint, grid.shape, block)[2]
 
 
 def probabilistic_raycast(
@@ -67,12 +74,15 @@ def probabilistic_raycast(
 ) -> np.ndarray:
     """(n_rays, 2) endpoints where the accumulated occupancy reaches epsilon,
     or the range/grid limit if it never does."""
+    carry = np.zeros(cfg.n_rays)  # each ray's running total at the end of its last block
 
-    def term(values, contributes):
-        acc = np.cumsum(np.where(contributes, values, 0.0), axis=1)
+    def stop(rays, values):
+        values[:, 0] += carry[rays]
+        acc = np.cumsum(values, axis=1)
+        carry[rays] = acc[:, -1]
         return acc >= cfg.epsilon - THRESHOLD_GUARD
 
-    return _cast(viewpoint, mean_map, cfg, term)
+    return _cast(viewpoint, mean_map, cfg, stop)
 
 
 def deterministic_raycast(
@@ -80,11 +90,7 @@ def deterministic_raycast(
 ) -> np.ndarray:
     """(n_rays, 2) endpoints at the first cell above 0.5, or the range/grid
     limit."""
-
-    def term(values, contributes):
-        return contributes & (values > 0.5)
-
-    return _cast(viewpoint, grid, cfg, term)
+    return _cast(viewpoint, grid, cfg, lambda rays, values: values > 0.5)
 
 
 def visibility_mask(

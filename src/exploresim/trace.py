@@ -4,10 +4,12 @@ There are two kernels: the ray table, which the sensor and both scoring
 casts walk, and `line_cells`, which rasterizes straight segments for the
 visibility-mask polygon and the variance corridor.
 
-`end_columns` is the one rule for where a ray stops: at its first in-bounds
-cell flagged by the caller's stop mask, else at its last in-bounds cell.
-The sensor flags occupied ground-truth cells, the scoring casts flag the
-cell where their termination test first holds.
+`walk_rays` is the one walker of the ray table: the sensor and both scoring
+casts call it with a per-block function that reads the map and ends the
+block's rays by `end_columns`, the one rule for where a ray stops: at its
+first in-bounds cell flagged by the caller's stop mask, else at its last
+in-bounds cell. The sensor flags occupied ground-truth cells, the scoring
+casts the cell where their termination test first holds.
 
 Rays are walked by sampling points every quarter cell along the ray
 direction, starting at the origin cell's center. A sample at distance d
@@ -35,12 +37,10 @@ padding, which lies past the ray's last cell, is never inside it.
 
 A column past a ray's prefix holds an index that lies off the grid or
 wraps onto another row. Its value is never used, and `gather_values`
-clamps the indices so that the read stays legal. The scoring casts read
-the whole table at once: `ray_cell_table` adds the origin's flat index to
-its columns up to the longest prefix, and `ray_ends` ends every ray of it.
-The sensor (`world.simulate_scan`) walks the table in column blocks of the
-rays still live and calls `end_columns` per block, so its read stops near
-where its rays end.
+clamps the indices so that the read stays legal. `walk_rays` reads the
+table in column blocks of the rays still live, so a read stops near where
+its rays end. `ray_cell_table` reads the whole table in one block; it is
+the reference the walk is tested against.
 
 A segment from a to b has max(|dx|, |dy|) + 1 cells; the i-th moves each
 axis i * |d| / max(|dx|, |dy|) cells towards b, rounded half down. These
@@ -65,6 +65,10 @@ STEP = 0.25  # sample spacing along a ray, in cells
 _COUNT_GUARD = 1e-9
 
 _BLOCK = 256  # rays per block of the table build; bounds its float temporaries
+
+# Size the first block of a `walk_rays` walk; see its docstring.
+_FIRST_BLOCK_CELLS = 2**15
+_FIRST_BLOCK_MIN_COLS = 8
 
 
 class RayTable(NamedTuple):
@@ -171,16 +175,35 @@ def end_columns(stop: np.ndarray, length: np.ndarray):
     return np.where(stopped, first, length - 1), stopped
 
 
-def ray_ends(idx: np.ndarray, length: np.ndarray, stop: np.ndarray, width: int):
-    """Where each ray of a `ray_cell_table` ends, by `end_columns`.
+def walk_rays(t: RayTable, origin: GridPose, shape, block):
+    """Walk the rays of `t` from the center of `origin` on a grid of `shape`
+    in column blocks of the rays still live. Returns (end column, stopped,
+    endpoints): per ray, the endpoints as an (n_rays, 2) int array of (x, y).
 
-    Returns (end_idx, stopped, endpoints): the end column and whether
-    `stop` ended the ray, both (n_rays,), and the end cells as an
-    (n_rays, 2) int array with columns (x, y).
+    The first block is max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS //
+    n_rays) columns of every ray, each later one twice as wide; a ray leaves
+    the walk in the block where it stops or its in-bounds prefix ends. Each
+    block calls `block(rays, c0, idx, length)` with the block's rays
+    (`slice(None)` in the first block, else their indices), its first
+    column, their flat indices in the block and their prefixes clipped to
+    it; `block` returns `end_columns` of the block.
     """
-    end_idx, stopped = end_columns(stop, length)
-    end = idx[np.arange(len(length)), end_idx]
-    return end_idx, stopped, np.stack([end % width, end // width], axis=1)
+    w = shape[1]
+    length = prefix_lengths(t, origin, shape)
+    base = origin.y * w + origin.x
+    cols = max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS // len(length))
+    c1 = min(cols, int(length.max()))
+    end_col, stopped = block(slice(None), 0, base + t.flat[:, :c1], np.minimum(length, c1))
+    rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
+    while len(rays):
+        c0, cols = c1, 2 * cols
+        ray_len = length[rays]
+        c1 = min(c0 + cols, int(ray_len.max()))
+        col, hit = block(rays, c0, base + t.flat[rays, c0:c1], np.minimum(ray_len - c0, c1 - c0))
+        end_col[rays], stopped[rays] = c0 + col, hit
+        rays = rays[~hit & (ray_len > c1)]
+    end = base + t.flat[np.arange(len(length)), end_col]
+    return end_col, stopped, np.stack([end % w, end // w], axis=1)
 
 
 def line_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:

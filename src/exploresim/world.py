@@ -2,9 +2,10 @@
 robot kinematics on the diagonally-connected grid, and a procedural
 floor-plan generator.
 
-Sensing is noise-free and the robot pose is known exactly: a cell the
-sensor marks free is free in the ground truth, and a hit endpoint is
-occupied in the ground truth.
+The sensor walks the ray table with `trace.walk_rays`, as the scoring
+casts do. Sensing is noise-free and the robot pose is known exactly: a
+cell the sensor marks free is free in the ground truth, and a hit
+endpoint is occupied in the ground truth.
 """
 
 from __future__ import annotations
@@ -15,18 +16,13 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, GridPose, OccupancyGrid
-from .trace import end_columns, gather_values, prefix_lengths, ray_table
+from .trace import end_columns, gather_values, ray_table, walk_rays
 from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `world.ray_cell_table`)
 
 # Floor-plan generator defaults, shared with the [maps] config table.
 ROOM_COUNT_RANGE = (6, 12)
 CORRIDOR_WIDTH = 8  # cells
 _MIN_ROOM_H = 8  # cells
-
-# The first block of a scan's ray-table walk is max(_FIRST_BLOCK_MIN_COLS,
-# _FIRST_BLOCK_CELLS // n_rays) columns wide; each later block is twice as wide.
-_FIRST_BLOCK_CELLS = 2**15
-_FIRST_BLOCK_MIN_COLS = 8
 
 
 @dataclass(frozen=True)
@@ -59,63 +55,34 @@ class Scan:
 def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
     """Trace every ray from `pose` until the first occupied cell or max range.
 
-    The rays are the cached `trace.ray_table`, walked in column blocks of
-    the rays still live: the first block is about 2**15 cells (at least 8
-    columns) and each later one twice as wide as the last. A ray leaves the
-    walk in the block where it stops or its in-bounds prefix ends, so an
-    indoor scan reads the cells up to its walls, not the whole table. Each
-    block's end comes from `trace.end_columns`; the endpoints are looked up
-    once, after the last block. Deterministic for fixed inputs. The pose
-    must be a free cell of the ground truth.
+    The rays are the cached `trace.ray_table`, walked by `trace.walk_rays`,
+    so an indoor scan reads the cells up to its walls, not the whole table.
+    Each block marks the cells its rays passed without hitting; they make up
+    `free_cells`. Deterministic for fixed inputs. The pose must be a free
+    cell of the ground truth.
     """
     if not gt.in_bounds(pose.x, pose.y):
         raise InvalidStateError(f"scan pose {pose} is outside the grid")
     if gt.at(pose) != FREE:
         raise InvalidStateError(f"scan pose {pose} is not on a free ground-truth cell")
 
-    t = ray_table(spec.n_rays, spec.range_lambda / gt.resolution, gt.width)
-    length = prefix_lengths(t, pose, gt.shape)
-    origin = pose.y * gt.width + pose.x
     occupied = gt.cells > 0.5
     seen = np.zeros(gt.cells.size, dtype=bool)
-    cols = max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS // spec.n_rays)
-    top = int(length.max())
-    c1 = min(cols, top)
-    end_col, hits = _walk_block(occupied, origin + t.flat[:, :c1], np.minimum(length, c1), seen)
-    if c1 < top:  # else the first block held every ray's whole prefix
-        rays = np.flatnonzero(~hits & (length > c1))  # the live rays
-        while len(rays):
-            c0, cols = c1, 2 * cols
-            ray_len = length[rays]
-            c1 = min(c0 + cols, int(ray_len.max()))
-            col, stopped = _walk_block(occupied, origin + t.flat[rays, c0:c1],
-                                       np.minimum(ray_len - c0, c1 - c0), seen)
-            end_col[rays], hits[rays] = c0 + col, stopped
-            rays = rays[~stopped & (ray_len > c1)]
 
-    end = origin + t.flat[np.arange(spec.n_rays), end_col]
-    endpoints = np.stack([end % gt.width, end // gt.width], axis=1)
+    def block(rays, c0, idx, length):
+        col, stopped = end_columns(gather_values(occupied, idx), length)
+        # Every cell strictly before the end is free space the ray passed
+        # through; a ray that did not stop passed its end cell too. All of
+        # these cells lie in the ray's in-bounds prefix.
+        seen[idx[np.arange(idx.shape[1]) < (col + ~stopped)[:, None]]] = True
+        return col, stopped
+
+    t = ray_table(spec.n_rays, spec.range_lambda / gt.resolution, gt.width)
+    _, hits, endpoints = walk_rays(t, pose, gt.shape, block)
     flat = np.nonzero(seen)[0]
     free_cells = np.stack([flat % gt.width, flat // gt.width], axis=1)
 
     return Scan(endpoints=endpoints, hits=hits, free_cells=free_cells)
-
-
-def _walk_block(occupied: np.ndarray, idx: np.ndarray, length: np.ndarray, seen: np.ndarray):
-    """End the rays of one block of the scan's walk and mark the cells they
-    passed in `seen`.
-
-    `idx` holds the block's columns of the live rays as flat indices and
-    `length` each ray's in-bounds prefix clipped to the block; a ray whose
-    prefix outlasts the block runs through its last column. Returns
-    `trace.end_columns` of the block: (end column in the block, stopped).
-    """
-    col, stopped = end_columns(gather_values(occupied, idx), length)
-    # Every cell strictly before the end is free space the ray passed
-    # through; a ray that did not stop passed its end cell too. All of these
-    # cells lie in the ray's in-bounds prefix.
-    seen[idx[np.arange(idx.shape[1]) < (col + ~stopped)[:, None]]] = True
-    return col, stopped
 
 
 def integrate_scan(observed: OccupancyGrid, scan: Scan) -> OccupancyGrid:

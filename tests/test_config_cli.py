@@ -532,6 +532,23 @@ def test_resume_reruns_a_row_whose_snapshots_setting_changed(tmp_path):
         "obs_t00005.pgm", "obs_t00010.pgm"]
 
 
+def test_resume_reruns_a_row_made_under_other_rules(tmp_path, monkeypatch):
+    # A row stored by a version with other RULES runs again, drops its old
+    # snapshots and recomputes its metrics.
+    run_experiment(_tiny_row_config(tmp_path))
+    row_dir = _first_row_dir(tmp_path)
+    (row_dir / "obs_t00015.pgm").write_bytes(b"stale")
+    metrics = json.loads((row_dir / "metrics.json").read_text())
+    (row_dir / "metrics.json").write_text(json.dumps(metrics | {"steps": -1}))
+    monkeypatch.setattr(cli, "RULES", cli.RULES + 1)
+    [row] = run_experiment(_tiny_row_config(tmp_path))
+    assert row == metrics | {"wall_time_s": row["wall_time_s"]}
+    assert sorted(p.name for p in row_dir.glob("obs_*.pgm")) == [
+        "obs_t00005.pgm", "obs_t00010.pgm"]
+    header = json.loads((row_dir / "record.jsonl").read_text().splitlines()[0])
+    assert header["rules"] == cli.RULES
+
+
 def test_run_experiment_explicit_starts(tmp_path):
     cfg = parse_config(_write_experiment(tmp_path, starts=[[31, 31]]))
     rows = run_experiment(cfg)
@@ -666,6 +683,20 @@ def test_replay_verifies_the_record(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         assert "no header line in this version's format" in err
+
+
+def test_replay_refuses_a_record_made_under_other_rules(tmp_path, capsys):
+    run_experiment(_tiny_row_config(tmp_path))
+    lines = (_first_row_dir(tmp_path) / "record.jsonl").read_text().splitlines()
+    old = tmp_path / "old.jsonl"
+    old.write_text("\n".join([json.dumps(json.loads(lines[0]) | {"rules": cli.RULES - 1}),
+                              *lines[1:]]) + "\n")
+    message = f"recorded under rules {cli.RULES - 1}, this version runs rules {cli.RULES}"
+    with pytest.raises(RecordMismatchError, match=message):
+        replay(old, tmp_path / "out")
+    assert main(["replay", str(old), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and message in err
 
 
 @pytest.mark.parametrize("table, key, value", [

@@ -23,9 +23,9 @@ from exploresim import (
     integrate_scan,
     new_grid,
     simulate_scan,
-    world,
 )
-from exploresim.trace import gather_values, ray_cell_table, ray_ends
+from exploresim.trace import end_columns, gather_values, ray_cell_table
+from test_trace import first_block
 
 
 def walk_ray_oracle(cells, x, y, angle, range_cells):
@@ -146,10 +146,7 @@ def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, width, height,
     if len(free_xs) == 0:
         return
     x, y = int(free_xs[pick % len(free_xs)]), int(free_ys[pick % len(free_xs)])
-    with pytest.MonkeyPatch.context() as mp:
-        if first is not None:
-            mp.setattr(world, "_FIRST_BLOCK_MIN_COLS", first)
-            mp.setattr(world, "_FIRST_BLOCK_CELLS", 0)
+    with first_block(first):
         assert_scan_matches_oracle(OccupancyGrid(cells, 0.1), x, y, n_rays, range_dm)
 
 
@@ -157,11 +154,13 @@ def one_block_scan(gt, pose, spec):
     """Reference scan that reads the whole ray table at once: (endpoints,
     hits, free_cells) as `simulate_scan` returns them."""
     idx, length = ray_cell_table(pose, spec.n_rays, spec.range_lambda / gt.resolution, gt.shape)
-    end_idx, hits, endpoints = ray_ends(idx, length, gather_values(gt.cells > 0.5, idx), gt.width)
+    end_idx, hits = end_columns(gather_values(gt.cells > 0.5, idx), length)
+    end = idx[np.arange(spec.n_rays), end_idx]
     seen = np.zeros(gt.cells.size, dtype=bool)
     seen[idx[np.arange(idx.shape[1]) < (end_idx + ~hits)[:, None]]] = True
     flat = np.flatnonzero(seen)
-    return endpoints, hits, np.stack([flat % gt.width, flat // gt.width], axis=1)
+    return (np.stack([end % gt.width, end // gt.width], axis=1), hits,
+            np.stack([flat % gt.width, flat // gt.width], axis=1))
 
 
 def test_the_default_scan_on_a_generated_plan_equals_a_one_block_read():
