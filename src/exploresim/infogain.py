@@ -29,7 +29,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import UNKNOWN, GridPose, OccupancyGrid
-from .trace import end_columns, gather_values, line_cells, ray_table, walk_rays
+from .trace import end_columns, gather_values, line_cells, walk_rays
 from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `infogain.ray_cell_table`)
 
 # The running total is a float cumsum; comparing against epsilon minus this
@@ -54,8 +54,10 @@ class RaycastConfig:
             raise ValueError(f"range_lambda: must be positive, got {self.range_lambda}")
 
 
-def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, stop_fn) -> np.ndarray:
-    """The endpoints of a walk whose rays stop where `stop_fn(rays, values)` flags."""
+def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, stop_fn,
+          carry=None) -> np.ndarray:
+    """The endpoints of a walk whose rays stop where `stop_fn(rays, values)`
+    flags; `carry` is `trace.walk_rays`'s per-ray running total."""
     if not grid.in_bounds(viewpoint.x, viewpoint.y):
         raise ValueError(f"viewpoint {viewpoint} is outside the grid")
 
@@ -65,8 +67,8 @@ def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, stop_fn)
             values[:, 0] = 0.0  # column 0 is the viewpoint's own cell
         return end_columns(stop_fn(rays, values), length)
 
-    t = ray_table(cfg.n_rays, cfg.range_lambda / grid.resolution, grid.width)
-    return walk_rays(t, viewpoint, grid.shape, block)[2]
+    return walk_rays(cfg.n_rays, cfg.range_lambda / grid.resolution, viewpoint, grid.shape,
+                     block, carry)[2]
 
 
 def probabilistic_raycast(
@@ -82,7 +84,7 @@ def probabilistic_raycast(
         carry[rays] = acc[:, -1]
         return acc >= cfg.epsilon - THRESHOLD_GUARD
 
-    return _cast(viewpoint, mean_map, cfg, stop)
+    return _cast(viewpoint, mean_map, cfg, stop, carry)
 
 
 def deterministic_raycast(

@@ -124,61 +124,84 @@ def reach_avoiding(
     """For each goal, whether some minimal-cost path from `start` on `blocked`
     reaches it without touching an `avoid` cell.
 
-    One Dijkstra pass with `astar`'s move rule answers every goal. Each
-    cell carries a flag: does a minimal-cost path reach it clear of `avoid`?
-    A strictly cheaper arrival sets the flag from its parent; a tie (within
-    1e-9, while distinct octile costs on these grids differ by more than
-    1e-4) ORs it in. Every parent on a minimal path is cheaper than its
-    child, so a cell's flag is final when the cell is popped, and the pass
-    stops once every goal is popped. An unreachable goal is False.
+    One Dijkstra pass with `astar`'s move rule answers every goal, settling
+    a band of cells at a time (Dinitz's rule: Delta-stepping with Delta = 1,
+    the least move cost). With m the least distance among the open cells,
+    every open cell below m + 1 - 1e-9 is final, since a later relaxation
+    adds at least 1 to a distance of at least m; those cells form the band.
+    Each cell carries a flag: does a minimal-cost path reach it clear of
+    `avoid`? A band cell is clear when it is not an avoid cell and some
+    settled, clear parent reaches it by a legal move at equal cost, within
+    1e-9 (distinct octile costs on these grids differ by more than 1e-4).
+    Such a parent is below m, so it was settled in an earlier band; a cell
+    tied at m + 1 waits for the next band, after its parents in this one.
+    Then all 8 moves of the band are relaxed at once, and the pass stops
+    once every goal is settled. An unreachable goal is False.
     """
     h, w = blocked.shape
     if not (0 <= start.x < w and 0 <= start.y < h):
         raise ValueError(f"start {start} is outside the grid")
     if blocked[start.y, start.x]:
         raise ValueError(f"start {start} is on a blocked cell")
-    # A blocked border ring replaces the bounds checks; W is the padded width.
-    # A move is (offset, then the offsets of a diagonal's two orthogonal
-    # cells, 0 for a straight move, and its cost).
-    W = w + 2
-    blk = np.pad(blocked, 1, constant_values=True).ravel().tolist()
-    bad = np.pad(avoid, 1).ravel().tolist()
-    moves = [(dy * W + dx, dx if dy else 0, dy * W if dx else 0, step)
-             for dx, dy, step in _NEIGHBORS]
-    goal_idx = []
     for g in goals:
         if not (0 <= g.x < w and 0 <= g.y < h):
             raise ValueError(f"goal {g} is outside the grid")
-        goal_idx.append((g.y + 1) * W + g.x + 1)
+    # A blocked border ring replaces the bounds checks; W is the padded width.
+    W = w + 2
+    pad = np.pad(blocked != 0, 1, constant_values=True)
+    blk = pad.ravel()
+    bad = np.pad(avoid != 0, 1).ravel()
+    # legal[i, k]: is move k of `_NEIGHBORS` from padded cell i legal? Onto a
+    # free cell, and a diagonal only past a corner with a free orthogonal cell.
+    # A move is legal both ways or neither.
+    legal = np.zeros((h + 2, W, 8), dtype=bool)
+    for k, (dx, dy, _) in enumerate(_NEIGHBORS):
+        ok = ~pad[1 + dy : h + 1 + dy, 1 + dx : w + 1 + dx]
+        if dx and dy:
+            ok &= ~(pad[1 : h + 1, 1 + dx : w + 1 + dx] & pad[1 + dy : h + 1 + dy, 1 : w + 1])
+        legal[1 : h + 1, 1 : w + 1, k] = ok
+    legal = legal.reshape(-1, 8)
+    goal_idx = np.array([(g.y + 1) * W + g.x + 1 for g in goals], dtype=np.intp)
+    pending = goal_idx[~blk[goal_idx]]
 
-    dist = [math.inf] * len(blk)
-    clear = [False] * len(blk)
+    dist = np.full(blk.size, np.inf)
+    clear = np.zeros(blk.size, dtype=bool)
+    settled = np.zeros(blk.size, dtype=bool)
+    stamp = np.empty(blk.size, dtype=np.intp)
     s = (start.y + 1) * W + start.x + 1
     dist[s] = 0.0
     clear[s] = not bad[s]
-    pending = {i for i in goal_idx if not blk[i]}
-    heap = [(0.0, s)]
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap and pending:
-        d, i = pop(heap)
-        if d > dist[i]:
-            continue  # stale entry, a cheaper route was found since the push
-        pending.discard(i)
-        ci = clear[i]
-        for off, cx, cy, step in moves:
-            j = i + off
-            if blk[j] or (cx and blk[i + cx] and blk[i + cy]):
-                continue  # blocked, or a fully closed corner
-            nd = d + step
-            dj = dist[j]
-            if nd < dj - 1e-9:
-                dist[j] = nd
-                clear[j] = ci and not bad[j]
-                push(heap, (nd, j))
-            elif ci and nd <= dj + 1e-9 and not bad[j]:
-                clear[j] = True
-    return [clear[i] for i in goal_idx]
+    move = np.array([dy * W + dx for dx, dy, _ in _NEIGHBORS])
+    cost = np.array([c for _, _, c in _NEIGHBORS])
+    band = np.array([s])
+    nb = band[:, None] + move
+    ok = legal[band]
+    open_ = band[:0]  # reached cells not yet settled
+    while True:
+        settled[band] = True
+        if settled[pending].all():
+            break
+        # Relax the band's legal moves into the unsettled cells.
+        ok &= ~settled[nb]
+        to = nb[ok]
+        fresh = to[np.isinf(dist[to])]
+        np.minimum.at(dist, to, (dist[band, None] + cost)[ok])
+        # Each fresh cell once: the last of its copies keeps its stamp.
+        seq = np.arange(len(fresh))
+        stamp[fresh] = seq
+        open_ = np.concatenate([open_, fresh[stamp[fresh] == seq]])
+        if not len(open_):
+            break
+        d = dist[open_]
+        in_band = d < d.min() + 1.0 - 1e-9
+        band, open_ = open_[in_band], open_[~in_band]
+        # A band cell's parents are its legal neighbors; only a settled cell
+        # is clear yet.
+        nb = band[:, None] + move
+        ok = legal[band]
+        tie = np.abs(dist[nb] + cost - dist[band, None]) <= 1e-9
+        clear[band] = ~bad[band] & (ok & clear[nb] & tie).any(axis=1)
+    return clear[goal_idx].tolist()
 
 
 def waypoint_valid(

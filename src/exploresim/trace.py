@@ -42,6 +42,14 @@ table in column blocks of the rays still live, so a read stops near where
 its rays end. `ray_cell_table` reads the whole table in one block; it is
 the reference the walk is tested against.
 
+Neighbouring rays start through the same cells: of the 2,500 rays of the
+default sensor, only 604 differ in their first 13 cells. A block's result
+for a ray depends only on the ray's cells in it and its prefix there, and
+rays whose cells are the same 2-D offsets have the same prefix from every
+origin. So `walk_rays` reads the first block once per `_first_block_groups`
+group and copies the result to the group's other rays. Later blocks read
+every live ray.
+
 A segment from a to b has max(|dx|, |dy|) + 1 cells; the i-th moves each
 axis i * |d| / max(|dx|, |dy|) cells towards b, rounded half down. These
 are the cells of Bresenham's walk from a to b: 8-connected without diagonal
@@ -175,25 +183,73 @@ def end_columns(stop: np.ndarray, length: np.ndarray):
     return np.where(stopped, first, length - 1), stopped
 
 
-def walk_rays(t: RayTable, origin: GridPose, shape, block):
-    """Walk the rays of `t` from the center of `origin` on a grid of `shape`
-    in column blocks of the rays still live. Returns (end column, stopped,
-    endpoints): per ray, the endpoints as an (n_rays, 2) int array of (x, y).
+@lru_cache(maxsize=8)
+def _first_block_groups(n_rays: int, range_cells: float, width: int, cols: int):
+    """The rays of `ray_table(n_rays, range_cells, width)` grouped by their
+    first `cols` cells, as 2-D offsets: (rep, row, first), where `rep`
+    holds the first ray of each group in ray order, `row[i]` the group of
+    ray i, and `first` the rows `rep` of the table's first `cols` columns.
+    When every prefix is distinct, `rep` and `row` are both arange(n_rays).
+
+    The offsets come from the exit tables: cell j of a ray has |offx| equal
+    to the number of k with tx[ray, k] <= j, and the sign of `east`; the
+    same for y. Flat offsets would not do: on a grid narrower than 2 * cols
+    - 1 cells, two different cells can share one.
+    """
+    t = ray_table(n_rays, range_cells, width)
+    c = min(cols, t.flat.shape[1])
+    keys = np.empty((n_rays, 2, c), dtype=np.int32)
+    rows = np.arange(n_rays)[:, None] * (c + 1)
+    for i, (table, positive) in enumerate(((t.tx, t.east), (t.ty, t.south))):
+        # A column past the ray's last cell counts every entry, min(c, reach + 1).
+        v = np.minimum(table[:, :c], c)
+        hist = np.bincount((rows + v).ravel(), minlength=n_rays * (c + 1))
+        np.cumsum(hist.reshape(n_rays, c + 1)[:, :c], axis=1, out=keys[:, i])
+        keys[~positive, i] *= -1
+    _, rep, row = np.unique(keys.reshape(n_rays, 2 * c), axis=0, return_index=True,
+                            return_inverse=True)
+    order = np.argsort(rep)  # groups in the order of their first rays
+    rep, row = rep[order], np.argsort(order)[row.ravel()]
+    # With every prefix distinct, `rep` is arange(n_rays) and a view will do.
+    first = t.flat[rep, :c] if len(rep) < n_rays else t.flat[:, :c]
+    for a in (rep, row, first):
+        a.flags.writeable = False
+    return rep, row, first
+
+
+def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, carry=None):
+    """Walk the rays of `ray_table(n_rays, range_cells, width)` from the
+    center of `origin` on a grid of `shape` in column blocks of the rays
+    still live. Returns (end column, stopped, endpoints): per ray, the
+    endpoints as an (n_rays, 2) int array of (x, y).
 
     The first block is max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS //
     n_rays) columns of every ray, each later one twice as wide; a ray leaves
     the walk in the block where it stops or its in-bounds prefix ends. Each
-    block calls `block(rays, c0, idx, length)` with the block's rays
-    (`slice(None)` in the first block, else their indices), its first
-    column, their flat indices in the block and their prefixes clipped to
-    it; `block` returns `end_columns` of the block.
+    block calls `block(rays, c0, idx, length)` with the block's rays, its
+    first column, their flat indices in the block and their prefixes clipped
+    to it; `block` returns `end_columns` of the block.
+
+    The first block reads one ray of each `_first_block_groups` group, with
+    `rays` those rays, and copies their results to their groups (see the
+    module docstring); when every prefix is distinct, every ray is its own
+    group. Later blocks get the indices of their rays.
+    A caller that keeps a running per-ray total across blocks passes it as
+    `carry`, an (n_rays,) array that its blocks read and write by `rays`;
+    after the first block, each ray takes its group's total.
     """
     w = shape[1]
+    t = ray_table(n_rays, range_cells, w)
     length = prefix_lengths(t, origin, shape)
     base = origin.y * w + origin.x
-    cols = max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS // len(length))
+    cols = max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS // n_rays)
+    # Groups on `cols` columns hold for any fewer, as the first c1 can be.
     c1 = min(cols, int(length.max()))
-    end_col, stopped = block(slice(None), 0, base + t.flat[:, :c1], np.minimum(length, c1))
+    rep, row, first = _first_block_groups(n_rays, range_cells, w, cols)
+    col, hit = block(rep, 0, base + first[:, :c1], np.minimum(length[rep], c1))
+    end_col, stopped = col[row], hit[row]
+    if carry is not None:
+        carry[:] = carry[rep][row]
     rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
     while len(rays):
         c0, cols = c1, 2 * cols

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, GridPose, OccupancyGrid
-from .trace import end_columns, gather_values, ray_table, walk_rays
+from .trace import end_columns, gather_values, walk_rays
 from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `world.ray_cell_table`)
 
 # Floor-plan generator defaults, shared with the [maps] config table.
@@ -77,8 +77,8 @@ def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
         seen[idx[np.arange(idx.shape[1]) < (col + ~stopped)[:, None]]] = True
         return col, stopped
 
-    t = ray_table(spec.n_rays, spec.range_lambda / gt.resolution, gt.width)
-    _, hits, endpoints = walk_rays(t, pose, gt.shape, block)
+    _, hits, endpoints = walk_rays(spec.n_rays, spec.range_lambda / gt.resolution, pose,
+                                   gt.shape, block)
     flat = np.nonzero(seen)[0]
     free_cells = np.stack([flat % gt.width, flat // gt.width], axis=1)
 
@@ -89,10 +89,10 @@ def integrate_scan(observed: OccupancyGrid, scan: Scan) -> OccupancyGrid:
     """Fold a scan into the observed map, in place.
 
     Traversed cells become free, hit endpoints become occupied. Known cells
-    never revert to unknown, and free never overwrites occupied.
+    never revert to unknown, and free never overwrites occupied. The map
+    must be a three-label grid; this is not checked here, since an episode's
+    map starts unknown and changes only through this function.
     """
-    if not observed.is_three_label():
-        raise ValueError("observed map must be a three-label grid")
     fx, fy = scan.free_cells[:, 0], scan.free_cells[:, 1]
     if len(fx) and (fx.max() >= observed.width or fy.max() >= observed.height):
         raise ValueError("scan does not fit the observed map dimensions")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exploresim import (
@@ -163,6 +163,16 @@ def test_reach_with_nothing_to_avoid_is_astar_reachability(seed, side_x, side_y,
 
 @settings(deadline=None)
 @given(**_CASES, avoid_seed=st.integers(0, 2**32 - 1), avoid_density=st.floats(0.0, 0.4))
+# Exact ties at a band's edge: in both, a band that also settled the open
+# cells at m + 1 would flag a goal wrongly. In the second, a band cut at
+# m + 1 without the 1e-9 guard would too: its two tied sums differ in the
+# last bit.
+@example(seed=3110907181, side_x=8, side_y=8, density=0.2,
+         picks=[22275, 17774, 31370, 41070, 22075, 52617], avoid_seed=3039576495,
+         avoid_density=0.4)
+@example(seed=432103511, side_x=8, side_y=8, density=0.2,
+         picks=[27134, 58918, 65153, 12795, 25283, 11797], avoid_seed=2764217891,
+         avoid_density=0.1)
 def test_reach_avoiding_is_two_distance_fields(seed, side_x, side_y, density, picks,
                                                avoid_seed, avoid_density):
     # A goal counts exactly when keeping out of `avoid` costs nothing: the

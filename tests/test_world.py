@@ -24,6 +24,7 @@ from exploresim import (
     new_grid,
     simulate_scan,
 )
+from exploresim import world
 from exploresim.trace import end_columns, gather_values, ray_cell_table
 from test_trace import first_block
 
@@ -131,6 +132,10 @@ def test_scan_endpoints_match_quarter_step_walk_oracle():
 # the second block.
 @example(seed=0, width=5, height=12, density=0.0, walls=[], pick=0, n_rays=4, range_dm=9,
          first=2)
+# On a grid one cell wide the +x and +y rays from (0, 0) share their flat
+# offsets, 0 and 1, but not their cells: the +x ray leaves the grid at once.
+@example(seed=0, width=1, height=2, density=0.0, walls=[], pick=0, n_rays=4, range_dm=1,
+         first=None)
 def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, width, height, density, walls,
                                                             pick, n_rays, range_dm, first):
     # Any free pose on any grid shape, border cells included, and ranges up
@@ -163,16 +168,23 @@ def one_block_scan(gt, pose, spec):
             np.stack([flat % gt.width, flat // gt.width], axis=1))
 
 
-def test_the_default_scan_on_a_generated_plan_equals_a_one_block_read():
+def test_the_default_scan_on_a_generated_plan_equals_a_one_block_read(monkeypatch):
     # 2,500 rays of 200 cells on a 200x200 plan walk several blocks; values,
-    # order and dtypes must equal a read of the whole table.
+    # order and dtypes must equal a read of the whole table. The first block
+    # is 13 columns, in which the rays hold only 604 distinct cell sequences:
+    # the scan reads each of them once.
     gt = generate_floorplan(0, 200, 200)
     spec = SensorSpec()
+    reads = []
+    monkeypatch.setattr(world, "gather_values",
+                        lambda cells, idx: reads.append(idx.shape) or gather_values(cells, idx))
     free_ys, free_xs = np.nonzero(gt.cells == FREE)
     rng = np.random.default_rng(11)
-    for i in rng.choice(len(free_xs), 25, replace=False):
+    for i in rng.choice(len(free_xs), 50, replace=False):
         pose = GridPose(int(free_xs[i]), int(free_ys[i]))
+        reads.clear()
         scan = simulate_scan(gt, pose, spec)
+        assert reads[0] == (604, 13), pose
         for got, want in zip((scan.endpoints, scan.hits, scan.free_cells),
                              one_block_scan(gt, pose, spec)):
             assert got.dtype == want.dtype and np.array_equal(got, want), pose
