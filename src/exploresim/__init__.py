@@ -39,7 +39,7 @@ from .metrics import (
     iou_occupied,
     topological_understanding,
 )
-from .planner import EpisodeConfig, EpisodeRecord, astar, run_episode, waypoint_valid
+from .planner import EpisodeConfig, EpisodeRecord, astar, path_cells, run_episode, waypoint_valid
 from .predict import (
     ExternalPredictor,
     NoisyOraclePredictor,

@@ -422,6 +422,8 @@ def _cmd_generate_maps(args) -> int:
 def _cmd_score_map(args) -> int:
     try:
         observed = load_pgm(args.observed)
+        if not observed.is_three_label():
+            raise ValueError(f"{args.observed}: not a three-label map (free, unknown, occupied)")
         gt = _binarized(load_pgm(args.gt))
         footprint = building_footprint(gt)
         lines = [f"coverage: {coverage_of(observed, footprint):.2f}",

@@ -87,9 +87,11 @@ def frontier_mask(observed: OccupancyGrid) -> np.ndarray:
 
 
 def extract_frontiers(observed: OccupancyGrid, min_cluster_size: int) -> list[FrontierCluster]:
-    """8-connected frontier clusters of at least `min_cluster_size` cells."""
-    if not observed.is_three_label():
-        raise ValueError("frontiers are defined on a three-label observed map")
+    """8-connected frontier clusters of at least `min_cluster_size` cells.
+
+    The map must be a three-label grid; this is not checked here, since an
+    episode's map changes only through `world.integrate_scan`.
+    """
     mask = frontier_mask(observed)
     labels, count = ndimage.label(mask, structure=_EIGHT)
     if count == 0:

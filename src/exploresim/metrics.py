@@ -39,15 +39,18 @@ def building_footprint(gt: OccupancyGrid) -> np.ndarray:
     return ~exterior
 
 
+def coverage_percent(known: int, total: int) -> float:
+    """The coverage of `known` of `total` footprint cells, in percent; 100
+    for an empty footprint."""
+    return 100.0 if total == 0 else 100.0 * known / total
+
+
 def coverage_of(observed: OccupancyGrid, footprint: np.ndarray) -> float:
     """Percentage of footprint cells known in the observed map."""
     if observed.shape != footprint.shape:
         raise ValueError(f"observed {observed.shape} vs footprint {footprint.shape}")
-    total = int(footprint.sum())
-    if total == 0:
-        return 100.0
     known = (observed.cells != UNKNOWN) & footprint
-    return 100.0 * int(np.count_nonzero(known)) / total
+    return coverage_percent(int(np.count_nonzero(known)), int(footprint.sum()))
 
 
 def iou_occupied(predicted: OccupancyGrid, gt: OccupancyGrid, footprint: np.ndarray) -> float:

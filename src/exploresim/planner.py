@@ -58,7 +58,8 @@ def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose
     fully closed corners). Returns None when the goal is unreachable.
 
     Ties on f break toward larger g, which keeps paths optimal but avoids
-    flooding the equal-f ellipse in open space.
+    flooding the equal-f ellipse in open space. The search runs on the grid
+    padded with a blocked border, so a move needs no bounds check.
     """
     h, w = blocked.shape
     if not (0 <= start.x < w and 0 <= start.y < h):
@@ -70,14 +71,22 @@ def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose
     if blocked[goal.y, goal.x]:
         return None
 
-    blk = blocked.ravel().tolist()
+    W = w + 2  # the padded width; padded cell (x + 1, y + 1) is cell (x, y)
+    pad = np.ones((h + 2, W), dtype=bool)
+    pad[1:-1, 1:-1] = blocked
+    blk = pad.tobytes()  # 1 where blocked; far cheaper to build than a list
+    # `_NEIGHBORS` in order as flat moves, each with the moves to the two
+    # cells of a closed corner; a straight move's are 0, the current cell,
+    # which is free.
+    moves = [(dy * W + dx, dx, dy, step, *((dx, dy * W) if dx and dy else (0, 0)))
+             for dx, dy, step in _NEIGHBORS]
     gx, gy = goal.x, goal.y
     r2 = SQRT2 - 1.0
     inf = math.inf
-    gscore = [inf] * (h * w)
-    parent = [-1] * (h * w)
-    start_i = start.y * w + start.x
-    goal_i = gy * w + gx
+    gscore = [inf] * len(blk)
+    parent = [-1] * len(blk)
+    start_i = (start.y + 1) * W + start.x + 1
+    goal_i = (gy + 1) * W + gx + 1
     gscore[start_i] = 0.0
     heap = [(0.0, 0.0, 0, start.x, start.y)]  # popped alone: its f is never compared
     seq = 0
@@ -85,7 +94,7 @@ def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose
     push = heapq.heappush
     while heap:
         _, neg_g, _, x, y = pop(heap)
-        i = y * w + x
+        i = (y + 1) * W + x + 1
         gxy = gscore[i]
         if -neg_g > gxy + 1e-12:
             continue  # stale entry, a cheaper route was found since the push
@@ -93,23 +102,19 @@ def astar(blocked: np.ndarray, start: GridPose, goal: GridPose) -> list[GridPose
             path = [GridPose(x, y)]
             while i != start_i:
                 i = parent[i]
-                path.append(GridPose(i % w, i // w))
+                path.append(GridPose(i % W - 1, i // W - 1))
             path.reverse()
             return path
-        for dx, dy, step in _NEIGHBORS:
-            nx = x + dx
-            ny = y + dy
-            if nx < 0 or nx >= w or ny < 0 or ny >= h:
-                continue
-            ni = ny * w + nx
-            if blk[ni]:
-                continue
-            if dx and dy and blk[y * w + nx] and blk[ny * w + x]:
-                continue  # corner fully closed
+        for d, dx, dy, step, ca, cb in moves:
+            ni = i + d
+            if blk[ni] or (blk[i + ca] and blk[i + cb]):
+                continue  # blocked, or a corner fully closed
             ng = gxy + step
             if ng < gscore[ni] - 1e-12:
                 gscore[ni] = ng
                 parent[ni] = i
+                nx = x + dx
+                ny = y + dy
                 ddx = nx - gx if nx >= gx else gx - nx
                 ddy = ny - gy if ny >= gy else gy - ny
                 hcost = ddx + r2 * ddy if ddx >= ddy else ddy + r2 * ddx
@@ -204,9 +209,14 @@ def reach_avoiding(
     return clear[goal_idx].tolist()
 
 
+def path_cells(path: list[GridPose], width: int) -> np.ndarray:
+    """The flat indices `y * width + x` of a path's cells, in path order."""
+    return np.array([p.y * width + p.x for p in path], dtype=np.intp)
+
+
 def waypoint_valid(
     pose: GridPose,
-    path: list[GridPose] | None,
+    path: np.ndarray | None,
     observed: OccupancyGrid,
     *,
     path_index: int = 0,
@@ -215,22 +225,23 @@ def waypoint_valid(
 ) -> bool:
     """False when the waypoint, the end of `path`, should be replanned.
 
-    Any of: no path; robot within one cell of the waypoint; a newly
-    observed wall on the remaining path; the waypoint's frontier dissolved
-    (no unknown neighbor left); or the plan is older than `max_age` steps.
+    `path` is the planned path as `path_cells` on the observed map, None
+    when there is none. Any of: no path; robot within one cell of the
+    waypoint; a newly observed wall on the remaining path; the waypoint's
+    frontier dissolved (no unknown neighbor left); or the plan is older than
+    `max_age` steps.
     """
     if path is None:
         return False
-    waypoint = path[-1]
-    if max(abs(pose.x - waypoint.x), abs(pose.y - waypoint.y)) <= 1:
+    wy, wx = divmod(int(path[-1]), observed.width)
+    if max(abs(pose.x - wx), abs(pose.y - wy)) <= 1:
         return False
     if age > max_age:
         return False
-    for cell in path[path_index:]:
-        if observed.cells[cell.y, cell.x] == OCCUPIED:
-            return False
-    x0, x1 = max(0, waypoint.x - 1), min(observed.width, waypoint.x + 2)
-    y0, y1 = max(0, waypoint.y - 1), min(observed.height, waypoint.y + 2)
+    if (observed.cells.take(path[path_index:]) == OCCUPIED).any():
+        return False
+    x0, x1 = max(0, wx - 1), min(observed.width, wx + 2)
+    y0, y1 = max(0, wy - 1), min(observed.height, wy + 2)
     if not (observed.cells[y0:y1, x0:x1] == UNKNOWN).any():
         return False
     return True
@@ -284,18 +295,23 @@ def run_episode(
     budget, when no frontiers remain ("complete"), or when none of the
     scored frontiers is reachable ("stuck").
     """
-    from .metrics import building_footprint, coverage_of  # local import breaks the module cycle
+    from .metrics import building_footprint, coverage_percent  # local: breaks the module cycle
 
     if not gt.in_bounds(start.x, start.y) or gt.at(start) != 0.0:
         raise ValueError(f"start {start} must be a free ground-truth cell")
 
     observed = new_grid(gt.width, gt.height, gt.resolution)
-    footprint = building_footprint(gt)
+    # Coverage is a running count: the map changes only through
+    # `integrate_scan`, which returns the cells it made known.
+    footprint = building_footprint(gt).ravel()
+    total = int(np.count_nonzero(footprint))
+    known = 0
 
     pose = start
     lines: list[dict] = []
     checkpoints: list[Checkpoint] = []
     path: list[GridPose] | None = None
+    cells = None  # `path` as `path_cells`
     path_index = 0
     age = 0
     latest_pset = None
@@ -303,17 +319,17 @@ def run_episode(
 
     for t in range(cfg.budget_t):
         scan = simulate_scan(gt, pose, cfg.sensor)
-        integrate_scan(observed, scan)
-        coverage = coverage_of(observed, footprint)
+        known += int(np.count_nonzero(footprint[integrate_scan(observed, scan)]))
+        coverage = coverage_percent(known, total)
         step = {"type": "step", "t": t, "x": pose.x, "y": pose.y, "coverage": coverage,
                 "replanned": False, "waypoint": None}
 
         if not waypoint_valid(
-            pose, path, observed,
+            pose, cells, observed,
             path_index=path_index, age=age, max_age=cfg.max_waypoint_age,
         ):
             step["replanned"] = True
-            path, path_index, age = None, 0, 0
+            path, cells, path_index, age = None, None, 0, 0
             clusters = extract_frontiers(observed, cfg.min_cluster_size)
             if not clusters:
                 end_reason = "complete"
@@ -332,6 +348,7 @@ def run_episode(
                 attempts += 1
                 path = astar(blocked, pose, clusters[idx].centroid)
                 if path is not None:
+                    cells = path_cells(path, observed.width)
                     break
             lines.append({
                 "type": "replan", "t": t, "n_clusters": len(clusters),

@@ -240,11 +240,13 @@ class PredictionSet:
 
 def ensemble_predict(members: list, observed: OccupancyGrid) -> PredictionSet:
     """Run every member, clamp each prediction to the known observed cells,
-    and compute the mean and variance maps."""
+    and compute the mean and variance maps.
+
+    The map must be a three-label grid; this is not checked here, since an
+    episode's map changes only through `world.integrate_scan`.
+    """
     if not members:
         raise ValueError("ensemble needs at least one member")
-    if not observed.is_three_label():
-        raise ValueError("predictors take a three-label observed map")
     stacks = []
     for i, member in enumerate(members):
         try:

@@ -23,21 +23,29 @@ the sample distances k*STEP are exact in float64 and the walk is
 bit-reproducible. Both offsets are monotone in d, so a ray never re-enters
 a cell it has left.
 
-`ray_table` caches, per (ray count, range, grid width), each ray's distinct
-cells in walk order as flat offsets `offy * width + offx` (column 0 is the
-origin cell, shorter rays are padded with 0), and two exit tables:
-`tx[ray, k]` is the number of the ray's leading cells with |offx| <= k, and
+`ray_table` caches, per (ray count, range, grid width, first block width),
+each ray's distinct cells in walk order as flat offsets `offy * width +
+offx`, shifted by K = reach * (width + 1) (`offset_shift`), so that every
+entry lies in [0, 2K]; column 0 is the origin cell, and shorter rays are
+padded with K, the origin. The offsets are stored block by block, one
+contiguous (n_rays, block width) array per block of the walk, so a block
+reads whole rows. It also caches two exit tables:
+`tx[k, ray]` is the number of the ray's leading cells with |offx| <= k, and
 `ty` the same for |offy|. A ray heading to +x leaves a grid of width w
 after its leading cells with offx <= w-1-x; one heading to -x after those
 with |offx| <= x. Since the offsets are monotone, the in-bounds prefix of
 a ray from a pose is the smaller of its two exit-table entries at the
 pose's distances to the edges it heads for, clipped to the range; the
 padding, which lies past the ray's last cell, is never inside it.
-`prefix_lengths` is the one exit-table rule.
+`prefix_lengths` is the one exit-table rule. The exit tables hold one row
+per k, so the entries one pose reads are contiguous.
 
-A column past a ray's prefix holds an index that lies off the grid or
-wraps onto another row. Its value is never used, and `gather_values`
-clamps the indices so that the read stays legal. `walk_rays` reads the
+A block gets the shifted offsets themselves. Cell `base + offset - K` of
+the grid, with `base` the origin's flat index, is entry `base + offset` of
+the grid's cells padded with K cells on each side, so a reader that pads
+its map reads it through the view `padded[base:]` with no index arithmetic
+and no index out of range. A column past a ray's prefix lies off the grid
+or wraps onto another row; its value is never used. `walk_rays` reads the
 table in column blocks of the rays still live, so a read stops near where
 its rays end. `ray_cell_table` reads the whole table in one block; it is
 the reference the walk is tested against.
@@ -59,6 +67,7 @@ the walk from b to a.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -72,7 +81,7 @@ STEP = 0.25  # sample spacing along a ray, in cells
 # range yields the full sample count.
 _COUNT_GUARD = 1e-9
 
-_BLOCK = 256  # rays per block of the table build; bounds its float temporaries
+_BUILD_RAYS = 256  # rays per pass of the table build; bounds its float temporaries
 
 # Size the first block of a `walk_rays` walk; see its docstring.
 _FIRST_BLOCK_CELLS = 2**15
@@ -80,13 +89,35 @@ _FIRST_BLOCK_MIN_COLS = 8
 
 
 class RayTable(NamedTuple):
-    """Per-ray flat cell offsets and exit tables; see the module docstring."""
+    """Per-ray shifted flat cell offsets, stored by walk block, and exit
+    tables; see the module docstring."""
 
-    flat: np.ndarray  # (n_rays, n_cols) intp
-    tx: np.ndarray  # (n_rays, R + 1) int16
-    ty: np.ndarray  # (n_rays, R + 1) int16
+    blocks: tuple  # (n_rays, block cols) intp arrays, the table's columns in order
+    tx: np.ndarray  # (R + 1, n_rays) int16
+    ty: np.ndarray  # (R + 1, n_rays) int16
     east: np.ndarray  # (n_rays,) bool: offx never falls below 0
     south: np.ndarray  # (n_rays,) bool: offy never falls below 0
+
+
+def _sample_count(range_cells: float) -> int:
+    return math.floor(range_cells / STEP + _COUNT_GUARD) + 1
+
+
+def _reach(range_cells: float) -> int:
+    """The largest |offx| or |offy| of any ray of `range_cells` cells, that
+    of its last sample."""
+    return math.floor(0.5 + (_sample_count(range_cells) - 1) * STEP)
+
+
+def offset_shift(range_cells: float, width: int) -> int:
+    """K, the shift of the table's offsets: no ray of `range_cells` cells on
+    a grid `width` cells wide has a flat offset below -K or above K."""
+    return _reach(range_cells) * (width + 1)
+
+
+def _first_block_cols(n_rays: int) -> int:
+    """The width of the first block of a walk of `n_rays` rays."""
+    return max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS // n_rays)
 
 
 def _exit_table(off: np.ndarray, valid: np.ndarray, reach: int) -> np.ndarray:
@@ -97,21 +128,22 @@ def _exit_table(off: np.ndarray, valid: np.ndarray, reach: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def ray_table(n_rays: int, range_cells: float, width: int) -> RayTable:
+def ray_table(n_rays: int, range_cells: float, width: int, first_cols: int) -> RayTable:
     """The cached `RayTable` of `n_rays` rays of `range_cells` cells on grids
-    `width` cells wide. Built `_BLOCK` rays at a time; the arrays are
-    read-only."""
+    `width` cells wide, stored in blocks of `first_cols` columns, then twice,
+    four times ... as many, the last one cut at the longest ray. Built
+    `_BUILD_RAYS` rays at a time; the arrays are read-only."""
     angles = np.arange(n_rays, dtype=np.float64) * (2.0 * np.pi / n_rays)
-    n_samples = int(np.floor(range_cells / STEP + _COUNT_GUARD)) + 1
-    dist = np.arange(n_samples, dtype=np.float64) * STEP
-    reach = int(np.floor(0.5 + dist[-1]))  # no offset is larger
-    tx = np.empty((n_rays, reach + 1), dtype=np.int16)
+    dist = np.arange(_sample_count(range_cells), dtype=np.float64) * STEP
+    reach = _reach(range_cells)
+    shift = offset_shift(range_cells, width)
+    tx = np.empty((reach + 1, n_rays), dtype=np.int16)
     ty = np.empty_like(tx)
     east = np.empty(n_rays, dtype=bool)
     south = np.empty_like(east)
-    blocks = []
-    for lo in range(0, n_rays, _BLOCK):
-        hi = min(lo + _BLOCK, n_rays)
+    parts = []
+    for lo in range(0, n_rays, _BUILD_RAYS):
+        hi = min(lo + _BUILD_RAYS, n_rays)
         sx = np.floor(0.5 + np.cos(angles[lo:hi])[:, None] * dist).astype(np.int32)
         sy = np.floor(0.5 + np.sin(angles[lo:hi])[:, None] * dist).astype(np.int32)
         moved = (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
@@ -125,16 +157,26 @@ def ray_table(n_rays: int, range_cells: float, width: int) -> RayTable:
         offx[rows, col] = sx
         offy[rows, col] = sy
         valid = np.arange(offx.shape[1]) < count[:, None]
-        tx[lo:hi] = _exit_table(offx, valid, reach)
-        ty[lo:hi] = _exit_table(offy, valid, reach)
+        tx[:, lo:hi] = _exit_table(offx, valid, reach).T
+        ty[:, lo:hi] = _exit_table(offy, valid, reach).T
         east[lo:hi] = offx.min(axis=1) >= 0
         south[lo:hi] = offy.min(axis=1) >= 0
-        blocks.append(offy * width + offx)
-    flat = np.zeros((n_rays, max(b.shape[1] for b in blocks)), dtype=np.intp)
-    for lo, b in zip(range(0, n_rays, _BLOCK), blocks):
-        flat[lo : lo + len(b), : b.shape[1]] = b
-    table = RayTable(flat, tx, ty, east, south)
-    for a in table:
+        parts.append(offy * width + offx + shift)
+    n_cols = max(p.shape[1] for p in parts)
+    # The blocks lie one after another in one allocation: separate arrays
+    # land in the heap among the build's freed temporaries and keep about
+    # 8 MB of them resident.
+    store = np.full(n_rays * n_cols, shift, dtype=np.intp)
+    blocks, c0, cols = [], 0, first_cols
+    while c0 < n_cols:
+        c1 = min(c0 + cols, n_cols)
+        b = store[n_rays * c0 : n_rays * c1].reshape(n_rays, c1 - c0)
+        for lo, p in zip(range(0, n_rays, _BUILD_RAYS), parts):
+            b[lo : lo + len(p), : max(0, p.shape[1] - c0)] = p[:, c0:c1]
+        blocks.append(b)
+        c0, cols = c1, 2 * cols
+    table = RayTable(tuple(blocks), tx, ty, east, south)
+    for a in (*blocks, tx, ty, east, south):
         a.flags.writeable = False
     return table
 
@@ -143,12 +185,12 @@ def prefix_lengths(t: RayTable, origin: GridPose, shape) -> np.ndarray:
     """Each ray's in-bounds prefix length (n_rays,) from the center of
     `origin` on a grid of `shape`, read from the exit tables of `t`."""
     h, w = shape
-    reach = t.tx.shape[1] - 1
+    reach = len(t.tx) - 1
     x, y = origin.x, origin.y
     xe, xw = min(w - 1 - x, reach), min(x, reach)
     ys, yn = min(h - 1 - y, reach), min(y, reach)
-    return np.minimum(np.where(t.east, t.tx[:, xe], t.tx[:, xw]),
-                      np.where(t.south, t.ty[:, ys], t.ty[:, yn]))
+    return np.minimum(np.where(t.east, t.tx[xe], t.tx[xw]),
+                      np.where(t.south, t.ty[ys], t.ty[yn]))
 
 
 def ray_cell_table(origin: GridPose, n_rays: int, range_cells: float, shape):
@@ -159,9 +201,11 @@ def ray_cell_table(origin: GridPose, n_rays: int, range_cells: float, shape):
     ray's in-bounds prefix length (n_rays,); `n_cols` is the longest.
     """
     w = shape[1]
-    t = ray_table(n_rays, float(range_cells), w)
+    range_cells = float(range_cells)
+    t = ray_table(n_rays, range_cells, w, _first_block_cols(n_rays))
     length = prefix_lengths(t, origin, shape)
-    return origin.y * w + origin.x + t.flat[:, : length.max()], length
+    flat = np.concatenate(t.blocks, axis=1)[:, : length.max()]
+    return origin.y * w + origin.x - offset_shift(range_cells, w) + flat, length
 
 
 def gather_values(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -185,24 +229,24 @@ def end_columns(stop: np.ndarray, length: np.ndarray):
 
 @lru_cache(maxsize=8)
 def _first_block_groups(n_rays: int, range_cells: float, width: int, cols: int):
-    """The rays of `ray_table(n_rays, range_cells, width)` grouped by their
-    first `cols` cells, as 2-D offsets: (rep, row, first), where `rep`
+    """The rays of `ray_table(n_rays, range_cells, width, cols)` grouped by
+    their first `cols` cells, as 2-D offsets: (rep, row, first), where `rep`
     holds the first ray of each group in ray order, `row[i]` the group of
-    ray i, and `first` the rows `rep` of the table's first `cols` columns.
+    ray i, and `first` the rows `rep` of the table's first block.
     When every prefix is distinct, `rep` and `row` are both arange(n_rays).
 
     The offsets come from the exit tables: cell j of a ray has |offx| equal
-    to the number of k with tx[ray, k] <= j, and the sign of `east`; the
+    to the number of k with tx[k, ray] <= j, and the sign of `east`; the
     same for y. Flat offsets would not do: on a grid narrower than 2 * cols
     - 1 cells, two different cells can share one.
     """
-    t = ray_table(n_rays, range_cells, width)
-    c = min(cols, t.flat.shape[1])
+    t = ray_table(n_rays, range_cells, width, cols)
+    c = t.blocks[0].shape[1]
     keys = np.empty((n_rays, 2, c), dtype=np.int32)
     rows = np.arange(n_rays)[:, None] * (c + 1)
     for i, (table, positive) in enumerate(((t.tx, t.east), (t.ty, t.south))):
         # A column past the ray's last cell counts every entry, min(c, reach + 1).
-        v = np.minimum(table[:, :c], c)
+        v = np.minimum(table[:c].T, c)
         hist = np.bincount((rows + v).ravel(), minlength=n_rays * (c + 1))
         np.cumsum(hist.reshape(n_rays, c + 1)[:, :c], axis=1, out=keys[:, i])
         keys[~positive, i] *= -1
@@ -210,25 +254,26 @@ def _first_block_groups(n_rays: int, range_cells: float, width: int, cols: int):
                             return_inverse=True)
     order = np.argsort(rep)  # groups in the order of their first rays
     rep, row = rep[order], np.argsort(order)[row.ravel()]
-    # With every prefix distinct, `rep` is arange(n_rays) and a view will do.
-    first = t.flat[rep, :c] if len(rep) < n_rays else t.flat[:, :c]
+    # With every prefix distinct, `rep` is arange(n_rays) and the block will do.
+    first = t.blocks[0][rep] if len(rep) < n_rays else t.blocks[0]
     for a in (rep, row, first):
         a.flags.writeable = False
     return rep, row, first
 
 
 def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, carry=None):
-    """Walk the rays of `ray_table(n_rays, range_cells, width)` from the
-    center of `origin` on a grid of `shape` in column blocks of the rays
-    still live. Returns (end column, stopped, endpoints): per ray, the
-    endpoints as an (n_rays, 2) int array of (x, y).
+    """Walk the rays of the ray table of `n_rays` rays of `range_cells`
+    cells from the center of `origin` on a grid of `shape`, in column blocks
+    of the rays still live. Returns (stopped, endpoints): per ray, whether a
+    block stopped it, and its end cell as an (n_rays, 2) int array of (x, y).
 
-    The first block is max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS //
-    n_rays) columns of every ray, each later one twice as wide; a ray leaves
-    the walk in the block where it stops or its in-bounds prefix ends. Each
-    block calls `block(rays, c0, idx, length)` with the block's rays, its
-    first column, their flat indices in the block and their prefixes clipped
-    to it; `block` returns `end_columns` of the block.
+    The blocks are those the table is stored in: the first is
+    `_first_block_cols(n_rays)` columns of every ray, each later one twice as
+    wide; a ray leaves the walk in the block where it stops or its in-bounds
+    prefix ends. Each block calls `block(rays, c0, off, length)` with the
+    block's rays, its first column, their shifted offsets in the block (see
+    the module docstring) and their prefixes clipped to it; `block` returns
+    `end_columns` of the block.
 
     The first block reads one ray of each `_first_block_groups` group, with
     `rays` those rays, and copies their results to their groups (see the
@@ -239,27 +284,34 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
     after the first block, each ray takes its group's total.
     """
     w = shape[1]
-    t = ray_table(n_rays, range_cells, w)
+    cols = _first_block_cols(n_rays)
+    t = ray_table(n_rays, range_cells, w, cols)
     length = prefix_lengths(t, origin, shape)
-    base = origin.y * w + origin.x
-    cols = max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS // n_rays)
     # Groups on `cols` columns hold for any fewer, as the first c1 can be.
     c1 = min(cols, int(length.max()))
     rep, row, first = _first_block_groups(n_rays, range_cells, w, cols)
-    col, hit = block(rep, 0, base + first[:, :c1], np.minimum(length[rep], c1))
-    end_col, stopped = col[row], hit[row]
+    off = first[:, :c1]
+    col, hit = block(rep, 0, off, np.minimum(length[rep], c1))
+    stopped, end = hit[row], off[np.arange(len(rep)), col][row]
     if carry is not None:
         carry[:] = carry[rep][row]
     rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
-    while len(rays):
-        c0, cols = c1, 2 * cols
+    for b in t.blocks[1:]:
+        if not len(rays):
+            break
+        # Each block starts at the column where the last one ended: a block
+        # cut short at its rays' longest prefix leaves no ray live.
+        c0 = c1
         ray_len = length[rays]
-        c1 = min(c0 + cols, int(ray_len.max()))
-        col, hit = block(rays, c0, base + t.flat[rays, c0:c1], np.minimum(ray_len - c0, c1 - c0))
-        end_col[rays], stopped[rays] = c0 + col, hit
+        c1 = min(c0 + b.shape[1], int(ray_len.max()))
+        off = b.take(rays, axis=0)[:, : c1 - c0]
+        col, hit = block(rays, c0, off, np.minimum(ray_len - c0, c1 - c0))
+        stopped[rays], end[rays] = hit, off[np.arange(len(rays)), col]
         rays = rays[~hit & (ray_len > c1)]
-    end = base + t.flat[np.arange(len(length)), end_col]
-    return end_col, stopped, np.stack([end % w, end // w], axis=1)
+    end += origin.y * w + origin.x - offset_shift(range_cells, w)
+    ends = np.empty((len(end), 2), dtype=end.dtype)
+    np.divmod(end, w, out=(ends[:, 1], ends[:, 0]))
+    return stopped, ends
 
 
 def line_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,8 +3,14 @@ robot kinematics on the diagonally-connected grid, and a procedural
 floor-plan generator.
 
 The sensor walks the ray table with `trace.walk_rays`, as the scoring
-casts do. Sensing is noise-free and the robot pose is known exactly: a
-cell the sensor marks free is free in the ground truth, and a hit
+casts do. It reads the ground truth's stop cells, and marks the cells its
+rays pass, in arrays padded by the table's offset shift on each side, so
+each block reads and writes through the table's offsets as they are (see
+the `trace` module docstring). A `Scan` lists the passed cells as sorted
+flat indices, and `integrate_scan` writes through them and returns the
+flat indices it made known, from which an episode keeps its coverage as a
+running count. Sensing is noise-free and the robot pose is known exactly:
+a cell the sensor marks free is free in the ground truth, and a hit
 endpoint is occupied in the ground truth.
 """
 
@@ -15,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidStateError
-from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, GridPose, OccupancyGrid
-from .trace import end_columns, gather_values, walk_rays
+from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid
+from .trace import end_columns, gather_values, offset_shift, walk_rays
 from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `world.ray_cell_table`)
 
 # Floor-plan generator defaults, shared with the [maps] config table.
@@ -43,13 +49,14 @@ class SensorSpec:
 class Scan:
     """One LiDAR acquisition.
 
-    `endpoints`/`hits` are per-ray arrays; `free_cells` is the deduplicated
-    (N, 2) array of all (x, y) cells the rays traversed without hitting.
+    `endpoints`/`hits` are per-ray arrays; `free_cells` holds the flat
+    indices `y * width + x` of all cells the rays traversed without hitting,
+    sorted and each once.
     """
 
     endpoints: np.ndarray  # (n_rays, 2) int, columns (x, y)
     hits: np.ndarray  # (n_rays,) bool
-    free_cells: np.ndarray = field(repr=False)  # (m, 2) int, columns (x, y)
+    free_cells: np.ndarray = field(repr=False)  # (m,) intp flat indices, ascending
 
 
 def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
@@ -66,43 +73,55 @@ def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
     if gt.at(pose) != FREE:
         raise InvalidStateError(f"scan pose {pose} is not on a free ground-truth cell")
 
-    occupied = gt.cells > 0.5
-    seen = np.zeros(gt.cells.size, dtype=bool)
+    range_cells = spec.range_lambda / gt.resolution
+    k, n = offset_shift(range_cells, gt.width), gt.cells.size
+    # Cell i of the grid is entry K + i of both padded arrays, so a shifted
+    # table offset reads entry base + offset: the views start at the pose.
+    occupied = np.zeros(n + 2 * k, dtype=bool)
+    np.greater(gt.cells.ravel(), 0.5, out=occupied[k : k + n])
+    seen = np.zeros(len(occupied), dtype=bool)
+    base = pose.y * gt.width + pose.x
+    occupied_from, seen_from = occupied[base:], seen[base:]
 
-    def block(rays, c0, idx, length):
-        col, stopped = end_columns(gather_values(occupied, idx), length)
+    def block(rays, c0, off, length):
+        col, stopped = end_columns(gather_values(occupied_from, off), length)
         # Every cell strictly before the end is free space the ray passed
         # through; a ray that did not stop passed its end cell too. All of
-        # these cells lie in the ray's in-bounds prefix.
-        seen[idx[np.arange(idx.shape[1]) < (col + ~stopped)[:, None]]] = True
+        # these cells lie in the ray's in-bounds prefix. The column counts
+        # fit int16, as the exit tables do, which halves the mask's cost.
+        passed = (col + ~stopped).astype(np.int16)
+        seen_from[off[np.arange(off.shape[1], dtype=np.int16) < passed[:, None]]] = True
         return col, stopped
 
-    _, hits, endpoints = walk_rays(spec.n_rays, spec.range_lambda / gt.resolution, pose,
-                                   gt.shape, block)
-    flat = np.nonzero(seen)[0]
-    free_cells = np.stack([flat % gt.width, flat // gt.width], axis=1)
-
-    return Scan(endpoints=endpoints, hits=hits, free_cells=free_cells)
+    hits, endpoints = walk_rays(spec.n_rays, range_cells, pose, gt.shape, block)
+    return Scan(endpoints=endpoints, hits=hits, free_cells=np.flatnonzero(seen[k : k + n]))
 
 
-def integrate_scan(observed: OccupancyGrid, scan: Scan) -> OccupancyGrid:
-    """Fold a scan into the observed map, in place.
+def integrate_scan(observed: OccupancyGrid, scan: Scan) -> np.ndarray:
+    """Fold a scan into the observed map, in place, and return the flat
+    indices of the cells it turned from unknown to known, each once.
 
     Traversed cells become free, hit endpoints become occupied. Known cells
     never revert to unknown, and free never overwrites occupied. The map
-    must be a three-label grid; this is not checked here, since an episode's
-    map starts unknown and changes only through this function.
+    must be a three-label grid of the shape the scan was taken on; a flat
+    index past its size raises, but the shape is not checked here, nor the
+    labels, since an episode's map starts unknown and changes only through
+    this function.
     """
-    fx, fy = scan.free_cells[:, 0], scan.free_cells[:, 1]
-    if len(fx) and (fx.max() >= observed.width or fy.max() >= observed.height):
+    cells = observed.cells
+    free = scan.free_cells
+    if len(free) and free[-1] >= cells.size:
         raise ValueError("scan does not fit the observed map dimensions")
-    cur = observed.cells[fy, fx]
-    observed.cells[fy, fx] = np.where(cur == OCCUPIED, OCCUPIED, FREE)
     hx, hy = scan.endpoints[scan.hits, 0], scan.endpoints[scan.hits, 1]
     if len(hx) and (hx.max() >= observed.width or hy.max() >= observed.height):
         raise ValueError("scan does not fit the observed map dimensions")
-    observed.cells[hy, hx] = OCCUPIED
-    return observed
+    free = free[cells.take(free) == UNKNOWN]
+    cells.put(free, FREE)
+    hit = hy * observed.width + hx
+    # Read after the free writes, so a cell listed both ways counts once.
+    new_hits = np.unique(hit[cells.take(hit) == UNKNOWN])
+    cells.put(hit, OCCUPIED)
+    return np.concatenate([free, new_hits])
 
 
 def apply_action(pose: GridPose, action: tuple[int, int], gt: OccupancyGrid) -> GridPose:

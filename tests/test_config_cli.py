@@ -1028,6 +1028,18 @@ def test_cli_score_map_reports_bad_input_in_one_line(tmp_path, capsys):
         assert "--tu-start: expected x,y" in capsys.readouterr().err
 
 
+def test_cli_score_map_requires_a_three_label_observed_map(tmp_path, capsys):
+    # Frontiers and predictors assume a three-label observed map without
+    # checking it; a map from outside is checked where it enters.
+    grey, room = tmp_path / "grey.pgm", tmp_path / "room.pgm"
+    save_pgm(OccupancyGrid(np.full((20, 20), 0.3), 0.1), grey)
+    save_pgm(OccupancyGrid(_sealed_box(), 0.1), room)
+    assert main(["score-map", str(grey), str(room)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "not a three-label map" in err, err
+
+
 def test_cli_replay_reports_an_unreadable_record(tmp_path, capsys):
     (tmp_path / "text.jsonl").write_text("not json\n")
     for name in ("nope.jsonl", "text.jsonl"):

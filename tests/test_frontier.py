@@ -251,9 +251,3 @@ def test_rank_is_deterministic_and_total():
     r1 = rank_frontiers(clusters, scores, pose)
     r2 = rank_frontiers(clusters, scores, pose)
     assert r1 == r2 and sorted(r1) == list(range(8))
-
-
-def test_extract_requires_three_label_map():
-    g = OccupancyGrid(np.full((8, 8), 0.3), 0.1)
-    with pytest.raises(ValueError):
-        extract_frontiers(g, 1)

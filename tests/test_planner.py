@@ -20,6 +20,7 @@ from exploresim import (
     SensorSpec,
     astar,
     new_grid,
+    path_cells,
     run_episode,
     waypoint_valid,
 )
@@ -63,6 +64,63 @@ def ucs_cost_oracle(blocked, start, goal, removed=None):
                 if nd < dist.get((nx, ny), float("inf")) - 1e-12:
                     dist[(nx, ny)] = nd
                     heapq.heappush(heap, (nd, (nx, ny)))
+    return None
+
+
+_MOVES = (
+    (1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
+    (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2),
+)
+
+
+def astar_oracle(blocked, start, goal):
+    """Reference A* with a bounds check per neighbour: the same move order,
+    heap keys (f, -g, seq) and tie rule as `astar`, so the same path."""
+    h, w = blocked.shape
+    if blocked[goal.y, goal.x]:
+        return None
+    blk = blocked.ravel().tolist()
+    gx, gy = goal.x, goal.y
+    r2 = SQRT2 - 1.0
+    gscore = [math.inf] * (h * w)
+    parent = [-1] * (h * w)
+    start_i = start.y * w + start.x
+    goal_i = gy * w + gx
+    gscore[start_i] = 0.0
+    heap = [(0.0, 0.0, 0, start.x, start.y)]
+    seq = 0
+    while heap:
+        _, neg_g, _, x, y = heapq.heappop(heap)
+        i = y * w + x
+        gxy = gscore[i]
+        if -neg_g > gxy + 1e-12:
+            continue
+        if i == goal_i:
+            path = [GridPose(x, y)]
+            while i != start_i:
+                i = parent[i]
+                path.append(GridPose(i % w, i // w))
+            path.reverse()
+            return path
+        for dx, dy, step in _MOVES:
+            nx = x + dx
+            ny = y + dy
+            if nx < 0 or nx >= w or ny < 0 or ny >= h:
+                continue
+            ni = ny * w + nx
+            if blk[ni]:
+                continue
+            if dx and dy and blk[y * w + nx] and blk[ny * w + x]:
+                continue
+            ng = gxy + step
+            if ng < gscore[ni] - 1e-12:
+                gscore[ni] = ng
+                parent[ni] = i
+                ddx = abs(nx - gx)
+                ddy = abs(ny - gy)
+                hcost = ddx + r2 * ddy if ddx >= ddy else ddy + r2 * ddx
+                seq += 1
+                heapq.heappush(heap, (ng + hcost, -ng, seq, nx, ny))
     return None
 
 
@@ -155,6 +213,32 @@ _CASES = dict(seed=st.integers(0, 2**32 - 1), side_x=st.integers(8, 24),
 
 @settings(deadline=None)
 @given(**_CASES)
+# The start is one of the goals.
+@example(seed=0, side_x=8, side_y=8, density=0.2, picks=[3, 3, 5])
+def test_astar_returns_the_oracle_path(seed, side_x, side_y, density, picks):
+    # Random walls up to 40% close corners and wall off goals, which must
+    # then be None in both.
+    blocked, start, goals = _random_case(seed, side_x, side_y, density, picks)
+    for g in goals:
+        assert astar(blocked, start, g) == astar_oracle(blocked, start, g)
+
+
+def test_astar_matches_the_oracle_through_closed_corners_and_walls():
+    # A closed corner on the diagonal from (0, 0), a walled-off pocket at
+    # (6, 6), and the start as its own goal.
+    blocked = np.zeros((8, 8), dtype=bool)
+    blocked[0, 1] = blocked[1, 0] = True
+    blocked[5, 5:8] = blocked[5:8, 5] = True
+    blocked[6, 6] = False
+    start = GridPose(2, 2)
+    for g in (GridPose(0, 0), GridPose(6, 6), start, GridPose(7, 0), GridPose(0, 7)):
+        assert astar(blocked, start, g) == astar_oracle(blocked, start, g)
+    assert astar(blocked, start, GridPose(6, 6)) is None
+    assert astar(blocked, start, start) == [start]
+
+
+@settings(deadline=None)
+@given(**_CASES)
 def test_reach_with_nothing_to_avoid_is_astar_reachability(seed, side_x, side_y, density, picks):
     blocked, start, goals = _random_case(seed, side_x, side_y, density, picks)
     reached = reach_avoiding(blocked, start, goals, np.zeros_like(blocked))
@@ -205,7 +289,7 @@ def test_waypoint_invalid_on_arrival():
     pose = GridPose(5, 5)
     observed.cells[:, :] = UNKNOWN
     observed.cells[5, 6] = FREE
-    assert not waypoint_valid(pose, path, observed, max_age=50)
+    assert not waypoint_valid(pose, path_cells(path, 16), observed, max_age=50)
 
 
 def test_waypoint_invalid_when_new_wall_crosses_path():
@@ -213,9 +297,9 @@ def test_waypoint_invalid_when_new_wall_crosses_path():
     path = [GridPose(1, 1), GridPose(2, 1), GridPose(3, 1), GridPose(4, 1)]
     observed.cells[1, 3] = OCCUPIED
     pose = GridPose(1, 1)
-    assert not waypoint_valid(pose, path, observed, max_age=50)
+    assert not waypoint_valid(pose, path_cells(path, 16), observed, max_age=50)
     # cells already passed do not invalidate the plan
-    assert waypoint_valid(pose, path, observed, path_index=3, max_age=50)
+    assert waypoint_valid(pose, path_cells(path, 16), observed, path_index=3, max_age=50)
 
 
 def test_waypoint_invalid_when_frontier_dissolves():
@@ -223,7 +307,7 @@ def test_waypoint_invalid_when_frontier_dissolves():
     observed.cells[:, :] = FREE  # fully known: waypoint has no unknown neighbor
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4), GridPose(5, 5)]
     pose = GridPose(1, 1)
-    assert not waypoint_valid(pose, path, observed, max_age=50)
+    assert not waypoint_valid(pose, path_cells(path, 16), observed, max_age=50)
 
 
 def test_waypoint_invalid_when_too_old():
@@ -232,8 +316,8 @@ def test_waypoint_invalid_when_too_old():
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4),
             GridPose(5, 5), GridPose(6, 6)]
     pose = GridPose(1, 1)
-    assert waypoint_valid(pose, path, observed, age=3, max_age=50)
-    assert not waypoint_valid(pose, path, observed, age=51, max_age=50)
+    assert waypoint_valid(pose, path_cells(path, 16), observed, age=3, max_age=50)
+    assert not waypoint_valid(pose, path_cells(path, 16), observed, age=51, max_age=50)
 
 
 def test_waypoint_valid_fresh_plan():
@@ -242,7 +326,7 @@ def test_waypoint_valid_fresh_plan():
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4),
             GridPose(5, 5), GridPose(6, 6)]
     pose = GridPose(1, 1)
-    assert waypoint_valid(pose, path, observed, age=3, max_age=50)
+    assert waypoint_valid(pose, path_cells(path, 16), observed, age=3, max_age=50)
 
 
 def _single_room(n=29):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exploresim import trace
+from exploresim.grid import GridPose
 from exploresim.trace import line_cells, ray_table
 
 
@@ -83,10 +84,39 @@ def test_line_cells_equals_the_concatenated_oracle(pairs):
 
 
 def test_the_default_ray_table_is_small_and_read_only():
-    # 2,500 rays of 200 cells on a 200-cell-wide grid: one flat index per
-    # distinct cell, not per sample, and two int16 exit tables.
-    table = ray_table(2500, 200.0, 200)
-    assert table.flat.nbytes + table.tx.nbytes + table.ty.nbytes <= 8_000_000
-    for a in table:
+    # 2,500 rays of 200 cells on a 200-cell-wide grid: one flat offset per
+    # distinct cell, not per sample, stored once, and two int16 exit tables.
+    table = ray_table(2500, 200.0, 200, trace._first_block_cols(2500))
+    assert sum(b.nbytes for b in table.blocks) + table.tx.nbytes + table.ty.nbytes <= 8_000_000
+    for a in (*table.blocks, table.tx, table.ty, table.east, table.south):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+@pytest.mark.parametrize("first", [None, 1, 2, 3])
+def test_the_walk_reads_the_table_block_by_block(first):
+    # On an open grid no ray stops or leaves it, so the walk reads every
+    # stored block whole, at the columns it is stored for, also when the
+    # first block is monkeypatched to 1-3 columns; the blocks, end to end,
+    # are the one-block table.
+    n_rays, range_cells, origin, shape = 24, 9.0, GridPose(12, 12), (25, 25)
+    calls = []
+
+    def block(rays, c0, off, length):
+        calls.append((c0, off.shape[1], rays.copy(), off.copy()))
+        return np.asarray(length) - 1, np.zeros(len(rays), dtype=bool)
+
+    with first_block(first):
+        cols = trace._first_block_cols(n_rays)
+        table = ray_table(n_rays, range_cells, shape[1], cols)
+        trace.walk_rays(n_rays, range_cells, origin, shape, block)
+        idx, _ = trace.ray_cell_table(origin, n_rays, range_cells, shape)
+    widths = [b.shape[1] for b in table.blocks]
+    assert widths[:-1] == [cols << k for k in range(len(widths) - 1)]
+    assert 0 < widths[-1] <= cols << (len(widths) - 1)
+    assert [(c0, n) for c0, n, _, _ in calls] == list(zip(np.cumsum([0] + widths[:-1]).tolist(),
+                                                          widths))
+    lo = origin.y * shape[1] + origin.x - trace.offset_shift(range_cells, shape[1])
+    for (c0, n, rays, off), b in zip(calls, table.blocks):
+        assert np.array_equal(off, b[rays])
+        assert np.array_equal(lo + off, idx[rays, c0 : c0 + n])

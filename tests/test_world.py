@@ -18,6 +18,8 @@ from exploresim import (
     SensorSpec,
     apply_action,
     astar,
+    building_footprint,
+    coverage_of,
     deterministic_raycast,
     generate_floorplan,
     integrate_scan,
@@ -25,6 +27,7 @@ from exploresim import (
     simulate_scan,
 )
 from exploresim import world
+from exploresim.metrics import coverage_percent
 from exploresim.trace import end_columns, gather_values, ray_cell_table
 from test_trace import first_block
 
@@ -54,16 +57,15 @@ def walk_ray_oracle(cells, x, y, angle, range_cells):
 
 def assert_scan_matches_oracle(gt, x, y, n_rays, range_dm):
     """The scan of `n_rays` rays of `range_dm` cells from (x, y) on `gt`
-    (0.1 m cells) ends every ray where the oracle does and marks exactly the
-    cells the oracle passes, once each."""
+    (0.1 m cells) ends every ray where the oracle does and lists exactly the
+    cells the oracle passes, once each, as ascending flat indices."""
     scan = simulate_scan(gt, GridPose(x, y), SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays))
     passed = set()
     for j in range(n_rays):
         end, hit, cells = walk_ray_oracle(gt.cells, x, y, j * (2.0 * math.pi / n_rays), range_dm)
         assert (tuple(scan.endpoints[j].tolist()), scan.hits[j]) == (end, hit), j
         passed |= cells
-    assert set(map(tuple, scan.free_cells.tolist())) == passed
-    assert len(scan.free_cells) == len(passed)
+    assert scan.free_cells.tolist() == sorted(cy * gt.width + cx for cx, cy in passed)
 
 
 def random_binary_map(rng, n, density=0.2):
@@ -163,9 +165,7 @@ def one_block_scan(gt, pose, spec):
     end = idx[np.arange(spec.n_rays), end_idx]
     seen = np.zeros(gt.cells.size, dtype=bool)
     seen[idx[np.arange(idx.shape[1]) < (end_idx + ~hits)[:, None]]] = True
-    flat = np.flatnonzero(seen)
-    return (np.stack([end % gt.width, end // gt.width], axis=1), hits,
-            np.stack([flat % gt.width, flat // gt.width], axis=1))
+    return np.stack([end % gt.width, end // gt.width], axis=1), hits, np.flatnonzero(seen)
 
 
 def test_the_default_scan_on_a_generated_plan_equals_a_one_block_read(monkeypatch):
@@ -218,8 +218,7 @@ def test_scan_soundness_against_ground_truth():
     for _ in range(5):
         gt = random_binary_map(rng, 48)
         scan = simulate_scan(gt, GridPose(24, 24), spec)
-        fx, fy = scan.free_cells[:, 0], scan.free_cells[:, 1]
-        assert (gt.cells[fy, fx] == FREE).all()
+        assert (gt.cells.ravel()[scan.free_cells] == FREE).all()
         hx = scan.endpoints[scan.hits, 0]
         hy = scan.endpoints[scan.hits, 1]
         assert (gt.cells[hy, hx] == OCCUPIED).all()
@@ -242,8 +241,7 @@ def test_scan_shares_the_scoring_ray_end_rule(seed, width, height, density, pick
     scan = simulate_scan(gt, pose, SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays))
     cfg = RaycastConfig(n_rays=n_rays, range_lambda=range_dm / 10)
     assert np.array_equal(scan.endpoints, deterministic_raycast(pose, gt, cfg))
-    fx, fy = scan.free_cells[:, 0], scan.free_cells[:, 1]
-    assert (gt.cells[fy, fx] == FREE).all()
+    assert (gt.cells.ravel()[scan.free_cells] == FREE).all()
     hx, hy = scan.endpoints[scan.hits, 0], scan.endpoints[scan.hits, 1]
     assert (gt.cells[hy, hx] == OCCUPIED).all()
 
@@ -253,12 +251,59 @@ def test_integrate_single_ray():
     scan = Scan(
         endpoints=np.array([[7, 5]]),
         hits=np.array([True]),
-        free_cells=np.array([[2, 5], [3, 5], [4, 5], [5, 5], [6, 5]]),
+        free_cells=np.array([5 * 11 + x for x in range(2, 7)]),
     )
-    integrate_scan(observed, scan)
+    new = integrate_scan(observed, scan)
+    assert sorted(new.tolist()) == [5 * 11 + x for x in range(2, 8)]
     assert (observed.cells[5, 2:7] == FREE).all()
     assert observed.cells[5, 7] == OCCUPIED
     assert (observed.cells == UNKNOWN).sum() == 121 - 6
+
+
+def test_integrate_returns_each_newly_known_cell_once():
+    # Two rays hit (7, 5); (2, 5) is known already; (3, 5) is listed as both
+    # passed and hit, so it ends occupied and counts once.
+    observed = new_grid(11, 11, 0.1)
+    observed.cells[5, 2] = FREE
+    scan = Scan(endpoints=np.array([[7, 5], [7, 5], [3, 5], [2, 5]]),
+                hits=np.array([True, True, True, False]),
+                free_cells=np.array([5 * 11 + x for x in range(2, 7)]))
+    new = integrate_scan(observed, scan)
+    assert sorted(new.tolist()) == [5 * 11 + x for x in range(3, 8)]
+    assert observed.cells[5, 3] == observed.cells[5, 7] == OCCUPIED
+    assert len(integrate_scan(observed, scan)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(3, 30), height=st.integers(3, 30),
+       density=st.floats(0.0, 0.5), n_scans=st.integers(1, 6), n_rays=st.integers(4, 64),
+       range_dm=st.integers(1, 40))
+def test_the_running_count_of_newly_known_cells_is_the_coverage(seed, width, height, density,
+                                                                n_scans, n_rays, range_dm):
+    # An episode counts the footprint cells each scan made known; after
+    # every scan that count gives `coverage_of`'s float, and no known cell
+    # went back to unknown. A closed ring keeps the footprint the whole plan.
+    rng = np.random.default_rng(seed)
+    cells = (rng.random((height, width)) < density).astype(float)
+    cells[[0, -1], :] = cells[:, [0, -1]] = OCCUPIED
+    gt = OccupancyGrid(cells, 0.1)
+    free = np.flatnonzero(gt.cells == FREE)
+    if len(free) == 0:
+        return
+    footprint = building_footprint(gt)
+    total = int(footprint.sum())
+    observed = new_grid(width, height, 0.1)
+    spec = SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays)
+    known = 0
+    for i in rng.choice(free, n_scans):
+        before = observed.cells != UNKNOWN
+        new = integrate_scan(observed, simulate_scan(gt, GridPose(int(i % width),
+                                                                 int(i // width)), spec))
+        after = observed.cells != UNKNOWN
+        assert (after >= before).all()
+        assert sorted(new.tolist()) == np.flatnonzero(after & ~before).tolist()
+        known += int(footprint.ravel()[new].sum())
+        assert coverage_percent(known, total) == coverage_of(observed, footprint)
 
 
 def test_integrate_is_idempotent():
