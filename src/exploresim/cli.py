@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, MapSource, PredictorSpec, from_table, parse_config
+from .config import ExperimentConfig, MapSource, PredictorSpec, _typed, from_table, parse_config
 from .errors import ConfigError, RecordMismatchError
 from .grid import GridPose, OccupancyGrid, load_pgm, save_pgm
 from .metrics import (
@@ -235,6 +235,14 @@ def _from_header(cls, header: dict, key: str):
         raise RecordMismatchError(f"record header {exc}") from None
 
 
+def _typed_from_header(hint, header: dict, key: str):
+    """`header[key]` as a field annotated `hint` holds it, else RecordMismatchError."""
+    try:
+        return _typed(hint, header[key])
+    except TypeError:
+        raise RecordMismatchError(f"record header {key}: {header[key]!r} does not fit") from None
+
+
 def _episode_inputs(header: dict, gt: OccupancyGrid) -> tuple[EpisodeConfig, list]:
     """The episode config and predictor ensemble a record header describes.
 
@@ -243,15 +251,18 @@ def _episode_inputs(header: dict, gt: OccupancyGrid) -> tuple[EpisodeConfig, lis
     """
     ep_cfg = _from_header(EpisodeConfig, header, "episode")
     spec = _from_header(PredictorSpec, header, "predictor")
-    return ep_cfg, build_ensemble(spec, gt, header["member_seeds"])
+    seeds = _typed_from_header(list[int], header, "member_seeds")
+    if len(seeds) != spec.ensemble:
+        raise RecordMismatchError(f"record header member_seeds: {len(seeds)}, not {spec.ensemble}")
+    return ep_cfg, build_ensemble(spec, gt, seeds)
 
 
 def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Path) -> dict:
     """Execute one experiment row and write its outputs. Returns CSV values.
 
     A row whose metrics and record exist is not re-run when the record
-    starts with the header this run would write. Otherwise its old
-    snapshots are deleted and the row runs again.
+    starts with the header this run would write. Otherwise its old metrics
+    and snapshots are deleted and the row runs again.
     """
     row_dir = out_dir / spec.name
     metrics_path = row_dir / "metrics.json"
@@ -265,6 +276,7 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
                 return json.load(fh)
 
     row_dir.mkdir(parents=True, exist_ok=True)
+    metrics_path.unlink(missing_ok=True)
     for old in row_dir.glob("*.pgm"):
         old.unlink()
     ep_cfg, ensemble = _episode_inputs(header, gt)
@@ -366,17 +378,22 @@ def replay(record_path, out_dir) -> list[Path]:
     or when the record has no header this version reads, one made under
     other `RULES`, or one whose values the config dataclasses reject."""
     record_path = Path(record_path)
-    lines = record_path.read_text().splitlines()
+    # Bytes that are not UTF-8 read as U+FFFD, which no re-run writes.
+    lines = record_path.read_text(encoding="utf-8", errors="replace").splitlines()
     header = json.loads(lines[0]) if lines else {}
-    if (set(header) != _HEADER_KEYS or header["type"] != "header"
+    if (type(header) is not dict or set(header) != _HEADER_KEYS
+            or header["type"] != "header" or type(header["map"]) is not dict
             or set(header["map"]) != {f.name for f in fields(MapSource)}):
         raise RecordMismatchError(f"{record_path}: no header line in this version's format")
     if header["rules"] != RULES:
         raise RecordMismatchError(f"{record_path}: recorded under rules {header['rules']}, "
                                   f"this version runs rules {RULES}")
     [(_, _, gt)] = materialize_maps(_from_header(MapSource, header, "map"))
+    start = _typed_from_header(GridPose, header, "start")
+    if not gt.in_bounds(start.x, start.y) or gt.at(start) != 0.0:
+        raise RecordMismatchError(f"record header start: {start} is not a free map cell")
     ep_cfg, ensemble = _episode_inputs(header, gt)
-    record = run_episode(gt, GridPose(*header["start"]), ep_cfg, ensemble)
+    record = run_episode(gt, start, ep_cfg, ensemble)
     for n, (old, new) in enumerate(zip_longest(lines, record_lines(record, header)), 1):
         if old != new:
             obj = json.loads(new if new is not None else old)

@@ -54,9 +54,11 @@ Neighbouring rays start through the same cells: of the 2,500 rays of the
 default sensor, only 604 differ in their first 13 cells. A block's result
 for a ray depends only on the ray's cells in it and its prefix there, and
 rays whose cells are the same 2-D offsets have the same prefix from every
-origin. So `walk_rays` reads the first block once per `_first_block_groups`
-group and copies the result to the group's other rays. Later blocks read
-every live ray.
+origin. So `ray_table` groups the rays by their first-block cells, as the
+2-D offsets its build computes, 0 past a ray's last cell (flat offsets can
+collide on a grid narrower than 2 * cols - 1 cells), and `walk_rays` reads
+the first block once per group and copies the result to the group's other
+rays. Later blocks read every live ray.
 
 A segment from a to b has max(|dx|, |dy|) + 1 cells; the i-th moves each
 axis i * |d| / max(|dx|, |dy|) cells towards b, rounded half down. These
@@ -89,14 +91,17 @@ _FIRST_BLOCK_MIN_COLS = 8
 
 
 class RayTable(NamedTuple):
-    """Per-ray shifted flat cell offsets, stored by walk block, and exit
-    tables; see the module docstring."""
+    """Per-ray shifted flat cell offsets, stored by walk block, exit tables
+    and first-block groups; see the module docstring."""
 
     blocks: tuple  # (n_rays, block cols) intp arrays, the table's columns in order
     tx: np.ndarray  # (R + 1, n_rays) int16
     ty: np.ndarray  # (R + 1, n_rays) int16
     east: np.ndarray  # (n_rays,) bool: offx never falls below 0
     south: np.ndarray  # (n_rays,) bool: offy never falls below 0
+    rep: np.ndarray  # (groups,) the first ray of each group, ascending
+    row: np.ndarray  # (n_rays,) the group of each ray; row[rep] is arange(groups)
+    first: np.ndarray  # (groups, first block cols): blocks[0][rep]
 
 
 def _sample_count(range_cells: float) -> int:
@@ -141,6 +146,8 @@ def ray_table(n_rays: int, range_cells: float, width: int, first_cols: int) -> R
     ty = np.empty_like(tx)
     east = np.empty(n_rays, dtype=bool)
     south = np.empty_like(east)
+    # Each ray's first-block cells as 2-D offsets, 0 past its last: its group key.
+    keys = np.zeros((n_rays, 2, first_cols), dtype=np.int32)
     parts = []
     for lo in range(0, n_rays, _BUILD_RAYS):
         hi = min(lo + _BUILD_RAYS, n_rays)
@@ -161,6 +168,8 @@ def ray_table(n_rays: int, range_cells: float, width: int, first_cols: int) -> R
         ty[:, lo:hi] = _exit_table(offy, valid, reach).T
         east[lo:hi] = offx.min(axis=1) >= 0
         south[lo:hi] = offy.min(axis=1) >= 0
+        keys[lo:hi, 0, : offx.shape[1]] = offx[:, :first_cols]
+        keys[lo:hi, 1, : offy.shape[1]] = offy[:, :first_cols]
         parts.append(offy * width + offx + shift)
     n_cols = max(p.shape[1] for p in parts)
     # The blocks lie one after another in one allocation: separate arrays
@@ -175,8 +184,15 @@ def ray_table(n_rays: int, range_cells: float, width: int, first_cols: int) -> R
             b[lo : lo + len(p), : max(0, p.shape[1] - c0)] = p[:, c0:c1]
         blocks.append(b)
         c0, cols = c1, 2 * cols
-    table = RayTable(tuple(blocks), tx, ty, east, south)
-    for a in (*blocks, tx, ty, east, south):
+    del parts
+    _, rep, row = np.unique(keys.reshape(n_rays, -1), axis=0, return_index=True,
+                            return_inverse=True)
+    order = np.argsort(rep)  # groups in the order of their first rays
+    rep, row = rep[order], np.argsort(order)[row.ravel()]
+    # With every prefix distinct, `rep` is arange(n_rays) and the block will do.
+    first = blocks[0][rep] if len(rep) < n_rays else blocks[0]
+    table = RayTable(tuple(blocks), tx, ty, east, south, rep, row, first)
+    for a in (*blocks, tx, ty, east, south, rep, row, first):
         a.flags.writeable = False
     return table
 
@@ -227,40 +243,6 @@ def end_columns(stop: np.ndarray, length: np.ndarray):
     return np.where(stopped, first, length - 1), stopped
 
 
-@lru_cache(maxsize=8)
-def _first_block_groups(n_rays: int, range_cells: float, width: int, cols: int):
-    """The rays of `ray_table(n_rays, range_cells, width, cols)` grouped by
-    their first `cols` cells, as 2-D offsets: (rep, row, first), where `rep`
-    holds the first ray of each group in ray order, `row[i]` the group of
-    ray i, and `first` the rows `rep` of the table's first block.
-    When every prefix is distinct, `rep` and `row` are both arange(n_rays).
-
-    The offsets come from the exit tables: cell j of a ray has |offx| equal
-    to the number of k with tx[k, ray] <= j, and the sign of `east`; the
-    same for y. Flat offsets would not do: on a grid narrower than 2 * cols
-    - 1 cells, two different cells can share one.
-    """
-    t = ray_table(n_rays, range_cells, width, cols)
-    c = t.blocks[0].shape[1]
-    keys = np.empty((n_rays, 2, c), dtype=np.int32)
-    rows = np.arange(n_rays)[:, None] * (c + 1)
-    for i, (table, positive) in enumerate(((t.tx, t.east), (t.ty, t.south))):
-        # A column past the ray's last cell counts every entry, min(c, reach + 1).
-        v = np.minimum(table[:c].T, c)
-        hist = np.bincount((rows + v).ravel(), minlength=n_rays * (c + 1))
-        np.cumsum(hist.reshape(n_rays, c + 1)[:, :c], axis=1, out=keys[:, i])
-        keys[~positive, i] *= -1
-    _, rep, row = np.unique(keys.reshape(n_rays, 2 * c), axis=0, return_index=True,
-                            return_inverse=True)
-    order = np.argsort(rep)  # groups in the order of their first rays
-    rep, row = rep[order], np.argsort(order)[row.ravel()]
-    # With every prefix distinct, `rep` is arange(n_rays) and the block will do.
-    first = t.blocks[0][rep] if len(rep) < n_rays else t.blocks[0]
-    for a in (rep, row, first):
-        a.flags.writeable = False
-    return rep, row, first
-
-
 def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, carry=None):
     """Walk the rays of the ray table of `n_rays` rays of `range_cells`
     cells from the center of `origin` on a grid of `shape`, in column blocks
@@ -275,10 +257,11 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
     the module docstring) and their prefixes clipped to it; `block` returns
     `end_columns` of the block.
 
-    The first block reads one ray of each `_first_block_groups` group, with
-    `rays` those rays, and copies their results to their groups (see the
-    module docstring); when every prefix is distinct, every ray is its own
-    group. Later blocks get the indices of their rays.
+    The first block reads the first ray of each of the table's groups, with
+    `rays` the table's `rep` and `off` its `first`, and copies their results
+    to their groups by `row` (see the module docstring); when every prefix
+    is distinct, every ray is its own group. Later blocks get the indices of
+    their rays.
     A caller that keeps a running per-ray total across blocks passes it as
     `carry`, an (n_rays,) array that its blocks read and write by `rays`;
     after the first block, each ray takes its group's total.
@@ -289,12 +272,11 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
     length = prefix_lengths(t, origin, shape)
     # Groups on `cols` columns hold for any fewer, as the first c1 can be.
     c1 = min(cols, int(length.max()))
-    rep, row, first = _first_block_groups(n_rays, range_cells, w, cols)
-    off = first[:, :c1]
-    col, hit = block(rep, 0, off, np.minimum(length[rep], c1))
-    stopped, end = hit[row], off[np.arange(len(rep)), col][row]
+    off = t.first[:, :c1]
+    col, hit = block(t.rep, 0, off, np.minimum(length[t.rep], c1))
+    stopped, end = hit[t.row], off[np.arange(len(t.rep)), col][t.row]
     if carry is not None:
-        carry[:] = carry[rep][row]
+        carry[:] = carry[t.rep][t.row]
     rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
     for b in t.blocks[1:]:
         if not len(rays):

@@ -532,6 +532,25 @@ def test_resume_reruns_a_row_whose_snapshots_setting_changed(tmp_path):
         "obs_t00005.pgm", "obs_t00010.pgm"]
 
 
+def test_an_interrupted_rerun_never_returns_the_old_metrics(tmp_path, monkeypatch):
+    # A re-run deletes the old metrics before it writes its record, so a
+    # run cut after the record is written runs again on resume.
+    assert run_experiment(_tiny_row_config(tmp_path, budget=15, tu_goals=5))[0]["steps"] == 15
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "topological_understanding", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(_tiny_row_config(tmp_path, budget=25, tu_goals=5))
+    row_dir = _first_row_dir(tmp_path)
+    assert not (row_dir / "metrics.json").exists()
+    [row] = run_experiment(_tiny_row_config(tmp_path, budget=25, tu_goals=5))
+    assert row["steps"] == 25
+    assert json.loads((row_dir / "record.jsonl").read_text().splitlines()[-1])["t"] == 25
+
+
 def test_resume_reruns_a_row_made_under_other_rules(tmp_path, monkeypatch):
     # A row stored by a version with other RULES runs again, drops its old
     # snapshots and recomputes its metrics.
@@ -699,18 +718,38 @@ def test_replay_refuses_a_record_made_under_other_rules(tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1 and message in err
 
 
-@pytest.mark.parametrize("table, key, value", [
-    ("map", "kind", "file"), ("episode", "budget_t", -1), ("predictor", "ensemble", 0),
+@pytest.mark.parametrize("first_line, message", [
+    pytest.param(lambda h: h | {"map": h["map"] | {"kind": "file"}}, r"\[map\] kind: must be",
+                 id="map-kind-file"),
+    pytest.param(lambda h: h | {"episode": h["episode"] | {"budget_t": -1}},
+                 r"\[episode\] budget_t: must be", id="episode-budget_t--1"),
+    pytest.param(lambda h: h | {"predictor": h["predictor"] | {"ensemble": 0}},
+                 r"\[predictor\] ensemble: must be", id="predictor-ensemble-0"),
+    pytest.param(lambda h: 5, "no header line", id="not-an-object"),
+    pytest.param(lambda h: h | {"map": 3}, "no header line", id="map-3"),
+    pytest.param(lambda h: h | {"start": [1]}, r"start: \[1\] does not fit", id="start-one-int"),
+    pytest.param(lambda h: h | {"start": "xy"}, "start: 'xy' does not fit", id="start-text"),
+    pytest.param(lambda h: h | {"start": [0, 0]}, r"start: GridPose\(x=0, y=0\) is not a free",
+                 id="start-wall"),
+    pytest.param(lambda h: h | {"member_seeds": ["a", "b", "c"]},
+                 r"member_seeds: \['a', 'b', 'c'\] does not fit", id="seeds-text"),
+    pytest.param(lambda h: h | {"member_seeds": []}, "member_seeds: 0, not 1",
+                 id="seeds-too-few"),
+    pytest.param(lambda h: h | {"member_seeds": [0, 1]}, "member_seeds: 2, not 1",
+                 id="seeds-too-many"),
+    pytest.param(lambda h: json.dumps(h).replace("header", "he\xffder").encode("latin-1") + b"\n",
+                 "no header line", id="not-utf8"),
 ])
-def test_replay_reports_a_rejected_header_value(tmp_path, capsys, table, key, value):
-    # The header has every field name, but one value its dataclass rejects.
+def test_replay_reports_a_rejected_header_value(tmp_path, capsys, first_line, message):
+    # A first line that is no header of this version, or a header with a
+    # value its dataclass, its type or its map rejects, fails with one line.
     cfg = ExperimentConfig(maps=MapSource(kind="generate", count=1, width=60, height=60),
                            predictor=PredictorSpec(kind="passthrough", ensemble=1))
     header = _row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0, "nearest", 0))
-    header[table][key] = value
+    line = first_line(header)
     record = tmp_path / "record.jsonl"
-    record.write_text(json.dumps(header) + "\n")
-    with pytest.raises(RecordMismatchError, match=rf"\[{table}\] {key}: must be"):
+    record.write_bytes(line if isinstance(line, bytes) else json.dumps(line).encode() + b"\n")
+    with pytest.raises(RecordMismatchError, match=message):
         replay(record, tmp_path / "out")
     assert main(["replay", str(record), "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()

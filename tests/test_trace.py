@@ -2,7 +2,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exploresim import trace
@@ -88,9 +88,47 @@ def test_the_default_ray_table_is_small_and_read_only():
     # distinct cell, not per sample, stored once, and two int16 exit tables.
     table = ray_table(2500, 200.0, 200, trace._first_block_cols(2500))
     assert sum(b.nbytes for b in table.blocks) + table.tx.nbytes + table.ty.nbytes <= 8_000_000
-    for a in (*table.blocks, table.tx, table.ty, table.east, table.south):
+    assert len(table.rep) == 604  # the groups of the first 13 cells; see the trace docstring
+    assert table.row.nbytes + table.first.nbytes <= 100_000
+    for a in (*table.blocks, table.tx, table.ty, table.east, table.south,
+              table.rep, table.row, table.first):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+def _first_cells(n_rays, range_cells, cols):
+    """Each ray's first `cols` cells as (x, y) offsets, by the quarter-step
+    rule of the trace docstring, with None past its last cell."""
+    angles = np.arange(n_rays, dtype=np.float64) * (2.0 * np.pi / n_rays)
+    dist = np.arange(int(range_cells / 0.25 + 1e-9) + 1) * 0.25
+    xs = np.floor(0.5 + np.cos(angles)[:, None] * dist).astype(int).tolist()
+    ys = np.floor(0.5 + np.sin(angles)[:, None] * dist).astype(int).tolist()
+    keys = []
+    for x, y in zip(xs, ys):
+        cells = [c for i, c in enumerate(zip(x, y)) if i == 0 or c != (x[i - 1], y[i - 1])]
+        keys.append(tuple(cells[:cols]) + (None,) * (cols - len(cells)))
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rays=st.integers(1, 400), range_cells=st.integers(1, 120).map(lambda q: q / 4),
+       width=st.integers(3, 60), cols=st.integers(1, 20))
+@example(n_rays=64, range_cells=2.75, width=3, cols=8)
+def test_rays_share_a_group_exactly_when_their_first_cells_are_equal(n_rays, range_cells,
+                                                                     width, cols):
+    # On a grid narrower than 2 * cols - 1 cells, two different cells can
+    # share a flat offset. In the @example, some rays' first blocks differ
+    # as cells but are the same row of flat offsets, the shorter ray padded
+    # with the origin; the groups tell them apart.
+    table = ray_table(n_rays, range_cells, width, cols)
+    keys = _first_cells(n_rays, range_cells, table.blocks[0].shape[1])
+    groups = {}  # key -> group, numbered in the order of the groups' first rays
+    expected_row = [groups.setdefault(k, len(groups)) for k in keys]
+    assert table.row.tolist() == expected_row
+    assert table.rep.tolist() == [keys.index(k) for k in groups]
+    assert np.all(np.diff(table.rep) > 0)
+    assert np.array_equal(table.row[table.rep], np.arange(len(table.rep)))
+    assert np.array_equal(table.first, table.blocks[0][table.rep])
 
 
 @pytest.mark.parametrize("first", [None, 1, 2, 3])
@@ -103,7 +141,7 @@ def test_the_walk_reads_the_table_block_by_block(first):
     calls = []
 
     def block(rays, c0, off, length):
-        calls.append((c0, off.shape[1], rays.copy(), off.copy()))
+        calls.append((c0, off.shape[1], rays, off.copy()))
         return np.asarray(length) - 1, np.zeros(len(rays), dtype=bool)
 
     with first_block(first):
@@ -111,6 +149,7 @@ def test_the_walk_reads_the_table_block_by_block(first):
         table = ray_table(n_rays, range_cells, shape[1], cols)
         trace.walk_rays(n_rays, range_cells, origin, shape, block)
         idx, _ = trace.ray_cell_table(origin, n_rays, range_cells, shape)
+    assert calls[0][2] is table.rep  # the first block reads one ray per group
     widths = [b.shape[1] for b in table.blocks]
     assert widths[:-1] == [cols << k for k in range(len(widths) - 1)]
     assert 0 < widths[-1] <= cols << (len(widths) - 1)
