@@ -396,7 +396,8 @@ def replay(record_path, out_dir) -> list[Path]:
     record = run_episode(gt, start, ep_cfg, ensemble)
     for n, (old, new) in enumerate(zip_longest(lines, record_lines(record, header)), 1):
         if old != new:
-            obj = json.loads(new if new is not None else old)
+            # Only the re-run's lines are parsed: an old line past its end need not be JSON.
+            obj = json.loads(new) if new is not None else {"type": "past the re-run's end"}
             where = f"t={obj['t']}" if "t" in obj else obj["type"]
             raise RecordMismatchError(
                 f"{record_path}: line {n} ({where}) differs from the re-run")

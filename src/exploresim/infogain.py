@@ -3,10 +3,10 @@ visibility-mask construction by flood fill, and the gain sum over the
 variance map.
 
 Both casts walk the ray table with `trace.walk_rays`, the sensor's own
-walker: each block reads the map through `trace.gather_values`, at the
-block's shifted table offsets moved onto the grid, and ends its rays by
-`trace.end_columns`, the sensor's stop rule. The casts differ only
-in the stop mask. Endpoints and visibility masks are (N, 2) int arrays with
+walker: each block reads the map through `trace.gather_values` at the
+flat grid indices the walk hands it, and ends its rays by
+`trace.end_columns`, the sensor's stop rule. The casts differ only in the
+stop mask. Endpoints and visibility masks are (N, 2) int arrays with
 columns (x, y), like `Scan.endpoints`.
 
 A probabilistic ray accumulates the occupancy value of each cell it
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import UNKNOWN, GridPose, OccupancyGrid
-from .trace import end_columns, gather_values, line_cells, offset_shift, walk_rays
+from .trace import end_columns, gather_values, line_cells, walk_rays
 from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `infogain.ray_cell_table`)
 
 # The running total is a float cumsum; comparing against epsilon minus this
@@ -62,17 +62,13 @@ def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, stop_fn,
     if not grid.in_bounds(viewpoint.x, viewpoint.y):
         raise ValueError(f"viewpoint {viewpoint} is outside the grid")
 
-    range_cells = cfg.range_lambda / grid.resolution
-    # Padding a float map per cast would cost more than it saves, so the
-    # casts move the table's shifted offsets onto the grid instead.
-    lo = viewpoint.y * grid.width + viewpoint.x - offset_shift(range_cells, grid.width)
-
-    def block(rays, c0, off, length):
-        values = gather_values(grid.cells, off + lo)
+    def block(rays, c0, idx, length):
+        values = gather_values(grid.cells, idx)
         if c0 == 0:
             values[:, 0] = 0.0  # column 0 is the viewpoint's own cell
         return end_columns(stop_fn(rays, values), length)
 
+    range_cells = cfg.range_lambda / grid.resolution
     return walk_rays(cfg.n_rays, range_cells, viewpoint, grid.shape, block, carry)[1]
 
 

@@ -3,9 +3,9 @@ ensemble with its mean/variance maps, and a file-protocol hook for plugging
 in an external predictor process.
 
 Predictors fill the unknown cells; the ensemble is the one clamp:
-`ensemble_predict` overrides each member's prediction with the known
-observed cells before computing statistics, so every member agrees with
-the observation and variance is zero wherever the observed map is known.
+`ensemble_predict` sets the mean to the observed value and the variance to
+zero wherever the observed map is known, as if every member's prediction
+had been overridden there by the observation.
 Variance is the population (divide-by-n) variance, which is well defined
 for a single member and bounded by 0.25 for values in [0, 1].
 
@@ -35,12 +35,6 @@ from .grid import UNKNOWN, OccupancyGrid, load_pgm, save_pgm
 # Seconds an external predictor may take for one prediction before it is
 # killed and the call fails, so that a hung predictor cannot hang a batch.
 EXTERNAL_TIMEOUT_S = 120.0
-
-
-def clamp_to_observed(prediction: np.ndarray, observed: OccupancyGrid) -> np.ndarray:
-    """Known observed cells override the prediction."""
-    known = observed.cells != UNKNOWN
-    return np.where(known, observed.cells, prediction)
 
 
 class PassThroughPredictor:
@@ -232,15 +226,17 @@ class ExternalPredictor:
 @dataclass
 class PredictionSet:
     """Ensemble output: the per-cell mean and population variance of the
-    clamped member predictions."""
+    member predictions, clamped to the known observed cells."""
 
     mean: OccupancyGrid
     variance: OccupancyGrid
 
 
 def ensemble_predict(members: list, observed: OccupancyGrid) -> PredictionSet:
-    """Run every member, clamp each prediction to the known observed cells,
-    and compute the mean and variance maps.
+    """Run every member, take the mean and variance maps of their
+    predictions, and clamp both to the known observed cells: the mean takes
+    the observed value there and the variance 0. On a three-label map this
+    equals clamping each member first.
 
     The map must be a three-label grid; this is not checked here, since an
     episode's map changes only through `world.integrate_scan`.
@@ -250,11 +246,14 @@ def ensemble_predict(members: list, observed: OccupancyGrid) -> PredictionSet:
     stacks = []
     for i, member in enumerate(members):
         try:
-            p = member.predict(observed)
+            stacks.append(member.predict(observed).cells)
         except Exception as exc:
             raise EnsembleError(i, str(exc)) from exc
-        stacks.append(clamp_to_observed(p.cells, observed))
     stack = np.stack(stacks)
-    mean = OccupancyGrid(stack.mean(axis=0), observed.resolution)
-    variance = OccupancyGrid(stack.var(axis=0), observed.resolution)
-    return PredictionSet(mean=mean, variance=variance)
+    known = observed.cells != UNKNOWN
+    mean, variance = stack.mean(axis=0), stack.var(axis=0)
+    # In place: two more grid-sized results make the heap trim and re-fault each call.
+    np.copyto(mean, observed.cells, where=known)
+    np.copyto(variance, 0.0, where=known)
+    return PredictionSet(mean=OccupancyGrid(mean, observed.resolution),
+                         variance=OccupancyGrid(variance, observed.resolution))

@@ -25,11 +25,10 @@ a cell it has left.
 
 `ray_table` caches, per (ray count, range, grid width, first block width),
 each ray's distinct cells in walk order as flat offsets `offy * width +
-offx`, shifted by K = reach * (width + 1) (`offset_shift`), so that every
-entry lies in [0, 2K]; column 0 is the origin cell, and shorter rays are
-padded with K, the origin. The offsets are stored block by block, one
-contiguous (n_rays, block width) array per block of the walk, so a block
-reads whole rows. It also caches two exit tables:
+offx`; column 0 is the origin cell, offset 0, and shorter rays are padded
+with 0. The offsets are stored block by block, one contiguous (n_rays,
+block width) array per block of the walk, so a block reads whole rows. It
+also caches two exit tables:
 `tx[k, ray]` is the number of the ray's leading cells with |offx| <= k, and
 `ty` the same for |offy|. A ray heading to +x leaves a grid of width w
 after its leading cells with offx <= w-1-x; one heading to -x after those
@@ -40,25 +39,24 @@ padding, which lies past the ray's last cell, is never inside it.
 `prefix_lengths` is the one exit-table rule. The exit tables hold one row
 per k, so the entries one pose reads are contiguous.
 
-A block gets the shifted offsets themselves. Cell `base + offset - K` of
-the grid, with `base` the origin's flat index, is entry `base + offset` of
-the grid's cells padded with K cells on each side, so a reader that pads
-its map reads it through the view `padded[base:]` with no index arithmetic
-and no index out of range. A column past a ray's prefix lies off the grid
-or wraps onto another row; its value is never used. `walk_rays` reads the
-table in column blocks of the rays still live, so a read stops near where
-its rays end. `ray_cell_table` reads the whole table in one block; it is
-the reference the walk is tested against.
+`walk_rays` hands each block its rays' cells as flat grid indices, `base +
+offset` with `base` the origin's flat index. An index past a ray's prefix
+lies off the grid, below 0 or past its last cell, or wraps onto another
+row; `gather_values` clips it and its value is never used. `walk_rays`
+reads the table in column blocks of the rays still live, so a read stops
+near where its rays end. `ray_cell_table` reads the whole table in one
+block; it is the reference the walk is tested against.
 
 Neighbouring rays start through the same cells: of the 2,500 rays of the
 default sensor, only 604 differ in their first 13 cells. A block's result
 for a ray depends only on the ray's cells in it and its prefix there, and
 rays whose cells are the same 2-D offsets have the same prefix from every
-origin. So `ray_table` groups the rays by their first-block cells, as the
-2-D offsets its build computes, 0 past a ray's last cell (flat offsets can
-collide on a grid narrower than 2 * cols - 1 cells), and `walk_rays` reads
-the first block once per group and copies the result to the group's other
-rays. Later blocks read every live ray.
+origin. So `ray_table` groups the rays by their first-block cells, each
+as the one int `offy * (2 * reach + 1) + offx`, which no two cells within
+reach share, and 0 past a ray's last cell (flat offsets can collide on a
+grid narrower than 2 * cols - 1 cells), and `walk_rays` reads the first
+block once per group and copies the result to the group's other rays.
+Later blocks read every live ray.
 
 A segment from a to b has max(|dx|, |dy|) + 1 cells; the i-th moves each
 axis i * |d| / max(|dx|, |dy|) cells towards b, rounded half down. These
@@ -91,8 +89,8 @@ _FIRST_BLOCK_MIN_COLS = 8
 
 
 class RayTable(NamedTuple):
-    """Per-ray shifted flat cell offsets, stored by walk block, exit tables
-    and first-block groups; see the module docstring."""
+    """Per-ray flat cell offsets, stored by walk block, exit tables and
+    first-block groups; see the module docstring."""
 
     blocks: tuple  # (n_rays, block cols) intp arrays, the table's columns in order
     tx: np.ndarray  # (R + 1, n_rays) int16
@@ -114,12 +112,6 @@ def _reach(range_cells: float) -> int:
     return math.floor(0.5 + (_sample_count(range_cells) - 1) * STEP)
 
 
-def offset_shift(range_cells: float, width: int) -> int:
-    """K, the shift of the table's offsets: no ray of `range_cells` cells on
-    a grid `width` cells wide has a flat offset below -K or above K."""
-    return _reach(range_cells) * (width + 1)
-
-
 def _first_block_cols(n_rays: int) -> int:
     """The width of the first block of a walk of `n_rays` rays."""
     return max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS // n_rays)
@@ -132,6 +124,24 @@ def _exit_table(off: np.ndarray, valid: np.ndarray, reach: int) -> np.ndarray:
     return hist.reshape(len(off), reach + 1).cumsum(axis=1).astype(np.int16)
 
 
+def _build_pass(angles: np.ndarray, dist: np.ndarray, reach: int, width: int, first_cols: int):
+    """The table's parts for the rays of `angles`: flat offsets, exit tables
+    `tx` and `ty`, east and south flags and first-block group keys."""
+    sx = np.floor(0.5 + np.cos(angles)[:, None] * dist).astype(np.int32)
+    sy = np.floor(0.5 + np.sin(angles)[:, None] * dist).astype(np.int32)
+    col = np.zeros(sx.shape, dtype=np.int32)  # the column of each sample's cell
+    np.cumsum((sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1]), axis=1, out=col[:, 1:])
+    offx = np.zeros((len(angles), col[:, -1].max() + 1), dtype=np.int32)
+    offy = np.zeros_like(offx)
+    # The samples of one cell write the same offsets to the same column.
+    np.put_along_axis(offx, col, sx, axis=1)
+    np.put_along_axis(offy, col, sy, axis=1)
+    valid = np.arange(offx.shape[1]) <= col[:, -1:]
+    key = offy[:, :first_cols] * (2 * reach + 1) + offx[:, :first_cols]
+    return (offy * width + offx, _exit_table(offx, valid, reach).T,
+            _exit_table(offy, valid, reach).T, offx.min(axis=1) >= 0, offy.min(axis=1) >= 0, key)
+
+
 @lru_cache(maxsize=8)
 def ray_table(n_rays: int, range_cells: float, width: int, first_cols: int) -> RayTable:
     """The cached `RayTable` of `n_rays` rays of `range_cells` cells on grids
@@ -141,41 +151,23 @@ def ray_table(n_rays: int, range_cells: float, width: int, first_cols: int) -> R
     angles = np.arange(n_rays, dtype=np.float64) * (2.0 * np.pi / n_rays)
     dist = np.arange(_sample_count(range_cells), dtype=np.float64) * STEP
     reach = _reach(range_cells)
-    shift = offset_shift(range_cells, width)
     tx = np.empty((reach + 1, n_rays), dtype=np.int16)
     ty = np.empty_like(tx)
     east = np.empty(n_rays, dtype=bool)
     south = np.empty_like(east)
-    # Each ray's first-block cells as 2-D offsets, 0 past its last: its group key.
-    keys = np.zeros((n_rays, 2, first_cols), dtype=np.int32)
+    keys = np.zeros((n_rays, first_cols), dtype=np.int32)  # 0 past a ray's last cell
     parts = []
     for lo in range(0, n_rays, _BUILD_RAYS):
-        hi = min(lo + _BUILD_RAYS, n_rays)
-        sx = np.floor(0.5 + np.cos(angles[lo:hi])[:, None] * dist).astype(np.int32)
-        sy = np.floor(0.5 + np.sin(angles[lo:hi])[:, None] * dist).astype(np.int32)
-        moved = (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
-        col = np.zeros(sx.shape, dtype=np.int32)  # the column of each sample's cell
-        np.cumsum(moved, axis=1, dtype=np.int32, out=col[:, 1:])
-        count = col[:, -1] + 1
-        rows = np.arange(hi - lo)[:, None]
-        offx = np.zeros((hi - lo, count.max()), dtype=np.int32)
-        offy = np.zeros_like(offx)
-        # The samples of one cell write the same offsets to the same column.
-        offx[rows, col] = sx
-        offy[rows, col] = sy
-        valid = np.arange(offx.shape[1]) < count[:, None]
-        tx[:, lo:hi] = _exit_table(offx, valid, reach).T
-        ty[:, lo:hi] = _exit_table(offy, valid, reach).T
-        east[lo:hi] = offx.min(axis=1) >= 0
-        south[lo:hi] = offy.min(axis=1) >= 0
-        keys[lo:hi, 0, : offx.shape[1]] = offx[:, :first_cols]
-        keys[lo:hi, 1, : offy.shape[1]] = offy[:, :first_cols]
-        parts.append(offy * width + offx + shift)
+        s = np.s_[lo : lo + _BUILD_RAYS]  # the last pass's slices end at n_rays
+        part, tx[:, s], ty[:, s], east[s], south[s], key = _build_pass(angles[s], dist, reach,
+                                                                      width, first_cols)
+        keys[s, : key.shape[1]] = key
+        parts.append(part)
     n_cols = max(p.shape[1] for p in parts)
     # The blocks lie one after another in one allocation: separate arrays
     # land in the heap among the build's freed temporaries and keep about
     # 8 MB of them resident.
-    store = np.full(n_rays * n_cols, shift, dtype=np.intp)
+    store = np.zeros(n_rays * n_cols, dtype=np.intp)
     blocks, c0, cols = [], 0, first_cols
     while c0 < n_cols:
         c1 = min(c0 + cols, n_cols)
@@ -185,8 +177,7 @@ def ray_table(n_rays: int, range_cells: float, width: int, first_cols: int) -> R
         blocks.append(b)
         c0, cols = c1, 2 * cols
     del parts
-    _, rep, row = np.unique(keys.reshape(n_rays, -1), axis=0, return_index=True,
-                            return_inverse=True)
+    _, rep, row = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(rep)  # groups in the order of their first rays
     rep, row = rep[order], np.argsort(order)[row.ravel()]
     # With every prefix distinct, `rep` is arange(n_rays) and the block will do.
@@ -217,11 +208,9 @@ def ray_cell_table(origin: GridPose, n_rays: int, range_cells: float, shape):
     ray's in-bounds prefix length (n_rays,); `n_cols` is the longest.
     """
     w = shape[1]
-    range_cells = float(range_cells)
-    t = ray_table(n_rays, range_cells, w, _first_block_cols(n_rays))
+    t = ray_table(n_rays, float(range_cells), w, _first_block_cols(n_rays))
     length = prefix_lengths(t, origin, shape)
-    flat = np.concatenate(t.blocks, axis=1)[:, : length.max()]
-    return origin.y * w + origin.x - offset_shift(range_cells, w) + flat, length
+    return origin.y * w + origin.x + np.concatenate(t.blocks, axis=1)[:, : length.max()], length
 
 
 def gather_values(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -252,16 +241,17 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
     The blocks are those the table is stored in: the first is
     `_first_block_cols(n_rays)` columns of every ray, each later one twice as
     wide; a ray leaves the walk in the block where it stops or its in-bounds
-    prefix ends. Each block calls `block(rays, c0, off, length)` with the
-    block's rays, its first column, their shifted offsets in the block (see
-    the module docstring) and their prefixes clipped to it; `block` returns
+    prefix ends. Each block calls `block(rays, c0, idx, length)` with the
+    block's rays, its first column, their cells in the block as flat grid
+    indices, which past a prefix may lie off the grid (see the module
+    docstring), and their prefixes clipped to it; `block` returns
     `end_columns` of the block.
 
     The first block reads the first ray of each of the table's groups, with
-    `rays` the table's `rep` and `off` its `first`, and copies their results
-    to their groups by `row` (see the module docstring); when every prefix
-    is distinct, every ray is its own group. Later blocks get the indices of
-    their rays.
+    `rays` the table's `rep` and `idx` from its `first`, and copies their
+    results to their groups by `row` (see the module docstring); when every
+    prefix is distinct, every ray is its own group. Later blocks get the
+    indices of their rays.
     A caller that keeps a running per-ray total across blocks passes it as
     `carry`, an (n_rays,) array that its blocks read and write by `rays`;
     after the first block, each ray takes its group's total.
@@ -270,11 +260,12 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
     cols = _first_block_cols(n_rays)
     t = ray_table(n_rays, range_cells, w, cols)
     length = prefix_lengths(t, origin, shape)
+    base = origin.y * w + origin.x
     # Groups on `cols` columns hold for any fewer, as the first c1 can be.
     c1 = min(cols, int(length.max()))
-    off = t.first[:, :c1]
-    col, hit = block(t.rep, 0, off, np.minimum(length[t.rep], c1))
-    stopped, end = hit[t.row], off[np.arange(len(t.rep)), col][t.row]
+    idx = t.first[:, :c1] + base
+    col, hit = block(t.rep, 0, idx, np.minimum(length[t.rep], c1))
+    stopped, end = hit[t.row], idx[np.arange(len(t.rep)), col][t.row]
     if carry is not None:
         carry[:] = carry[t.rep][t.row]
     rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
@@ -286,11 +277,11 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
         c0 = c1
         ray_len = length[rays]
         c1 = min(c0 + b.shape[1], int(ray_len.max()))
-        off = b.take(rays, axis=0)[:, : c1 - c0]
-        col, hit = block(rays, c0, off, np.minimum(ray_len - c0, c1 - c0))
-        stopped[rays], end[rays] = hit, off[np.arange(len(rays)), col]
+        idx = b.take(rays, axis=0)
+        idx += base  # on whole rows: a strided add over the cut columns costs more
+        col, hit = block(rays, c0, idx[:, : c1 - c0], np.minimum(ray_len - c0, c1 - c0))
+        stopped[rays], end[rays] = hit, idx[np.arange(len(rays)), col]
         rays = rays[~hit & (ray_len > c1)]
-    end += origin.y * w + origin.x - offset_shift(range_cells, w)
     ends = np.empty((len(end), 2), dtype=end.dtype)
     np.divmod(end, w, out=(ends[:, 1], ends[:, 0]))
     return stopped, ends

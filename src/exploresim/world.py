@@ -3,15 +3,14 @@ robot kinematics on the diagonally-connected grid, and a procedural
 floor-plan generator.
 
 The sensor walks the ray table with `trace.walk_rays`, as the scoring
-casts do. It reads the ground truth's stop cells, and marks the cells its
-rays pass, in arrays padded by the table's offset shift on each side, so
-each block reads and writes through the table's offsets as they are (see
-the `trace` module docstring). A `Scan` lists the passed cells as sorted
-flat indices, and `integrate_scan` writes through them and returns the
-flat indices it made known, from which an episode keeps its coverage as a
-running count. Sensing is noise-free and the robot pose is known exactly:
-a cell the sensor marks free is free in the ground truth, and a hit
-endpoint is occupied in the ground truth.
+casts do: each block reads the ground truth's stop cells and marks the
+cells its rays pass at the flat grid indices the walk hands it. A `Scan`
+lists the passed cells as sorted flat indices, and `integrate_scan`
+writes through them and returns the flat indices it made known, from
+which an episode keeps its coverage as a running count. Sensing is
+noise-free and the robot pose is known exactly: a cell the sensor marks
+free is free in the ground truth, and a hit endpoint is occupied in the
+ground truth.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid
-from .trace import end_columns, gather_values, offset_shift, walk_rays
+from .trace import end_columns, gather_values, walk_rays
 from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `world.ray_cell_table`)
 
 # Floor-plan generator defaults, shared with the [maps] config table.
@@ -73,28 +72,22 @@ def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
     if gt.at(pose) != FREE:
         raise InvalidStateError(f"scan pose {pose} is not on a free ground-truth cell")
 
-    range_cells = spec.range_lambda / gt.resolution
-    k, n = offset_shift(range_cells, gt.width), gt.cells.size
-    # Cell i of the grid is entry K + i of both padded arrays, so a shifted
-    # table offset reads entry base + offset: the views start at the pose.
-    occupied = np.zeros(n + 2 * k, dtype=bool)
-    np.greater(gt.cells.ravel(), 0.5, out=occupied[k : k + n])
-    seen = np.zeros(len(occupied), dtype=bool)
-    base = pose.y * gt.width + pose.x
-    occupied_from, seen_from = occupied[base:], seen[base:]
+    occupied = gt.cells > 0.5
+    seen = np.zeros(gt.cells.size, dtype=bool)
 
-    def block(rays, c0, off, length):
-        col, stopped = end_columns(gather_values(occupied_from, off), length)
+    def block(rays, c0, idx, length):
+        col, stopped = end_columns(gather_values(occupied, idx), length)
         # Every cell strictly before the end is free space the ray passed
         # through; a ray that did not stop passed its end cell too. All of
         # these cells lie in the ray's in-bounds prefix. The column counts
         # fit int16, as the exit tables do, which halves the mask's cost.
         passed = (col + ~stopped).astype(np.int16)
-        seen_from[off[np.arange(off.shape[1], dtype=np.int16) < passed[:, None]]] = True
+        seen[idx[np.arange(idx.shape[1], dtype=np.int16) < passed[:, None]]] = True
         return col, stopped
 
+    range_cells = spec.range_lambda / gt.resolution
     hits, endpoints = walk_rays(spec.n_rays, range_cells, pose, gt.shape, block)
-    return Scan(endpoints=endpoints, hits=hits, free_cells=np.flatnonzero(seen[k : k + n]))
+    return Scan(endpoints=endpoints, hits=hits, free_cells=np.flatnonzero(seen))
 
 
 def integrate_scan(observed: OccupancyGrid, scan: Scan) -> np.ndarray:

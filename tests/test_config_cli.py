@@ -718,6 +718,22 @@ def test_replay_refuses_a_record_made_under_other_rules(tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize("extra", ["5", "[]", "{}", "garbage"])
+def test_replay_reports_a_line_past_the_reruns_end(tmp_path, capsys, extra):
+    # A line after the re-run's last one fails with one line, whether or
+    # not it is JSON, and whatever JSON it is.
+    run_experiment(_tiny_row_config(tmp_path))
+    record = _first_row_dir(tmp_path) / "record.jsonl"
+    n = len(record.read_text().splitlines()) + 1
+    with record.open("a") as fh:
+        fh.write(extra + "\n")
+    with pytest.raises(RecordMismatchError, match=rf"line {n} \(past the re-run's end\) differs"):
+        replay(record, tmp_path / "out")
+    assert main(["replay", str(record), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("replay failed: ")
+
+
 @pytest.mark.parametrize("first_line, message", [
     pytest.param(lambda h: h | {"map": h["map"] | {"kind": "file"}}, r"\[map\] kind: must be",
                  id="map-kind-file"),

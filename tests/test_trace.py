@@ -135,13 +135,14 @@ def test_rays_share_a_group_exactly_when_their_first_cells_are_equal(n_rays, ran
 def test_the_walk_reads_the_table_block_by_block(first):
     # On an open grid no ray stops or leaves it, so the walk reads every
     # stored block whole, at the columns it is stored for, also when the
-    # first block is monkeypatched to 1-3 columns; the blocks, end to end,
-    # are the one-block table.
+    # first block is monkeypatched to 1-3 columns. Each block gets its
+    # rays' stored offsets moved onto the grid, base + b[rays], and the
+    # blocks, end to end, are the one-block table.
     n_rays, range_cells, origin, shape = 24, 9.0, GridPose(12, 12), (25, 25)
     calls = []
 
-    def block(rays, c0, off, length):
-        calls.append((c0, off.shape[1], rays, off.copy()))
+    def block(rays, c0, idx, length):
+        calls.append((c0, idx.shape[1], rays, idx.copy()))
         return np.asarray(length) - 1, np.zeros(len(rays), dtype=bool)
 
     with first_block(first):
@@ -155,7 +156,7 @@ def test_the_walk_reads_the_table_block_by_block(first):
     assert 0 < widths[-1] <= cols << (len(widths) - 1)
     assert [(c0, n) for c0, n, _, _ in calls] == list(zip(np.cumsum([0] + widths[:-1]).tolist(),
                                                           widths))
-    lo = origin.y * shape[1] + origin.x - trace.offset_shift(range_cells, shape[1])
-    for (c0, n, rays, off), b in zip(calls, table.blocks):
-        assert np.array_equal(off, b[rays])
-        assert np.array_equal(lo + off, idx[rays, c0 : c0 + n])
+    base = origin.y * shape[1] + origin.x
+    for (c0, n, rays, block_idx), b in zip(calls, table.blocks):
+        assert np.array_equal(block_idx, base + b[rays])
+        assert np.array_equal(block_idx, idx[rays, c0 : c0 + n])

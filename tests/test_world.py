@@ -134,6 +134,17 @@ def test_scan_endpoints_match_quarter_step_walk_oracle():
 # the second block.
 @example(seed=0, width=5, height=12, density=0.0, walls=[], pick=0, n_rays=4, range_dm=9,
          first=2)
+# From each corner of an open 9x5 grid, 12 cells of range pass the far
+# corner: past their prefixes, the walk's grid indices fall below 0 or past
+# the last cell, and the reads clip them.
+@example(seed=0, width=9, height=5, density=0.0, walls=[], pick=0, n_rays=64, range_dm=12,
+         first=None)
+@example(seed=0, width=9, height=5, density=0.0, walls=[], pick=8, n_rays=64, range_dm=12,
+         first=2)
+@example(seed=0, width=9, height=5, density=0.0, walls=[], pick=36, n_rays=64, range_dm=12,
+         first=2)
+@example(seed=0, width=9, height=5, density=0.0, walls=[], pick=44, n_rays=64, range_dm=12,
+         first=None)
 # On a grid one cell wide the +x and +y rays from (0, 0) share their flat
 # offsets, 0 and 1, but not their cells: the +x ray leaves the grid at once.
 @example(seed=0, width=1, height=2, density=0.0, walls=[], pick=0, n_rays=4, range_dm=1,
