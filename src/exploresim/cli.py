@@ -71,7 +71,9 @@ def _dumps(obj) -> str:
 
 
 def corner_starts(gt: OccupancyGrid) -> list[GridPose]:
-    """Nearest free in-footprint cell to each grid corner (ties: smaller y, x)."""
+    """Nearest free in-footprint cell to each grid corner (ties: smaller y, x),
+    each cell once, in corner order: top left, top right, bottom left, bottom
+    right."""
     free = (gt.cells < 0.25) & building_footprint(gt)
     if not free.any():
         free = gt.cells < 0.25
@@ -82,7 +84,9 @@ def corner_starts(gt: OccupancyGrid) -> list[GridPose]:
     for cx, cy in ((0, 0), (gt.width - 1, 0), (0, gt.height - 1), (gt.width - 1, gt.height - 1)):
         d2 = (xs - cx) ** 2 + (ys - cy) ** 2
         best = np.lexsort((xs, ys, d2))[0]
-        out.append(GridPose(int(xs[best]), int(ys[best])))
+        start = GridPose(int(xs[best]), int(ys[best]))
+        if start not in out:  # two corners may share their nearest cell
+            out.append(start)
     return out
 
 

@@ -133,6 +133,12 @@ class ExperimentConfig:
             raise ValueError(f"tu_goals: must be >= 0 (0 scores no TU), got {self.tu_goals}")
         if not self.seeds:
             raise ValueError("seeds: at least one seed required")
+        # Rows are named by start, scorer and seed, so a repeat would share a row directory.
+        starts = [] if self.starts == "corners" else [list(p) for p in self.starts]
+        for key, items in (("starts", starts), ("scorers", self.scorers), ("seeds", self.seeds)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ValueError(f"{key}: {item!r} is listed more than once")
 
 
 def _typed(hint, value):

@@ -21,10 +21,22 @@ Euclidean distance in cells, floored at 1 cell. The scorer kinds:
     variance_only variance summed within 5 m of the straight robot-to-
                   centroid line (a simplified stand-in for path-variance
                   planners; no visibility reasoning)
+
+The frontier mask dilates the unknown cells by two separable 3-cell ORs
+over a zero-padded copy, which is the 3x3 dilation. The variance-only
+corridor holds the cells whose Euclidean distance to some line cell,
+sqrt(dy*dy + dx*dx) in floats, is at most the radius r: the test a
+Euclidean distance transform of the line would apply. Row k away from a
+line cell, that cell reaches the cells up to hw[k] columns to either side,
+where hw[k] is the widest dx that passes the test. The line's cells move
+at most one cell in x per row, so in each grid row the corridor is one
+interval, from the least left end to the greatest right end over the line
+rows within floor(r) rows of it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +93,15 @@ class ScoreContext:
 
 def frontier_mask(observed: OccupancyGrid) -> np.ndarray:
     """Boolean mask of frontier cells (free, 8-adjacent to unknown)."""
-    unknown = observed.cells == UNKNOWN
-    free = observed.cells == FREE
-    return free & ndimage.binary_dilation(unknown, structure=_EIGHT)
+    h, w = observed.shape
+    unknown = np.zeros((h + 2, w + 2), dtype=bool)
+    np.equal(observed.cells, UNKNOWN, out=unknown[1:-1, 1:-1])
+    across = unknown[:, :-2] | unknown[:, 1:-1]
+    across |= unknown[:, 2:]
+    near = across[:-2] | across[1:-1]
+    near |= across[2:]
+    near &= observed.cells == FREE
+    return near
 
 
 def extract_frontiers(observed: OccupancyGrid, min_cluster_size: int) -> list[FrontierCluster]:
@@ -92,30 +110,27 @@ def extract_frontiers(observed: OccupancyGrid, min_cluster_size: int) -> list[Fr
     The map must be a three-label grid; this is not checked here, since an
     episode's map changes only through `world.integrate_scan`.
     """
-    mask = frontier_mask(observed)
-    labels, count = ndimage.label(mask, structure=_EIGHT)
-    if count == 0:
-        return []
-    clusters = []
-    for sl, label in zip(ndimage.find_objects(labels), range(1, count + 1)):
-        ys, xs = np.nonzero(labels[sl] == label)
-        if len(xs) < min_cluster_size:
-            continue
-        xs = xs + sl[1].start
-        ys = ys + sl[0].start
-        mx, my = xs.mean(), ys.mean()
-        d2 = (xs - mx) ** 2 + (ys - my) ** 2
-        # Snap to the member nearest the mean; break ties on (y, x).
-        order = np.lexsort((xs, ys, d2))
-        best = order[0]
-        clusters.append(
-            FrontierCluster(
-                cells=np.stack([xs, ys], axis=1),
-                centroid=GridPose(int(xs[best]), int(ys[best])),
-                size=len(xs),
-            )
-        )
-    return clusters
+    labels, count = ndimage.label(frontier_mask(observed), structure=_EIGHT)
+    ys, xs = np.nonzero(labels)
+    label = labels[ys, xs]
+    sizes = np.bincount(label, minlength=count + 1)
+    # Cluster by cluster, small ones dropped; the stable sort keeps each
+    # cluster's cells in row-major order.
+    big = sizes[label] >= min_cluster_size
+    order = np.argsort(label[big], kind="stable")
+    ys, xs, label = ys[big][order], xs[big][order], label[big][order]
+    # Sums of integers are exact, so these are each cluster's xs.mean() and ys.mean().
+    n = sizes[label]
+    mx = np.bincount(label, xs, count + 1)[label] / n
+    my = np.bincount(label, ys, count + 1)[label] / n
+    d2 = (xs - mx) ** 2 + (ys - my) ** 2
+    # Snap to the member nearest the mean; break ties on (y, x).
+    order = np.lexsort((xs, ys, d2, label))
+    kept = sizes[1:][sizes[1:] >= min_cluster_size]
+    starts = np.cumsum(kept) - kept
+    cells = np.stack([xs, ys], axis=1)
+    return [FrontierCluster(cells=cells[s : s + k], centroid=GridPose(*cells[b].tolist()), size=k)
+            for s, k, b in zip(starts.tolist(), kept.tolist(), order[starts].tolist())]
 
 
 def _disc_variance_sum(center: GridPose, radius_cells: float, variance: OccupancyGrid,
@@ -131,13 +146,37 @@ def _disc_variance_sum(center: GridPose, radius_cells: float, variance: Occupanc
     return float(variance.cells[y0:y1, x0:x1][inside].sum())
 
 
+@functools.lru_cache(maxsize=4)
+def _half_widths(radius_cells: float) -> np.ndarray:
+    """hw[k] for k = 0 .. floor(r), then a last entry for every row beyond,
+    whose interval is empty (see the module docstring)."""
+    k = np.arange(int(radius_cells) + 1)
+    hw = np.count_nonzero(np.sqrt(k[:, None] ** 2 + k**2) <= radius_cells, axis=1) - 1
+    hw = np.append(hw, -(2**40))
+    hw.flags.writeable = False  # every call with this radius shares it
+    return hw
+
+
 def _line_corridor_variance_sum(a: GridPose, b: GridPose, radius_cells: float,
                                 variance: OccupancyGrid) -> float:
-    line = np.zeros(variance.shape, dtype=bool)
-    cells = line_cells([a], [b])
-    line[cells[:, 1], cells[:, 0]] = True
-    dist = ndimage.distance_transform_edt(~line)
-    return float(variance.cells[dist <= radius_cells].sum())
+    """Variance summed in row-major order over the corridor of the line a -> b
+    (see the module docstring)."""
+    h, w = variance.shape
+    reach = int(radius_cells)
+    line = line_cells([a], [b])
+    xs, ys = line[:, 0], line[:, 1]
+    starts = np.flatnonzero(np.r_[True, ys[1:] != ys[:-1]])  # y is monotone along the line
+    rows = ys[starts]
+    y0, y1 = max(0, rows.min() - reach), min(h, rows.max() + reach + 1)
+    # Row by row, each line row's reach: its cells' x range widened by hw[|dy|].
+    half = _half_widths(radius_cells)[np.minimum(np.abs(np.arange(y0, y1)[:, None] - rows),
+                                                 reach + 1)]
+    lo = (np.minimum.reduceat(xs, starts) - half).min(axis=1)
+    hi = (np.maximum.reduceat(xs, starts) + half).max(axis=1)
+    x0, x1 = max(0, lo.min()), min(w, hi.max() + 1)
+    cols = np.arange(x0, x1)
+    inside = (cols >= lo[:, None]) & (cols <= hi[:, None])
+    return float(variance.cells[y0:y1, x0:x1][inside].sum())
 
 
 def score_frontier(cluster: FrontierCluster, kind: str, ctx: ScoreContext) -> float:

@@ -49,7 +49,7 @@ class OccupancyGrid:
             raise ValueError(f"grid must be 2D with positive dimensions, got shape {cells.shape}")
         if resolution <= 0:
             raise ValueError(f"resolution must be positive, got {resolution}")
-        if cells.min() < 0.0 or cells.max() > 1.0:
+        if not (cells.min() >= 0.0 and cells.max() <= 1.0):  # NaN fails both tests
             raise ValueError("cell values must lie in [0, 1]")
         self.cells = cells
         self.resolution = float(resolution)

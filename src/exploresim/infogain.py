@@ -6,8 +6,10 @@ Both casts walk the ray table with `trace.walk_rays`, the sensor's own
 walker: each block reads the map through `trace.gather_values` at the
 flat grid indices the walk hands it, and ends its rays by
 `trace.end_columns`, the sensor's stop rule. The casts differ only in the
-stop mask. Endpoints and visibility masks are (N, 2) int arrays with
-columns (x, y), like `Scan.endpoints`.
+stop mask. Endpoints are (N, 2) int arrays with columns (x, y), like
+`Scan.endpoints`. A visibility mask is a `BoxMask`: the box of the grid
+the flood filled, as a pair of slices, and a boolean `keep` over that box;
+its `len()` is the number of cells it keeps.
 
 A probabilistic ray accumulates the occupancy value of each cell it
 traverses, once per cell, and stops once the running total reaches the
@@ -96,12 +98,27 @@ def deterministic_raycast(
     return _cast(viewpoint, grid, cfg, lambda rays, values: values > 0.5)
 
 
+@dataclass(frozen=True, eq=False)
+class BoxMask:
+    """Grid cells as a boolean `keep` over the box `grid[box]`; `len()` is
+    the number of cells kept."""
+
+    box: tuple[slice, slice]
+    keep: np.ndarray
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.keep))
+
+
+_EMPTY = BoxMask(np.s_[0:0, 0:0], np.zeros((0, 0), dtype=bool))
+
+
 def visibility_mask(
     viewpoint: GridPose, endpoints: np.ndarray, observed: OccupancyGrid
-) -> np.ndarray:
+) -> BoxMask:
     """Unknown cells inside the endpoint polygon, reachable from the viewpoint,
-    as an (N, 2) int64 array with columns (x, y), listed in row-major order
-    (by y, then x); `info_gain` sums the variance in this order.
+    as a `BoxMask` over the box of the endpoints and the viewpoint;
+    `info_gain` sums the variance in row-major order (by y, then x).
 
     The closed polyline joining consecutive endpoints is rasterized as an
     8-connected barrier; a 4-connected flood from the viewpoint collects the
@@ -110,9 +127,8 @@ def visibility_mask(
     viewpoint, dx*dx + dy*dy, is at most that of the farthest endpoint. The
     mask is empty when the viewpoint lies on its own boundary polygon.
     """
-    empty = np.empty((0, 2), dtype=np.int64)
     if len(endpoints) == 0:
-        return empty
+        return _EMPTY
 
     ex, ey = endpoints[:, 0], endpoints[:, 1]
     x0 = int(min(ex.min(), viewpoint.x))
@@ -123,12 +139,12 @@ def visibility_mask(
     barrier = np.zeros((y1 - y0, x1 - x0), dtype=bool)
     # Segments run i -> i+1 (closing back to 0): the line is not symmetric,
     # so the direction decides which cells form the barrier.
-    cells = line_cells(endpoints, np.roll(endpoints, -1, axis=0))
+    cells = line_cells(endpoints, np.concatenate((endpoints[1:], endpoints[:1])))
     barrier[cells[:, 1] - y0, cells[:, 0] - x0] = True
 
     vy, vx = viewpoint.y - y0, viewpoint.x - x0
     if barrier[vy, vx]:
-        return empty
+        return _EMPTY
 
     labels, _ = ndimage.label(~barrier)  # 4-connected by default
     keep = labels == labels[vy, vx]
@@ -138,15 +154,12 @@ def visibility_mask(
     dx = np.arange(x0, x1) - viewpoint.x
     reach = ((ex - viewpoint.x) ** 2 + (ey - viewpoint.y) ** 2).max()
     keep &= dy[:, None] ** 2 + dx**2 <= reach
-    ys, xs = np.divmod(np.flatnonzero(keep), x1 - x0)
-    return np.stack([xs + x0, ys + y0], axis=1)
+    return BoxMask(np.s_[y0:y1, x0:x1], keep)
 
 
-def info_gain(mask: np.ndarray, variance_map: OccupancyGrid) -> float:
-    """Sum of variance-map values over the (N, 2) mask cells."""
-    if len(mask) == 0:
-        return 0.0
-    xs, ys = mask[:, 0], mask[:, 1]
-    if xs.max() >= variance_map.width or ys.max() >= variance_map.height:
+def info_gain(mask: BoxMask, variance_map: OccupancyGrid) -> float:
+    """Sum of variance-map values over the mask's cells, in row-major order."""
+    rows, cols = mask.box
+    if rows.stop > variance_map.height or cols.stop > variance_map.width:
         raise ValueError("mask does not fit the variance map dimensions")
-    return float(variance_map.cells[ys, xs].sum())
+    return float(variance_map.cells[mask.box][mask.keep].sum())

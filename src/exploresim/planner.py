@@ -39,7 +39,7 @@ import numpy as np
 from .frontier import ScoreContext, extract_frontiers, rank_frontiers, score_frontier
 from .grid import OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
 from .infogain import RaycastConfig
-from .predict import ensemble_predict
+from .predict import Ensemble, ensemble_predict
 from .world import SensorSpec, apply_action, integrate_scan, simulate_scan
 
 SQRT2 = math.sqrt(2.0)
@@ -316,6 +316,7 @@ def run_episode(
     age = 0
     latest_pset = None
     coverage = 0.0
+    kept = Ensemble(ensemble)  # the statistics kept from one replan to the next
 
     for t in range(cfg.budget_t):
         scan = simulate_scan(gt, pose, cfg.sensor)
@@ -335,7 +336,7 @@ def run_episode(
                 end_reason = "complete"
                 lines.append(step)
                 break
-            latest_pset = ensemble_predict(ensemble, observed)
+            latest_pset = ensemble_predict(kept, observed)
             ctx = ScoreContext(
                 observed=observed, robot_pose=pose,
                 raycast=cfg.raycast, prediction_set=latest_pset,

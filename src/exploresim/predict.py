@@ -9,6 +9,15 @@ had been overridden there by the observation.
 Variance is the population (divide-by-n) variance, which is well defined
 for a single member and bounded by 0.25 for values in [0, 1].
 
+An `Ensemble` keeps its statistics between calls: each member's last
+output and the unclamped mean and variance. A call compares every member's
+new output with the kept one and recomputes the mean and variance only in
+the box of the cells where any output changed; it then clamps a copy. The
+box's sums run in member order, as numpy's mean and variance over axis 0
+of the member stack do, so the result equals a from-scratch computation
+bit for bit. A member must therefore never change a grid it has returned;
+`NoisyOraclePredictor` returns its one read-only grid on every call.
+
 `PatchInpaintingPredictor` is the one member that keeps state between
 calls: a copy of the last observed map and of the last output. A block's
 output depends only on its context window, so a later call on a map of the
@@ -57,13 +66,14 @@ class NoisyOraclePredictor:
             raise ValueError(f"flip rate must be in [0, 1], got {flip_rate}")
         flip = np.random.default_rng(seed).random(gt.shape) < flip_rate
         self.filled = np.where(flip, 1.0 - gt.cells, gt.cells)
+        self.filled.flags.writeable = False  # every call returns this grid
 
     def predict(self, observed: OccupancyGrid) -> OccupancyGrid:
         if observed.shape != self.filled.shape:
             raise ValueError(
                 f"observed {observed.shape} does not match ground truth {self.filled.shape}"
             )
-        return OccupancyGrid(self.filled.copy(), observed.resolution)
+        return OccupancyGrid(self.filled, observed.resolution)
 
 
 class PatchInpaintingPredictor:
@@ -232,28 +242,90 @@ class PredictionSet:
     variance: OccupancyGrid
 
 
-def ensemble_predict(members: list, observed: OccupancyGrid) -> PredictionSet:
+class Ensemble:
+    """The members of one episode's ensemble and the statistics kept from
+    its last call: each member's last output and the unclamped mean and
+    variance (see the module docstring)."""
+
+    def __init__(self, members: list):
+        if not members:
+            raise ValueError("ensemble needs at least one member")
+        self.members = list(members)
+        self.outputs: list[np.ndarray | None] = [None] * len(self.members)
+        self.mean: np.ndarray | None = None
+        self.variance: np.ndarray | None = None
+        self._flags: np.ndarray | None = None  # a boolean grid reused by every call
+
+    def _changed_box(self, outputs: list[np.ndarray]) -> tuple[slice, slice] | None:
+        """The box of the cells where any output differs from the kept one:
+        the whole grid when nothing is kept for this shape, None when no
+        output changed."""
+        shape = outputs[0].shape
+        if self.mean is None or self.mean.shape != shape:
+            self.mean, self.variance = np.empty(shape), np.empty(shape)
+            self._flags = np.empty(shape, dtype=bool)
+            return np.s_[:, :]
+        rows = np.zeros(shape[0], dtype=bool)
+        cols = np.zeros(shape[1], dtype=bool)
+        for new, old in zip(outputs, self.outputs):
+            if new is not old:  # a returned grid never changes
+                np.not_equal(new, old, out=self._flags)
+                rows |= self._flags.any(axis=1)
+                cols |= self._flags.any(axis=0)
+        ys, xs = np.flatnonzero(rows), np.flatnonzero(cols)
+        if ys.size == 0:
+            return None
+        return np.s_[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
+
+    def update(self, outputs: list[np.ndarray]) -> None:
+        """Keep `outputs` and bring the mean and variance up to date with them."""
+        box = self._changed_box(outputs)
+        self.outputs = outputs
+        if box is None:
+            return
+        # numpy's mean and var over axis 0 of the member stack, in the same
+        # order of operations: sums run member by member, then divide by n.
+        n = len(outputs)
+        total = outputs[0][box].copy()
+        for out in outputs[1:]:
+            total += out[box]
+        mean = np.divide(total, n, out=self.mean[box])
+        squares = np.square(outputs[0][box] - mean)
+        for out in outputs[1:]:
+            np.subtract(out[box], mean, out=total)
+            squares += np.square(total, out=total)
+        np.divide(squares, n, out=self.variance[box])
+
+    def clamped(self, observed: OccupancyGrid) -> PredictionSet:
+        """Copies of the kept mean and variance, clamped to the cells
+        `observed` knows."""
+        known = np.not_equal(observed.cells, UNKNOWN, out=self._flags)
+        mean, variance = self.mean.copy(), self.variance.copy()
+        np.copyto(mean, observed.cells, where=known)
+        np.copyto(variance, 0.0, where=known)
+        return PredictionSet(mean=OccupancyGrid(mean, observed.resolution),
+                             variance=OccupancyGrid(variance, observed.resolution))
+
+
+def ensemble_predict(ensemble: Ensemble | list, observed: OccupancyGrid) -> PredictionSet:
     """Run every member, take the mean and variance maps of their
     predictions, and clamp both to the known observed cells: the mean takes
     the observed value there and the variance 0. On a three-label map this
     equals clamping each member first.
 
+    `ensemble` is an `Ensemble`, whose kept statistics the call updates, or
+    a list of members, for which nothing is kept.
+
     The map must be a three-label grid; this is not checked here, since an
     episode's map changes only through `world.integrate_scan`.
     """
-    if not members:
-        raise ValueError("ensemble needs at least one member")
-    stacks = []
-    for i, member in enumerate(members):
+    if not isinstance(ensemble, Ensemble):
+        ensemble = Ensemble(ensemble)
+    outputs = []
+    for i, member in enumerate(ensemble.members):
         try:
-            stacks.append(member.predict(observed).cells)
+            outputs.append(member.predict(observed).cells)
         except Exception as exc:
             raise EnsembleError(i, str(exc)) from exc
-    stack = np.stack(stacks)
-    known = observed.cells != UNKNOWN
-    mean, variance = stack.mean(axis=0), stack.var(axis=0)
-    # In place: two more grid-sized results make the heap trim and re-fault each call.
-    np.copyto(mean, observed.cells, where=known)
-    np.copyto(variance, 0.0, where=known)
-    return PredictionSet(mean=OccupancyGrid(mean, observed.resolution),
-                         variance=OccupancyGrid(variance, observed.resolution))
+    ensemble.update(outputs)
+    return ensemble.clamped(observed)

@@ -191,6 +191,12 @@ REJECTED = {
     "negative tu_goals": ("tu_goals = -1", "tu_goals", lambda: _experiment(tu_goals=-1)),
     "no seed": ("seeds = []", "seeds", lambda: _experiment(seeds=[])),
     "no pose": ("starts = []", "starts", lambda: _experiment(starts=[])),
+    "repeated scorer": ("scorers = ['nearest', 'mapex', 'nearest']", "scorers",
+                        lambda: _experiment(scorers=["nearest", "mapex", "nearest"])),
+    "repeated seed": ("seeds = [0, 0]", "seeds", lambda: _experiment(seeds=[0, 0])),
+    "repeated start": ("starts = [[5, 5], [6, 5], [5, 5]]", "starts",
+                       lambda: _experiment(starts=[GridPose(5, 5), GridPose(6, 5),
+                                                   GridPose(5, 5)])),
     "unknown start policy": ("starts = 'random'", "starts",
                              lambda: _experiment(starts="random")),
     "unknown map source": ("[maps]\nkind = 'web'", "[maps] kind",
@@ -398,7 +404,15 @@ def test_corner_starts_single_free_cell():
     cells = np.ones((9, 9))
     cells[4, 6] = FREE
     gt = OccupancyGrid(cells, 0.1)
-    assert corner_starts(gt) == [GridPose(6, 4)] * 4
+    assert corner_starts(gt) == [GridPose(6, 4)]
+
+
+def test_corner_starts_lists_a_cell_two_corners_share_once():
+    # A one-cell-wide column: each end is the nearest cell to two corners.
+    cells = np.ones((60, 60))
+    cells[5:55, 30] = FREE
+    gt = OccupancyGrid(cells, 0.1)
+    assert corner_starts(gt) == [GridPose(30, 5), GridPose(30, 54)]
 
 
 def test_corner_starts_l_shape_matches_brute_force():
@@ -1144,6 +1158,22 @@ def test_cli_run_rejects_two_map_files_with_one_stem(tmp_path, capsys):
     assert str(tmp_path / "maps" / "a" / "plan.pgm") in err
     assert str(tmp_path / "maps" / "b" / "plan.pgm") in err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ('scorers = ["nearest", "nearest"]\nseeds = [0, 0]\n',
+     "scorers: 'nearest' is listed more than once"),
+    ('seeds = [3, 1, 3]\n', "seeds: 3 is listed more than once"),
+    ('starts = [[5, 5], [5, 5]]\n', "starts: [5, 5] is listed more than once"),
+])
+def test_cli_run_rejects_a_repeated_row_before_any_row(tmp_path, capsys, monkeypatch, setting,
+                                                       message):
+    # Repeated rows would share one row directory.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path / "exp.toml", 'output_dir = "out"\n' + setting)
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr() == ("", f"explore: error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("setting, message", [

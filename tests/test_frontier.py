@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from exploresim import (
     FREE,
@@ -14,8 +17,9 @@ from exploresim import (
     new_grid,
     score_frontier,
 )
-from exploresim.frontier import rank_frontiers
+from exploresim.frontier import LOCAL_VARIANCE_RADIUS_M, frontier_mask, rank_frontiers
 from exploresim.predict import PredictionSet
+from exploresim.trace import line_cells
 from test_trace import bresenham_line
 
 
@@ -75,6 +79,19 @@ def test_extraction_matches_definition_scan_on_random_maps():
         for cl in clusters:
             union |= {(int(x), int(y)) for x, y in cl.cells}
         assert union == brute_force_frontier_cells(observed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 40), w=st.integers(1, 40),
+       p_unknown=st.floats(0.0, 1.0))
+def test_frontier_mask_is_free_cells_touching_the_dilated_unknown(seed, h, w, p_unknown):
+    rng = np.random.default_rng(seed)
+    p = [(1 - p_unknown) * 0.7, p_unknown, (1 - p_unknown) * 0.3]
+    observed = OccupancyGrid(rng.choice([FREE, UNKNOWN, OCCUPIED], size=(h, w), p=p), 0.1)
+    unknown = observed.cells == UNKNOWN
+    expected = (observed.cells == FREE) & ndimage.binary_dilation(
+        unknown, structure=np.ones((3, 3), dtype=bool))
+    assert np.array_equal(frontier_mask(observed), expected)
 
 
 def test_min_cluster_size_filters_small_clusters():
@@ -199,6 +216,42 @@ def test_variance_only_sums_variance_near_the_robot_centroid_line(seed):
     dist = max(float(np.hypot(c.x - robot.x, c.y - robot.y)), 1.0)
     score = score_frontier(_cluster_at(*c), "variance_only", _ctx(observed, pset, robot))
     assert score == pytest.approx(pset.variance.cells[near].sum() / dist, rel=1e-12)
+
+
+def distance_transform_corridor_sum(a, b, radius_cells, variance):
+    """The variance_only gain by a Euclidean distance transform of the whole
+    grid: the variance summed over the cells within the radius of the line."""
+    line = np.zeros(variance.shape, dtype=bool)
+    cells = line_cells([a], [b])
+    line[cells[:, 1], cells[:, 0]] = True
+    dist = ndimage.distance_transform_edt(~line)
+    return float(variance.cells[dist <= radius_cells].sum())
+
+
+_cell = st.tuples(st.integers(0, 60), st.integers(0, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 50), w=st.integers(1, 50),
+       a=_cell, b=_cell, resolution=st.floats(0.08, 8.0))
+# Segments along each grid edge, and radii below one cell, integral and not.
+@example(seed=1, h=30, w=40, a=(0, 0), b=(39, 0), resolution=0.5)
+@example(seed=2, h=30, w=40, a=(39, 0), b=(39, 29), resolution=0.3)
+@example(seed=3, h=30, w=40, a=(0, 29), b=(39, 29), resolution=5 / 7.5)
+@example(seed=4, h=30, w=40, a=(0, 0), b=(0, 29), resolution=6.0)
+@example(seed=5, h=1, w=40, a=(0, 0), b=(39, 0), resolution=1.0)
+@example(seed=6, h=30, w=40, a=(5, 5), b=(5, 5), resolution=0.7)
+def test_variance_only_corridor_matches_a_full_grid_distance_transform(seed, h, w, a, b,
+                                                                       resolution):
+    rng = np.random.default_rng(seed)
+    a, b = GridPose(a[0] % w, a[1] % h), GridPose(b[0] % w, b[1] % h)
+    observed = OccupancyGrid(np.full((h, w), UNKNOWN), resolution)
+    pset = PredictionSet(OccupancyGrid(np.zeros((h, w)), resolution),
+                         OccupancyGrid(rng.random((h, w)) * 0.25, resolution))
+    dist = max(float(np.hypot(b.x - a.x, b.y - a.y)), 1.0)
+    score = score_frontier(_cluster_at(*b), "variance_only", _ctx(observed, pset, a))
+    radius = LOCAL_VARIANCE_RADIUS_M / resolution
+    assert score == distance_transform_corridor_sum(a, b, radius, pset.variance) / dist
 
 
 def test_nearest_ignores_prediction_set():

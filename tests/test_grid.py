@@ -45,6 +45,12 @@ def test_grid_rejects_out_of_range_values():
         OccupancyGrid(np.full((2, 2), -0.1))
 
 
+@pytest.mark.parametrize("cells", [[[np.nan, 0.0]], [[0.5, np.nan]], [[np.nan]]])
+def test_grid_rejects_nan_values(cells):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        OccupancyGrid(cells)
+
+
 def test_pgm_pixel_conventions(tmp_path):
     path = tmp_path / "m.pgm"
     with open(path, "wb") as fh:

@@ -23,7 +23,7 @@ from exploresim import (
     trace,
     visibility_mask,
 )
-from exploresim.infogain import THRESHOLD_GUARD
+from exploresim.infogain import THRESHOLD_GUARD, BoxMask
 from exploresim.trace import end_columns, gather_values, ray_cell_table
 from test_trace import bresenham_line, first_block
 
@@ -231,6 +231,24 @@ def test_endpoint_distance_monotone_in_epsilon():
         prev = d
 
 
+def mask_cells(mask):
+    """A mask's cells as an (N, 2) int64 array with columns (x, y), in
+    row-major order (by y, then x)."""
+    ys, xs = np.nonzero(mask.keep)
+    return np.stack([xs + mask.box[1].start, ys + mask.box[0].start], axis=1).astype(np.int64)
+
+
+def box_mask(cells):
+    """The mask of a list of (x, y) cells: their bounding box, each cell kept once."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    if len(cells) == 0:
+        return BoxMask(np.s_[0:0, 0:0], np.zeros((0, 0), dtype=bool))
+    (x0, y0), (x1, y1) = cells.min(axis=0), cells.max(axis=0) + 1
+    keep = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+    keep[cells[:, 1] - y0, cells[:, 0] - x0] = True
+    return BoxMask(np.s_[y0:y1, x0:x1], keep)
+
+
 def test_visibility_mask_empty_on_fully_observed_map():
     observed = OccupancyGrid(np.zeros((41, 41)), 0.1)  # everything known free
     cfg = RaycastConfig(n_rays=24, range_lambda=1.5)
@@ -282,7 +300,7 @@ def test_visibility_mask_half_disc_behind_wall():
     vp = GridPose(80, 80)
     cfg = RaycastConfig(epsilon=0.8, n_rays=72, range_lambda=6.0)
     ends = probabilistic_raycast(vp, mean, cfg)
-    mask = visibility_mask(vp, ends, observed)
+    mask = mask_cells(visibility_mask(vp, ends, observed))
     assert len(mask) > 0
     assert (mask[:, 1] >= wall_y).all()
 
@@ -303,7 +321,8 @@ def test_visibility_mask_cells_are_unknown_and_in_range():
     vp = GridPose(40, 40)
     cfg = RaycastConfig(epsilon=0.8, n_rays=36, range_lambda=3.0)
     ends = probabilistic_raycast(vp, mean, cfg)
-    mask = visibility_mask(vp, ends, observed)
+    mask = mask_cells(visibility_mask(vp, ends, observed))
+    assert len(mask) > 0
     for x, y in mask:
         assert observed.cells[y, x] == UNKNOWN
         assert np.hypot(x - vp.x, y - vp.y) <= cfg.range_lambda / 0.1 + 1e-9
@@ -313,7 +332,7 @@ def test_visibility_mask_degenerate_viewpoint_on_boundary():
     observed = new_grid(9, 9, 0.1)
     ends = np.array([[4, 4], [5, 4], [4, 5]])  # polygon through vp
     mask = visibility_mask(GridPose(4, 4), ends, observed)
-    assert mask.shape == (0, 2)
+    assert len(mask) == 0 and mask_cells(mask).shape == (0, 2)
 
 
 def visibility_mask_oracle(vp, endpoints, cells):
@@ -366,22 +385,22 @@ def test_visibility_mask_matches_its_definition(seed, width, height, vx, vy, n_r
         ends = np.array([(vp.x, vp.y) if c is None else (c[0] % width, c[1] % height)
                          for c in free], dtype=np.int64).reshape(-1, 2)
     mask = visibility_mask(vp, ends, observed)
-    assert mask.dtype == np.int64
     expected = np.array(visibility_mask_oracle(vp, ends, observed.cells), dtype=np.int64)
-    assert np.array_equal(mask, expected.reshape(-1, 2))
+    assert np.array_equal(mask_cells(mask), expected.reshape(-1, 2))
+    assert len(mask) == len(expected)
 
 
 def test_info_gain_zero_cases():
     var = new_grid(10, 10)
     var.cells[:] = 0.0
-    mask = np.array([[1, 1], [2, 3]])
+    mask = box_mask([[1, 1], [2, 3]])
     assert info_gain(mask, var) == 0.0
-    assert info_gain(np.empty((0, 2), dtype=int), var) == 0.0
+    assert info_gain(box_mask([]), var) == 0.0
 
 
 def test_info_gain_uniform_sum():
     var = OccupancyGrid(np.full((10, 10), 0.125), 0.1)
-    cells = np.array([[x, y] for x in range(3) for y in range(4)])
+    cells = box_mask([[x, y] for x in range(3) for y in range(4)])
     assert info_gain(cells, var) == pytest.approx(12 * 0.125)
 
 
@@ -392,11 +411,11 @@ def test_info_gain_matches_per_cell_oracle():
         k = int(rng.integers(0, 40))
         xs = rng.integers(0, 16, size=k)
         ys = rng.integers(0, 16, size=k)
-        mask = np.stack([xs, ys], axis=1)
         oracle = 0.0
-        for x, y in zip(xs, ys):
+        for x, y in set(zip(xs, ys)):  # a mask holds a cell once
             oracle += var.cells[y, x]
-        assert info_gain(mask, var) == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+        assert info_gain(box_mask(np.stack([xs, ys], axis=1)), var) == pytest.approx(
+            oracle, rel=1e-12, abs=1e-15)
 
 
 def test_info_gain_additive_and_monotone():
@@ -405,16 +424,16 @@ def test_info_gain_additive_and_monotone():
     all_cells = np.array([[x, y] for x in range(12) for y in range(12)])
     a = all_cells[:60]
     b = all_cells[60:]
-    ga = info_gain(a, var)
-    gb = info_gain(b, var)
-    gall = info_gain(all_cells, var)
+    ga = info_gain(box_mask(a), var)
+    gb = info_gain(box_mask(b), var)
+    gall = info_gain(box_mask(all_cells), var)
     assert gall == pytest.approx(ga + gb, rel=1e-12)
     assert gall >= ga and gall >= gb
 
 
 def test_info_gain_dimension_mismatch():
     var = new_grid(4, 4)
-    mask = np.array([[10, 10]])
+    mask = box_mask([[10, 10]])
     with pytest.raises(ValueError):
         info_gain(mask, var)
 

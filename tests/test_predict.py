@@ -23,6 +23,7 @@ from exploresim import (
     new_grid,
 )
 from exploresim import predict as predict_module
+from exploresim.predict import Ensemble
 
 
 def predict(predictor, observed):
@@ -279,6 +280,79 @@ def test_ensemble_determinism():
     a = ensemble_predict(ens, observed)
     b = ensemble_predict(ens, observed)
     assert a.mean == b.mean and a.variance == b.variance
+
+
+def stacked_statistics(outputs, observed):
+    """The ensemble statistics computed from scratch: numpy's mean and
+    variance over the stacked member outputs, clamped to the known cells."""
+    stack = np.stack(outputs)
+    mean, variance = stack.mean(axis=0), stack.var(axis=0)
+    known = observed.cells != UNKNOWN
+    mean[known] = observed.cells[known]
+    variance[known] = 0.0
+    return mean, variance
+
+
+MEMBER_KINDS = ("passthrough", "noisy_oracle", "patch", "constant")
+
+
+@settings(deadline=None, max_examples=60)
+@given(kinds=st.lists(st.sampled_from(MEMBER_KINDS), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), h=st.integers(1, 30), w=st.integers(1, 30),
+       steps=st.lists(st.sampled_from(["reveal", "local", "same"]), min_size=1, max_size=8))
+def test_kept_ensemble_statistics_equal_a_fresh_computation(kinds, seed, h, w, steps):
+    # An episode's map only grows; after every call the kept statistics must
+    # equal the stacked ones bit for bit.
+    rng = np.random.default_rng(seed)
+    gt = OccupancyGrid((rng.random((h, w)) < 0.3).astype(float), 0.1)
+    corpus = [random_binary(rng, 12)]
+
+    def member(kind, k):
+        if kind == "passthrough":
+            return PassThroughPredictor()
+        if kind == "noisy_oracle":
+            return NoisyOraclePredictor(gt, 0.3, seed=k)
+        if kind == "patch":
+            return PatchInpaintingPredictor(corpus, 3, 1)
+        return _ConstantPredictor((k + 1) / 5)
+
+    ensemble = Ensemble([member(kind, k) for k, kind in enumerate(kinds)])
+    twins = [member(kind, k) for k, kind in enumerate(kinds)]  # predict for the reference
+    observed = new_grid(w, h)
+    for step in ["reveal", *steps]:
+        cells = observed.cells
+        if step == "reveal":
+            pick = rng.random(cells.shape) < 0.2
+        else:  # "local": a small rectangle, as a scan reveals; "same": nothing
+            pick = np.zeros(cells.shape, dtype=bool)
+            if step == "local":
+                y, x = int(rng.integers(h)), int(rng.integers(w))
+                pick[y : y + int(rng.integers(1, 5)), x : x + int(rng.integers(1, 5))] = True
+        cells[pick] = gt.cells[pick]  # in place, as integrate_scan writes
+        ps = ensemble_predict(ensemble, observed)
+        mean, variance = stacked_statistics([t.predict(observed).cells for t in twins], observed)
+        assert np.array_equal(ps.mean.cells, mean)
+        assert np.array_equal(ps.variance.cells, variance)
+
+
+def test_kept_ensemble_statistics_follow_a_map_of_another_shape():
+    rng = np.random.default_rng(12)
+    ensemble = Ensemble([PassThroughPredictor(), _ConstantPredictor(0.2)])
+    for n in (8, 8, 5, 9):
+        observed = random_three_label(rng, n)
+        ps = ensemble_predict(ensemble, observed)
+        mean, variance = stacked_statistics([observed.cells, np.full((n, n), 0.2)], observed)
+        assert np.array_equal(ps.mean.cells, mean)
+        assert np.array_equal(ps.variance.cells, variance)
+
+
+def test_noisy_oracle_returns_a_grid_no_one_can_change():
+    rng = np.random.default_rng(13)
+    member = NoisyOraclePredictor(random_binary(rng), 0.2, seed=3)
+    out = member.predict(new_grid(24, 24))
+    with pytest.raises(ValueError):
+        out.cells[0, 0] = 0.5
+    assert member.predict(new_grid(24, 24)) == out
 
 
 class _Boom:
