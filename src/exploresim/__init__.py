@@ -41,6 +41,7 @@ from .metrics import (
 )
 from .planner import EpisodeConfig, EpisodeRecord, astar, path_cells, run_episode, waypoint_valid
 from .predict import (
+    Ensemble,
     ExternalPredictor,
     NoisyOraclePredictor,
     PassThroughPredictor,

@@ -379,8 +379,8 @@ def run_episode(
             checkpoints.append(Checkpoint(
                 t=t + 1,
                 observed=observed.copy(),
-                mean=latest_pset.mean.copy(),
-                variance=latest_pset.variance.copy(),
+                mean=latest_pset.mean,
+                variance=latest_pset.variance,
             ))
     else:
         t, end_reason = cfg.budget_t, "budget"

@@ -2,6 +2,15 @@
 ensemble with its mean/variance maps, and a file-protocol hook for plugging
 in an external predictor process.
 
+A member's `predict(observed)` returns a float64 array of the map's shape
+with values in [0, 1], and nobody writes to that array after it is
+returned. So the same array object always holds the same values: a member
+whose prediction has not changed may return the array it returned last.
+`NoisyOraclePredictor` returns its one read-only grid on every call, and
+`PatchInpaintingPredictor` returns its kept read-only output while the map
+is unchanged. `PassThroughPredictor` and `ExternalPredictor` return a new
+array on every call.
+
 Predictors fill the unknown cells; the ensemble is the one clamp:
 `ensemble_predict` sets the mean to the observed value and the variance to
 zero wherever the observed map is known, as if every member's prediction
@@ -9,22 +18,11 @@ had been overridden there by the observation.
 Variance is the population (divide-by-n) variance, which is well defined
 for a single member and bounded by 0.25 for values in [0, 1].
 
-An `Ensemble` keeps its statistics between calls: each member's last
-output and the unclamped mean and variance. A call compares every member's
-new output with the kept one and recomputes the mean and variance only in
-the box of the cells where any output changed; it then clamps a copy. The
-box's sums run in member order, as numpy's mean and variance over axis 0
-of the member stack do, so the result equals a from-scratch computation
-bit for bit. A member must therefore never change a grid it has returned;
-`NoisyOraclePredictor` returns its one read-only grid on every call.
-
-`PatchInpaintingPredictor` is the one member that keeps state between
-calls: a copy of the last observed map and of the last output. A block's
-output depends only on its context window, so a later call on a map of the
-same shape works inside one window, the box of the changed cells grown by
-the ring and widened to whole blocks: it recomputes just the blocks there
-whose context changed and leaves the rest of its last output as it was;
-the result is the one a fresh member would return.
+An `Ensemble` keeps each member's last output and the unclamped mean and
+variance. When every member returns the very array it returned last, the
+kept statistics stand; otherwise they are computed again over the whole
+grid. The sums run in member order, as numpy's mean and variance over
+axis 0 of the member stack do, so the result equals theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EnsembleError, ExternalPredictorError
 from .grid import UNKNOWN, OccupancyGrid, load_pgm, save_pgm
@@ -49,8 +46,8 @@ EXTERNAL_TIMEOUT_S = 120.0
 class PassThroughPredictor:
     """Returns the observation unchanged; unknown stays 0.5."""
 
-    def predict(self, observed: OccupancyGrid) -> OccupancyGrid:
-        return observed.copy()
+    def predict(self, observed: OccupancyGrid) -> np.ndarray:
+        return observed.cells.copy()  # the observed map changes in place
 
 
 class NoisyOraclePredictor:
@@ -68,12 +65,12 @@ class NoisyOraclePredictor:
         self.filled = np.where(flip, 1.0 - gt.cells, gt.cells)
         self.filled.flags.writeable = False  # every call returns this grid
 
-    def predict(self, observed: OccupancyGrid) -> OccupancyGrid:
+    def predict(self, observed: OccupancyGrid) -> np.ndarray:
         if observed.shape != self.filled.shape:
             raise ValueError(
                 f"observed {observed.shape} does not match ground truth {self.filled.shape}"
             )
-        return OccupancyGrid(self.filled, observed.resolution)
+        return self.filled
 
 
 class PatchInpaintingPredictor:
@@ -85,20 +82,21 @@ class PatchInpaintingPredictor:
     best patch's interior is pasted into the block's unknown cells. Ties
     resolve to the lowest patch index, so prediction is deterministic.
 
-    A block's output is a function of its (block_size + 2 ring)-square
-    window of the observed map and of nothing else. The member keeps a copy
-    of the last observed map and of the last output. On a call with a map
-    of the same shape it takes the cells that changed and grows them by the
-    ring: a block touches a grown cell exactly when its window changed. All
-    such blocks lie in one window: the box of the changed cells, grown by
-    the ring and widened on both sides to whole blocks, so that a block is
-    either wholly inside it or wholly outside. Only that window is read and
-    updated. Of its blocks, those that touch a grown cell and hold an
-    unknown cell are matched again; every other cell keeps its last output,
-    or takes the map's value where it changed. So the output equals a fresh
-    member's bit for bit. A call on an unchanged map returns the last
-    output; the first call, and a call on a map of another shape, matches
-    every block.
+    The member keeps the last observed map, padded with UNKNOWN by the ring
+    on every side and out to whole blocks on the bottom and right, so a
+    block's (block_size + 2 ring)-square context is a view of it: cells
+    beyond the grid are unknown and never match. A block's output depends
+    on that context alone. On a call with a map of the same shape, a block
+    is matched again only when it holds an unknown cell and a cell within
+    the ring of it changed; all such blocks lie in one window, the box of
+    the changed cells grown by the ring and widened to whole blocks. Every
+    other cell keeps its last output, or takes the map's value where it
+    changed, so the output equals a fresh member's bit for bit.
+
+    The output is copy-on-write: an unchanged map returns the kept output
+    itself; otherwise the member copies it, updates the window, and keeps
+    and returns the copy. Both are read-only. The first call, and a call on
+    a map of another shape, matches every block.
 
     Corpus windows are cut every `stride` cells (default: block_size). The
     config never sets it; tests pass stride 1, which takes every window, to
@@ -124,62 +122,53 @@ class PatchInpaintingPredictor:
         self.patches = np.stack(patches)  # (n, side, side)
         self.ring_mask = np.ones((side, side), dtype=bool)
         self.ring_mask[ring : ring + block_size, ring : ring + block_size] = False
-        self._last_observed: np.ndarray | None = None
+        self._last_observed: np.ndarray | None = None  # padded
         self._last_output: np.ndarray | None = None
 
-    def predict(self, observed: OccupancyGrid) -> OccupancyGrid:
+    def predict(self, observed: OccupancyGrid) -> np.ndarray:
         b, r = self.block_size, self.ring
         side = b + 2 * r
         cells = observed.cells
-        last = self._last_observed
-        if last is not None and last.shape == cells.shape:
-            changed = last != cells
+        h, w = cells.shape
+        if self._last_output is not None and self._last_output.shape == cells.shape:
+            seen = self._last_observed[r : r + h, r : r + w]
+            changed = seen != cells
             rows = np.flatnonzero(changed.any(axis=1))
             if rows.size == 0:
-                return OccupancyGrid(self._last_output.copy(), observed.resolution)
+                return self._last_output
             cols = np.flatnonzero(changed.any(axis=0))
-            # Every block whose window changed lies in this window: the
-            # changed cells' box grown by the ring, out to whole blocks.
-            y0, y1 = _block_span(rows[0] - r, rows[-1] + r + 1, b, cells.shape[0])
-            x0, x1 = _block_span(cols[0] - r, cols[-1] + r + 1, b, cells.shape[1])
+            y0, y1 = _block_span(rows[0] - r, rows[-1] + r + 1, b, h)
+            x0, x1 = _block_span(cols[0] - r, cols[-1] + r + 1, b, w)
             win = np.s_[y0:y1, x0:x1]
-            out = self._last_output
+            out = self._last_output.copy()
             np.copyto(out[win], cells[win], where=changed[win])
-            last[win] = cells[win]
-            # Each changed cell lies a ring inside the window, or the grid
-            # ends there, so the window alone filters as the whole grid does.
-            stale = ndimage.maximum_filter(changed[win], size=2 * r + 1, mode="constant")
+            seen[win] = cells[win]
         else:
             (y0, x0), (y1, x1) = (0, 0), cells.shape
             out = cells.copy()
-            stale = None
-            self._last_observed = cells.copy()
-            self._last_output = out
+            changed = None
+            self._last_observed = np.full((-(-h // b) * b + 2 * r, -(-w // b) * b + 2 * r),
+                                          UNKNOWN)
+            self._last_observed[r : r + h, r : r + w] = cells
         unknown = cells[y0:y1, x0:x1] == UNKNOWN
-        todo = _blocks_with_any(unknown, b)
-        if stale is not None:
-            todo &= _blocks_with_any(stale, b)
-
-        ys, xs = np.nonzero(todo)
+        ys, xs = np.nonzero(_blocks_with_any(unknown, b))
         for by, bx in zip((y0 + ys * b).tolist(), (x0 + xs * b).tolist()):
-            blk = unknown[by - y0 : by - y0 + b, bx - x0 : bx - x0 + b]
-            # Context window around the block, clipped at the borders.
-            wy, wx = by - r, bx - r
-            ctx = np.full((side, side), np.nan)
-            sy0, sx0 = max(0, wy), max(0, wx)
-            sy1 = min(observed.height, wy + side)
-            sx1 = min(observed.width, wx + side)
-            ctx[sy0 - wy : sy1 - wy, sx0 - wx : sx1 - wx] = cells[sy0:sy1, sx0:sx1]
-            known_ring = self.ring_mask & ~np.isnan(ctx) & (ctx != UNKNOWN)
+            if changed is not None and not changed[max(0, by - r) : by + b + r,
+                                                   max(0, bx - r) : bx + b + r].any():
+                continue
+            ctx = self._last_observed[by : by + side, bx : bx + side]
+            known_ring = self.ring_mask & (ctx != UNKNOWN)
             if known_ring.any():
                 diff = self.patches[:, known_ring] - ctx[known_ring]
                 best = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
             else:
                 best = 0
-            interior = self.patches[best, r : r + b, r : r + b]
-            h, w = blk.shape
-            out[by : by + h, bx : bx + w][blk] = interior[:h, :w][blk]
-        return OccupancyGrid(out.copy(), observed.resolution)
+            blk = unknown[by - y0 : by - y0 + b, bx - x0 : bx - x0 + b]
+            bh, bw = blk.shape
+            out[by : by + bh, bx : bx + bw][blk] = self.patches[best, r : r + bh, r : r + bw][blk]
+        out.flags.writeable = False
+        self._last_output = out
+        return out
 
 
 def _block_span(lo: int, hi: int, b: int, n: int) -> tuple[int, int]:
@@ -207,7 +196,7 @@ class ExternalPredictor:
         if not self.command:
             raise ValueError("external predictor command is empty")
 
-    def predict(self, observed: OccupancyGrid) -> OccupancyGrid:
+    def predict(self, observed: OccupancyGrid) -> np.ndarray:
         cmd = self.command
         with tempfile.TemporaryDirectory(prefix="exploresim-") as tmp:
             in_path = Path(tmp) / "observed.pgm"
@@ -230,13 +219,14 @@ class ExternalPredictor:
             raise ExternalPredictorError(
                 f"prediction is {prediction.shape}, observed is {observed.shape}"
             )
-        return prediction
+        return prediction.cells
 
 
 @dataclass
 class PredictionSet:
     """Ensemble output: the per-cell mean and population variance of the
-    member predictions, clamped to the known observed cells."""
+    member predictions, clamped to the known observed cells. Both grids
+    are read-only."""
 
     mean: OccupancyGrid
     variance: OccupancyGrid
@@ -245,7 +235,8 @@ class PredictionSet:
 class Ensemble:
     """The members of one episode's ensemble and the statistics kept from
     its last call: each member's last output and the unclamped mean and
-    variance (see the module docstring)."""
+    variance. Nobody writes to an output after it is returned, so an output
+    that `is` the kept one holds the same values (see the module docstring)."""
 
     def __init__(self, members: list):
         if not members:
@@ -254,77 +245,55 @@ class Ensemble:
         self.outputs: list[np.ndarray | None] = [None] * len(self.members)
         self.mean: np.ndarray | None = None
         self.variance: np.ndarray | None = None
-        self._flags: np.ndarray | None = None  # a boolean grid reused by every call
-
-    def _changed_box(self, outputs: list[np.ndarray]) -> tuple[slice, slice] | None:
-        """The box of the cells where any output differs from the kept one:
-        the whole grid when nothing is kept for this shape, None when no
-        output changed."""
-        shape = outputs[0].shape
-        if self.mean is None or self.mean.shape != shape:
-            self.mean, self.variance = np.empty(shape), np.empty(shape)
-            self._flags = np.empty(shape, dtype=bool)
-            return np.s_[:, :]
-        rows = np.zeros(shape[0], dtype=bool)
-        cols = np.zeros(shape[1], dtype=bool)
-        for new, old in zip(outputs, self.outputs):
-            if new is not old:  # a returned grid never changes
-                np.not_equal(new, old, out=self._flags)
-                rows |= self._flags.any(axis=1)
-                cols |= self._flags.any(axis=0)
-        ys, xs = np.flatnonzero(rows), np.flatnonzero(cols)
-        if ys.size == 0:
-            return None
-        return np.s_[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
 
     def update(self, outputs: list[np.ndarray]) -> None:
-        """Keep `outputs` and bring the mean and variance up to date with them."""
-        box = self._changed_box(outputs)
-        self.outputs = outputs
-        if box is None:
+        """Keep `outputs` and bring the mean and variance up to date with
+        them; an array a member returned again still holds its values."""
+        if all(new is old for new, old in zip(outputs, self.outputs)):
             return
+        self.outputs = outputs
         # numpy's mean and var over axis 0 of the member stack, in the same
         # order of operations: sums run member by member, then divide by n.
         n = len(outputs)
-        total = outputs[0][box].copy()
+        total = outputs[0].copy()
         for out in outputs[1:]:
-            total += out[box]
-        mean = np.divide(total, n, out=self.mean[box])
-        squares = np.square(outputs[0][box] - mean)
+            total += out
+        self.mean = total / n
+        squares = np.square(outputs[0] - self.mean)
         for out in outputs[1:]:
-            np.subtract(out[box], mean, out=total)
+            np.subtract(out, self.mean, out=total)
             squares += np.square(total, out=total)
-        np.divide(squares, n, out=self.variance[box])
+        self.variance = np.divide(squares, n, out=squares)
 
     def clamped(self, observed: OccupancyGrid) -> PredictionSet:
-        """Copies of the kept mean and variance, clamped to the cells
-        `observed` knows."""
-        known = np.not_equal(observed.cells, UNKNOWN, out=self._flags)
+        """Read-only copies of the kept mean and variance, clamped to the
+        cells `observed` knows."""
+        known = observed.cells != UNKNOWN
         mean, variance = self.mean.copy(), self.variance.copy()
         np.copyto(mean, observed.cells, where=known)
         np.copyto(variance, 0.0, where=known)
+        mean.flags.writeable = variance.flags.writeable = False
         return PredictionSet(mean=OccupancyGrid(mean, observed.resolution),
                              variance=OccupancyGrid(variance, observed.resolution))
 
 
-def ensemble_predict(ensemble: Ensemble | list, observed: OccupancyGrid) -> PredictionSet:
+def ensemble_predict(ensemble: Ensemble, observed: OccupancyGrid) -> PredictionSet:
     """Run every member, take the mean and variance maps of their
     predictions, and clamp both to the known observed cells: the mean takes
     the observed value there and the variance 0. On a three-label map this
     equals clamping each member first.
 
-    `ensemble` is an `Ensemble`, whose kept statistics the call updates, or
-    a list of members, for which nothing is kept.
+    The call updates the statistics `ensemble` keeps; when every member
+    returns the array it returned last, they are reused as they stand. The
+    returned mean and variance grids are new and read-only.
 
     The map must be a three-label grid; this is not checked here, since an
     episode's map changes only through `world.integrate_scan`.
     """
-    if not isinstance(ensemble, Ensemble):
-        ensemble = Ensemble(ensemble)
     outputs = []
     for i, member in enumerate(ensemble.members):
         try:
-            outputs.append(member.predict(observed).cells)
+            outputs.append(member.predict(observed))
         except Exception as exc:
             raise EnsembleError(i, str(exc)) from exc
     ensemble.update(outputs)

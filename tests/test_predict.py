@@ -5,13 +5,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exploresim import (
     FREE,
     OCCUPIED,
     UNKNOWN,
+    Ensemble,
     EnsembleError,
     ExternalPredictorError,
     NoisyOraclePredictor,
@@ -23,13 +24,12 @@ from exploresim import (
     new_grid,
 )
 from exploresim import predict as predict_module
-from exploresim.predict import Ensemble
 
 
 def predict(predictor, observed):
     """One predictor run through the ensemble, the one clamp to the observation;
     the mean of a single member is its clamped prediction."""
-    return ensemble_predict([predictor], observed).mean
+    return ensemble_predict(Ensemble([predictor]), observed).mean
 
 
 def random_three_label(rng, n=24):
@@ -129,15 +129,21 @@ def test_patch_inpainter_selection_matches_exhaustive_search():
     assert (out.cells[6:12, 6:12][blk_unknown] == expected[blk_unknown]).all()
 
 
-def _grid_side(block):
-    """Grid sides that are not multiples of the block, some smaller than it."""
-    return st.integers(3, 30).map(lambda n: n + 1 if n % block == 0 else n)
+def _grid_side(n, block):
+    """`n`, or n + 1 where n is a multiple of the block: a side that is not a
+    multiple of the block, some smaller than it."""
+    return n + 1 if n % block == 0 else n
 
 
 @settings(deadline=None, max_examples=60)
-@given(data=st.data(), block=st.integers(2, 6), ring=st.integers(1, 3),
-       n_corpus=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_a_reused_patch_member_matches_a_fresh_one(data, block, ring, n_corpus, seed):
+@given(block=st.integers(2, 6), ring=st.integers(1, 3), n_corpus=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), h=st.integers(3, 30), w=st.integers(3, 30),
+       steps=st.lists(st.sampled_from(["reveal", "arbitrary", "in_place", "local", "new_map"]),
+                      max_size=6))
+@example(block=4, ring=3, n_corpus=1, seed=0, h=10, w=7,
+         steps=["arbitrary", "local", "in_place", "local"])
+@example(block=5, ring=4, n_corpus=2, seed=1, h=3, w=13, steps=["in_place", "local", "reveal"])
+def test_a_reused_patch_member_matches_a_fresh_one(block, ring, n_corpus, seed, h, w, steps):
     # One member predicts a sequence of observed maps; after every call its
     # output must equal that of a member that never saw the earlier maps.
     rng = np.random.default_rng(seed)
@@ -151,16 +157,15 @@ def test_a_reused_patch_member_matches_a_fresh_one(data, block, ring, n_corpus, 
         cells[seen] = rng.choice([FREE, OCCUPIED], size=int(seen.sum()))
         return cells
 
-    steps = ["new_map", "in_place", "local"] + data.draw(st.lists(
-        st.sampled_from(["reveal", "arbitrary", "in_place", "local", "new_map"]), max_size=6))
-    for step in steps:
-        if step == "new_map":  # mostly of another shape
-            h, w = data.draw(_grid_side(block)), data.draw(_grid_side(block))
-            observed = OccupancyGrid(fresh_labels(h, w), 0.1)
+    observed = None
+    for step in ["new_map", "in_place", "local", *steps]:
+        if step == "new_map":  # after the first, mostly of another shape
+            if observed is not None:
+                h, w = (int(n) for n in rng.integers(3, 31, size=2))
+            observed = OccupancyGrid(fresh_labels(_grid_side(h, block), _grid_side(w, block)), 0.1)
         elif step == "local":  # a rectangle a few cells across changes in place, as a scan does
-            h, w = observed.shape
-            y, x = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
-            dy, dx = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+            y, x = (int(rng.integers(n)) for n in observed.shape)
+            dy, dx = (int(n) for n in rng.integers(1, 5, size=2))
             patch = observed.cells[y : y + dy, x : x + dx]
             patch[:] = rng.choice([FREE, UNKNOWN, OCCUPIED], size=patch.shape)
         else:
@@ -176,8 +181,10 @@ def test_a_reused_patch_member_matches_a_fresh_one(data, block, ring, n_corpus, 
                 observed = OccupancyGrid(cells, 0.1)
         out = member.predict(observed)
         fresh = PatchInpaintingPredictor(corpus, block, ring).predict(observed)
-        assert np.array_equal(out.cells, fresh.cells)
-        out.cells[:] = FREE  # a caller writing to its result must not reach the member
+        assert np.array_equal(out, fresh)
+        with pytest.raises(ValueError):  # a caller cannot write to the kept output
+            out[0, 0] = FREE
+        assert member.predict(OccupancyGrid(observed.cells.copy(), 0.1)) is out  # unchanged map
 
 
 def test_a_reused_member_rematches_a_short_last_block_beyond_the_change():
@@ -189,13 +196,13 @@ def test_a_reused_member_rematches_a_short_last_block_beyond_the_change():
     member = PatchInpaintingPredictor(corpus, block_size=4, ring=1)
     before = np.full((10, 10), FREE)
     before[9, 8:] = UNKNOWN
-    assert (member.predict(OccupancyGrid(before)).cells[9, 8:] == FREE).all()
+    assert (member.predict(OccupancyGrid(before))[9, 8:] == FREE).all()
     after = before.copy()
     after[7, 7:] = OCCUPIED
     out = member.predict(OccupancyGrid(after))
-    assert (out.cells[9, 8:] == OCCUPIED).all()
+    assert (out[9, 8:] == OCCUPIED).all()
     fresh = PatchInpaintingPredictor(corpus, block_size=4, ring=1).predict(OccupancyGrid(after))
-    assert np.array_equal(out.cells, fresh.cells)
+    assert np.array_equal(out, fresh)
 
 
 def test_patch_members_keep_their_own_state():
@@ -203,11 +210,11 @@ def test_patch_members_keep_their_own_state():
     # and 1, so the variance is 0.25 there at every call, whatever the
     # members saw before; members that shared their state would agree.
     rng = np.random.default_rng(11)
-    members = [PatchInpaintingPredictor([OccupancyGrid(np.full((12, 12), v))], 4, 2)
-               for v in (FREE, OCCUPIED)]
+    ensemble = Ensemble([PatchInpaintingPredictor([OccupancyGrid(np.full((12, 12), v))], 4, 2)
+                         for v in (FREE, OCCUPIED)])
     observed = random_three_label(rng, 21)
     for _ in range(3):
-        ps = ensemble_predict(members, observed)
+        ps = ensemble_predict(ensemble, observed)
         unknown = observed.cells == UNKNOWN
         assert (ps.variance.cells[unknown] == 0.25).all()
         observed.cells[rng.random(observed.shape) < 0.2] = FREE
@@ -216,7 +223,7 @@ def test_patch_members_keep_their_own_state():
 def test_ensemble_identical_members_zero_variance():
     rng = np.random.default_rng(6)
     observed = random_three_label(rng)
-    ens = [PassThroughPredictor() for _ in range(3)]
+    ens = Ensemble([PassThroughPredictor() for _ in range(3)])
     ps = ensemble_predict(ens, observed)
     assert (ps.variance.cells == 0.0).all()
     assert ps.mean == observed
@@ -227,12 +234,12 @@ class _ConstantPredictor:
         self.value = value
 
     def predict(self, observed):
-        return OccupancyGrid(np.full(observed.shape, self.value), observed.resolution)
+        return np.full(observed.shape, self.value)
 
 
 def test_ensemble_two_member_spread():
     observed = new_grid(4, 4)
-    ens = [_ConstantPredictor(0.0), _ConstantPredictor(1.0)]
+    ens = Ensemble([_ConstantPredictor(0.0), _ConstantPredictor(1.0)])
     ps = ensemble_predict(ens, observed)
     assert (ps.mean.cells == 0.5).all()
     assert (ps.variance.cells == 0.25).all()
@@ -240,7 +247,7 @@ def test_ensemble_two_member_spread():
 
 def test_ensemble_three_member_variance_value():
     observed = new_grid(5, 5)
-    ens = [_ConstantPredictor(v) for v in (0.2, 0.5, 0.8)]
+    ens = Ensemble([_ConstantPredictor(v) for v in (0.2, 0.5, 0.8)])
     ps = ensemble_predict(ens, observed)
     # population variance of {0.2, 0.5, 0.8} = (0.09 + 0 + 0.09)/3 = 0.06
     assert ps.variance.cells[0, 0] == pytest.approx(0.06, rel=1e-12)
@@ -253,7 +260,7 @@ def test_ensemble_variance_zero_on_known_cells_and_bounded():
     rng = np.random.default_rng(7)
     gt = random_binary(rng)
     observed = random_three_label(rng)
-    ens = [NoisyOraclePredictor(gt, 0.5, seed=s) for s in (1, 2, 3)]
+    ens = Ensemble([NoisyOraclePredictor(gt, 0.5, seed=s) for s in (1, 2, 3)])
     ps = ensemble_predict(ens, observed)
     known = observed.cells != UNKNOWN
     assert (ps.variance.cells[known] == 0.0).all()
@@ -264,10 +271,10 @@ def test_ensemble_statistics_recompute_exactly():
     rng = np.random.default_rng(8)
     gt = random_binary(rng)
     observed = random_three_label(rng)
-    ens = [NoisyOraclePredictor(gt, 0.4, seed=s) for s in (4, 5, 6)]
+    ens = Ensemble([NoisyOraclePredictor(gt, 0.4, seed=s) for s in (4, 5, 6)])
     ps = ensemble_predict(ens, observed)
     known = observed.cells != UNKNOWN
-    stack = np.stack([np.where(known, observed.cells, m.predict(observed).cells) for m in ens])
+    stack = np.stack([np.where(known, observed.cells, m.predict(observed)) for m in ens.members])
     assert (stack.mean(axis=0) == ps.mean.cells).all()
     assert (stack.var(axis=0) == ps.variance.cells).all()
 
@@ -276,7 +283,7 @@ def test_ensemble_determinism():
     rng = np.random.default_rng(9)
     gt = random_binary(rng)
     observed = random_three_label(rng)
-    ens = [NoisyOraclePredictor(gt, 0.1, seed=s) for s in (7, 8, 9)]
+    ens = Ensemble([NoisyOraclePredictor(gt, 0.1, seed=s) for s in (7, 8, 9)])
     a = ensemble_predict(ens, observed)
     b = ensemble_predict(ens, observed)
     assert a.mean == b.mean and a.variance == b.variance
@@ -330,7 +337,7 @@ def test_kept_ensemble_statistics_equal_a_fresh_computation(kinds, seed, h, w, s
                 pick[y : y + int(rng.integers(1, 5)), x : x + int(rng.integers(1, 5))] = True
         cells[pick] = gt.cells[pick]  # in place, as integrate_scan writes
         ps = ensemble_predict(ensemble, observed)
-        mean, variance = stacked_statistics([t.predict(observed).cells for t in twins], observed)
+        mean, variance = stacked_statistics([t.predict(observed) for t in twins], observed)
         assert np.array_equal(ps.mean.cells, mean)
         assert np.array_equal(ps.variance.cells, variance)
 
@@ -351,8 +358,8 @@ def test_noisy_oracle_returns_a_grid_no_one_can_change():
     member = NoisyOraclePredictor(random_binary(rng), 0.2, seed=3)
     out = member.predict(new_grid(24, 24))
     with pytest.raises(ValueError):
-        out.cells[0, 0] = 0.5
-    assert member.predict(new_grid(24, 24)) == out
+        out[0, 0] = 0.5
+    assert member.predict(new_grid(24, 24)) is out
 
 
 class _Boom:
@@ -362,7 +369,7 @@ class _Boom:
 
 def test_ensemble_error_names_the_member():
     observed = new_grid(3, 3)
-    ens = [PassThroughPredictor(), _Boom()]
+    ens = Ensemble([PassThroughPredictor(), _Boom()])
     with pytest.raises(EnsembleError) as exc:
         ensemble_predict(ens, observed)
     assert exc.value.member == 1
@@ -370,7 +377,7 @@ def test_ensemble_error_names_the_member():
 
 def test_empty_ensemble_is_rejected():
     with pytest.raises(ValueError, match="at least one member"):
-        ensemble_predict([], new_grid(3, 3))
+        ensemble_predict(Ensemble([]), new_grid(3, 3))
 
 
 COPY_CMD = [sys.executable, "-c", "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"]
@@ -385,7 +392,7 @@ def test_external_copy_behaves_as_passthrough():
     rng = np.random.default_rng(10)
     observed = random_three_label(rng, 12)
     out = ExternalPredictor(COPY_CMD).predict(observed)
-    assert out == predict(PassThroughPredictor(), observed)
+    assert np.array_equal(out, PassThroughPredictor().predict(observed))
 
 
 def test_external_nonzero_exit():
@@ -418,3 +425,17 @@ def test_external_timeout_kills_a_hung_predictor(tmp_path, monkeypatch):
     assert time.monotonic() - t0 < 5
     with pytest.raises(ProcessLookupError):  # killed and reaped
         os.kill(int(pid_file.read_text()), 0)
+
+
+def test_every_built_in_member_returns_a_float64_array_of_the_map_shape():
+    rng = np.random.default_rng(14)
+    gt = OccupancyGrid((rng.random((9, 13)) < 0.3).astype(float), 0.1)
+    observed = OccupancyGrid(rng.choice([FREE, UNKNOWN, OCCUPIED], size=(9, 13)), 0.1)
+    members = [PassThroughPredictor(), NoisyOraclePredictor(gt, 0.2, seed=3),
+               PatchInpaintingPredictor([gt], 4, 2), ExternalPredictor(COPY_CMD)]
+    for member in members:
+        out = member.predict(observed)
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.shape == observed.shape
+        if isinstance(member, (NoisyOraclePredictor, PatchInpaintingPredictor)):
+            assert not out.flags.writeable
