@@ -155,7 +155,7 @@ def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> 
         corpus = [load_pgm(p, resolution=gt.resolution) for p in _corpus_paths(spec)]
         return [PatchInpaintingPredictor(corpus[i::spec.ensemble], spec.block, spec.ring)
                 for i in range(spec.ensemble)]
-    commands = [c.strip() for c in spec.command.split(";") if c.strip()]  # external
+    commands = spec.commands  # external
     return [ExternalPredictor(commands[i % len(commands)]) for i in range(spec.ensemble)]
 
 

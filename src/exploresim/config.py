@@ -33,6 +33,7 @@ is "corners" or a list of [x, y] cells, and `[maps] kind` defaults to
 
 from __future__ import annotations
 
+import math
 import tomllib
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -68,8 +69,8 @@ class MapSource:
             raise ValueError("glob: required when maps come from files")
         if self.count < 1:
             raise ValueError(f"count: must be >= 1, got {self.count}")
-        if self.resolution <= 0:
-            raise ValueError(f"resolution: must be positive, got {self.resolution}")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution: must be finite and positive, got {self.resolution}")
         if self.kind == "generate":
             check_floorplan_args(self.width, self.height, (self.rooms_min, self.rooms_max),
                                  self.corridor_width)
@@ -90,8 +91,8 @@ class PredictorSpec:
             raise ValueError(f"kind: unknown kind {self.kind!r}")
         if self.ensemble < 1:
             raise ValueError(f"ensemble: must be >= 1, got {self.ensemble}")
-        if self.kind == "external" and not self.command:
-            raise ValueError("command: required for the external predictor")
+        if self.kind == "external" and not self.commands:
+            raise ValueError(f"command: lists no command, got {self.command!r}")
         if self.kind == "patch" and not self.corpus:
             raise ValueError("corpus: required for the patch predictor")
         if not 0.0 <= self.flip_rate <= 1.0:
@@ -100,6 +101,11 @@ class PredictorSpec:
             raise ValueError(f"block: must be >= 1, got {self.block}")
         if self.ring < 1:
             raise ValueError(f"ring: must be >= 1, got {self.ring}")
+
+    @property
+    def commands(self) -> list[str]:
+        """The external predictor's commands: `command` split at each ';'."""
+        return [c.strip() for c in (self.command or "").split(";") if c.strip()]
 
 
 @dataclass
@@ -127,8 +133,9 @@ class ExperimentConfig:
         for s in self.scorers:
             if s not in SCORER_KINDS:
                 raise ValueError(f"scorers: unknown kind {s!r}")
-        if self.budget < 0:
-            raise ValueError(f"budget: must be >= 0, got {self.budget}")
+        for key in ("budget", "min_cluster_size", "max_waypoint_age", "checkpoint_every"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key}: must be >= 0, got {getattr(self, key)}")
         if self.tu_goals < 0:
             raise ValueError(f"tu_goals: must be >= 0 (0 scores no TU), got {self.tu_goals}")
         if not self.seeds:

@@ -2,38 +2,38 @@
 visibility-mask construction by flood fill, and the gain sum over the
 variance map.
 
-Both casts walk the ray table with `trace.walk_rays`, the sensor's own
-walker: each block reads the map through `trace.gather_values` at the
-flat grid indices the walk hands it, and ends its rays by
-`trace.end_columns`, the sensor's stop rule. The casts differ only in the
-stop mask. Endpoints are (N, 2) int arrays with columns (x, y), like
-`Scan.endpoints`. A visibility mask is a `BoxMask`: the box of the grid
-the flood filled, as a pair of slices, and a boolean `keep` over that box;
-its `len()` is the number of cells it keeps.
+A cast is one gather: `trace.ray_cell_table` gives its rays' cells as flat
+grid indices and their in-bounds prefix lengths, `trace.gather_values`
+reads the map there, and `trace.end_columns`, the sensor's stop rule, ends
+each ray at the first cell its stop test flags. The casts differ only in
+that test. A default cast's 60 x 258 cells fit the first block of a walk,
+so reading past where the rays end costs nothing a walk would save.
+Endpoints are (N, 2) int arrays with columns (x, y), like `Scan.endpoints`.
+A visibility mask is a `BoxMask`: the box of the grid the flood filled, as
+a pair of slices, and a boolean `keep` over that box; its `len()` is the
+number of cells it keeps.
 
 A probabilistic ray accumulates the occupancy value of each cell it
-traverses, once per cell, and stops once the running total reaches the
-threshold epsilon; a cell of value 1.0 therefore stops any ray with
-epsilon <= 1, which makes the probabilistic and deterministic casts
-coincide on binary maps. The total is carried from one block of the walk
-to the next, so it adds up in the same order as one cumsum along the whole
-ray. The viewpoint's own cell never contributes to the total, so standing
-on an uncertain predicted cell does not self-terminate the cast. A
-deterministic ray stops at the first cell above 0.5, so on a three-label
-observed map unknown cells (0.5) let it through and only observed walls
-stop it.
+traverses, once per cell, as one cumsum along its row, and stops once the
+running total reaches the threshold epsilon; a cell of value 1.0 therefore
+stops any ray with epsilon <= 1, which makes the probabilistic and
+deterministic casts coincide on binary maps. The viewpoint's own cell
+never contributes to the total, so standing on an uncertain predicted cell
+does not self-terminate the cast. A deterministic ray stops at the first
+cell above 0.5, so on a three-label observed map unknown cells (0.5) let it
+through and only observed walls stop it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .grid import UNKNOWN, GridPose, OccupancyGrid
-from .trace import end_columns, gather_values, line_cells, walk_rays
-from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `infogain.ray_cell_table`)
+from .trace import cells_xy, end_columns, gather_values, line_cells, ray_cell_table
 
 # The running total is a float cumsum; comparing against epsilon minus this
 # guard keeps cell-count arithmetic exact (eight 0.1 cells must reach 0.8).
@@ -49,29 +49,26 @@ class RaycastConfig:
     range_lambda: float = 20.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon: must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon: must be finite and positive, got {self.epsilon}")
         if self.n_rays < 8:
             raise ValueError(f"n_rays: need at least 8 rays, got {self.n_rays}")
-        if self.range_lambda <= 0:
-            raise ValueError(f"range_lambda: must be positive, got {self.range_lambda}")
+        if not (math.isfinite(self.range_lambda) and self.range_lambda > 0):
+            raise ValueError(f"range_lambda: must be finite and positive, got {self.range_lambda}")
 
 
-def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, stop_fn,
-          carry=None) -> np.ndarray:
-    """The endpoints of a walk whose rays stop where `stop_fn(rays, values)`
-    flags; `carry` is `trace.walk_rays`'s per-ray running total."""
+def _cast(viewpoint: GridPose, grid: OccupancyGrid, cfg: RaycastConfig, stop_fn) -> np.ndarray:
+    """The (n_rays, 2) endpoints of the rays from `viewpoint`, each ending at
+    its first cell that `stop_fn(values)` flags, else at its range or grid
+    limit."""
     if not grid.in_bounds(viewpoint.x, viewpoint.y):
         raise ValueError(f"viewpoint {viewpoint} is outside the grid")
-
-    def block(rays, c0, idx, length):
-        values = gather_values(grid.cells, idx)
-        if c0 == 0:
-            values[:, 0] = 0.0  # column 0 is the viewpoint's own cell
-        return end_columns(stop_fn(rays, values), length)
-
-    range_cells = cfg.range_lambda / grid.resolution
-    return walk_rays(cfg.n_rays, range_cells, viewpoint, grid.shape, block, carry)[1]
+    idx, length = ray_cell_table(viewpoint, cfg.n_rays, cfg.range_lambda / grid.resolution,
+                                 grid.shape)
+    values = gather_values(grid.cells, idx)
+    values[:, 0] = 0.0  # column 0 is the viewpoint's own cell
+    col, _ = end_columns(stop_fn(values), length)
+    return cells_xy(idx[np.arange(len(idx)), col], grid.width)
 
 
 def probabilistic_raycast(
@@ -79,15 +76,8 @@ def probabilistic_raycast(
 ) -> np.ndarray:
     """(n_rays, 2) endpoints where the accumulated occupancy reaches epsilon,
     or the range/grid limit if it never does."""
-    carry = np.zeros(cfg.n_rays)  # each ray's running total at the end of its last block
-
-    def stop(rays, values):
-        values[:, 0] += carry[rays]
-        acc = np.cumsum(values, axis=1)
-        carry[rays] = acc[:, -1]
-        return acc >= cfg.epsilon - THRESHOLD_GUARD
-
-    return _cast(viewpoint, mean_map, cfg, stop, carry)
+    return _cast(viewpoint, mean_map, cfg,
+                 lambda values: np.cumsum(values, axis=1) >= cfg.epsilon - THRESHOLD_GUARD)
 
 
 def deterministic_raycast(
@@ -95,7 +85,7 @@ def deterministic_raycast(
 ) -> np.ndarray:
     """(n_rays, 2) endpoints at the first cell above 0.5, or the range/grid
     limit."""
-    return _cast(viewpoint, grid, cfg, lambda rays, values: values > 0.5)
+    return _cast(viewpoint, grid, cfg, lambda values: values > 0.5)
 
 
 @dataclass(frozen=True, eq=False)

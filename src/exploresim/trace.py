@@ -1,15 +1,16 @@
 """Ray and line traversal kernels shared by the sensor and the scoring raycasts.
 
 There are two kernels: the ray table, which the sensor and both scoring
-casts walk, and `line_cells`, which rasterizes straight segments for the
+casts read, and `line_cells`, which rasterizes straight segments for the
 visibility-mask polygon and the variance corridor.
 
-`walk_rays` is the one walker of the ray table: the sensor and both scoring
-casts call it with a per-block function that reads the map and ends the
-block's rays by `end_columns`, the one rule for where a ray stops: at its
-first in-bounds cell flagged by the caller's stop mask, else at its last
-in-bounds cell. The sensor flags occupied ground-truth cells, the scoring
-casts the cell where their termination test first holds.
+The table has two readers, which end a ray by `end_columns`, the one rule
+for where a ray stops: at its first in-bounds cell flagged by the caller's
+stop mask, else at its last in-bounds cell. `walk_rays`, the sensor's,
+reads the table in column blocks of the rays still live; `ray_cell_table`,
+the scoring casts', reads it in one block. The sensor flags occupied
+ground-truth cells, the scoring casts the cell where their termination
+test first holds.
 
 Rays are walked by sampling points every quarter cell along the ray
 direction, starting at the origin cell's center. A sample at distance d
@@ -39,13 +40,13 @@ padding, which lies past the ray's last cell, is never inside it.
 `prefix_lengths` is the one exit-table rule. The exit tables hold one row
 per k, so the entries one pose reads are contiguous.
 
-`walk_rays` hands each block its rays' cells as flat grid indices, `base +
-offset` with `base` the origin's flat index. An index past a ray's prefix
-lies off the grid, below 0 or past its last cell, or wraps onto another
-row; `gather_values` clips it and its value is never used. `walk_rays`
-reads the table in column blocks of the rays still live, so a read stops
-near where its rays end. `ray_cell_table` reads the whole table in one
-block; it is the reference the walk is tested against.
+Both readers give the rays' cells as flat grid indices, `base + offset`
+with `base` the origin's flat index. An index past a ray's prefix lies off
+the grid, below 0 or past its last cell, or wraps onto another row;
+`gather_values` clips it and its value is never used. The walk's reads stop
+near where its rays end; a cast's 60 rays fit its first block, so a walk
+would read their whole table too. `ray_cell_table` is also the reference
+the walk is tested against.
 
 Neighbouring rays start through the same cells: of the 2,500 rays of the
 default sensor, only 604 differ in their first 13 cells. A block's result
@@ -201,7 +202,8 @@ def prefix_lengths(t: RayTable, origin: GridPose, shape) -> np.ndarray:
 
 
 def ray_cell_table(origin: GridPose, n_rays: int, range_cells: float, shape):
-    """The cells of all rays from the center of `origin`, in walk order.
+    """The cells of all rays from the center of `origin`, in walk order, in
+    one block: the scoring casts' read, and the walk's test reference.
 
     Returns (idx, length): `idx` is (n_rays, n_cols) flat indices into a
     grid of `shape`, column 0 being the origin cell, and `length` is each
@@ -232,7 +234,7 @@ def end_columns(stop: np.ndarray, length: np.ndarray):
     return np.where(stopped, first, length - 1), stopped
 
 
-def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, carry=None):
+def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block):
     """Walk the rays of the ray table of `n_rays` rays of `range_cells`
     cells from the center of `origin` on a grid of `shape`, in column blocks
     of the rays still live. Returns (stopped, endpoints): per ray, whether a
@@ -252,9 +254,6 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
     results to their groups by `row` (see the module docstring); when every
     prefix is distinct, every ray is its own group. Later blocks get the
     indices of their rays.
-    A caller that keeps a running per-ray total across blocks passes it as
-    `carry`, an (n_rays,) array that its blocks read and write by `rays`;
-    after the first block, each ray takes its group's total.
     """
     w = shape[1]
     cols = _first_block_cols(n_rays)
@@ -266,8 +265,6 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
     idx = t.first[:, :c1] + base
     col, hit = block(t.rep, 0, idx, np.minimum(length[t.rep], c1))
     stopped, end = hit[t.row], idx[np.arange(len(t.rep)), col][t.row]
-    if carry is not None:
-        carry[:] = carry[t.rep][t.row]
     rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
     for b in t.blocks[1:]:
         if not len(rays):
@@ -282,9 +279,12 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block, c
         col, hit = block(rays, c0, idx[:, : c1 - c0], np.minimum(ray_len - c0, c1 - c0))
         stopped[rays], end[rays] = hit, idx[np.arange(len(rays)), col]
         rays = rays[~hit & (ray_len > c1)]
-    ends = np.empty((len(end), 2), dtype=end.dtype)
-    np.divmod(end, w, out=(ends[:, 1], ends[:, 0]))
-    return stopped, ends
+    return stopped, cells_xy(end, w)
+
+
+def cells_xy(flat: np.ndarray, width: int) -> np.ndarray:
+    """The (n, 2) int array of (x, y) cells of flat indices into a grid."""
+    return np.stack(np.divmod(flat, width)[::-1], axis=1)
 
 
 def line_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 robot kinematics on the diagonally-connected grid, and a procedural
 floor-plan generator.
 
-The sensor walks the ray table with `trace.walk_rays`, as the scoring
-casts do: each block reads the ground truth's stop cells and marks the
-cells its rays pass at the flat grid indices the walk hands it. A `Scan`
+The sensor walks the ray table with `trace.walk_rays`, its one caller:
+each block reads the ground truth's stop cells and marks the cells its
+rays pass at the flat grid indices the walk hands it. A `Scan`
 lists the passed cells as sorted flat indices, and `integrate_scan`
 writes through them and returns the flat indices it made known, from
 which an episode keeps its coverage as a running count. Sensing is
@@ -15,6 +15,7 @@ ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ class SensorSpec:
     n_rays: int = 2500
 
     def __post_init__(self):
-        if self.range_lambda <= 0:
-            raise ValueError(f"range_lambda: must be positive, got {self.range_lambda}")
+        if not (math.isfinite(self.range_lambda) and self.range_lambda > 0):
+            raise ValueError(f"range_lambda: must be finite and positive, got {self.range_lambda}")
         if self.n_rays < 4:
             raise ValueError(f"n_rays: need at least 4 rays, got {self.n_rays}")
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import sys
@@ -188,6 +189,12 @@ REJECTED = {
     "unknown scorer": ("scorers = ['bogus']", "scorers", lambda: _experiment(scorers=["bogus"])),
     "no scorer": ("scorers = []", "scorers", lambda: _experiment(scorers=[])),
     "negative budget": ("budget = -1", "budget", lambda: _experiment(budget=-1)),
+    "negative min_cluster_size": ("min_cluster_size = -1", "min_cluster_size",
+                                  lambda: _experiment(min_cluster_size=-1)),
+    "negative max_waypoint_age": ("max_waypoint_age = -1", "max_waypoint_age",
+                                  lambda: _experiment(max_waypoint_age=-1)),
+    "negative checkpoint_every": ("checkpoint_every = -1", "checkpoint_every",
+                                  lambda: _experiment(checkpoint_every=-1)),
     "negative tu_goals": ("tu_goals = -1", "tu_goals", lambda: _experiment(tu_goals=-1)),
     "no seed": ("seeds = []", "seeds", lambda: _experiment(seeds=[])),
     "no pose": ("starts = []", "starts", lambda: _experiment(starts=[])),
@@ -206,6 +213,11 @@ REJECTED = {
     "no maps": ("[maps]\ncount = 0", "[maps] count", lambda: MapSource(kind="generate", count=0)),
     "zero resolution": ("[maps]\nresolution = 0", "[maps] resolution",
                         lambda: MapSource(kind="files", glob="maps/*.pgm", resolution=0.0)),
+    "nan resolution": ("[maps]\nresolution = nan", "[maps] resolution",
+                       lambda: MapSource(kind="files", glob="maps/*.pgm", resolution=math.nan)),
+    "infinite resolution": ("[maps]\nresolution = inf", "[maps] resolution",
+                            lambda: MapSource(kind="files", glob="maps/*.pgm",
+                                              resolution=math.inf)),
     "plan too small": ("[maps]\nwidth = 5", "[maps] width",
                        lambda: MapSource(kind="generate", width=5)),
     "room count range reversed": ("[maps]\nrooms_min = 5\nrooms_max = 2", "[maps] rooms_max",
@@ -222,6 +234,9 @@ REJECTED = {
                              lambda: PredictorSpec(kind="patch")),
     "external without command": ("[predictor]\nkind = 'external'", "[predictor] command",
                                  lambda: PredictorSpec(kind="external")),
+    "external naming no command": ("[predictor]\nkind = 'external'\ncommand = ' ; '",
+                                   "[predictor] command",
+                                   lambda: PredictorSpec(kind="external", command=" ; ")),
     "flip rate above 1": ("[predictor]\nflip_rate = 2", "[predictor] flip_rate",
                           lambda: PredictorSpec(flip_rate=2.0)),
     "zero patch block": ("[predictor]\nkind = 'patch'\ncorpus = 'c/*.pgm'\nblock = 0",
@@ -234,6 +249,18 @@ REJECTED = {
                             lambda: SensorSpec(n_rays=2)),
     "negative epsilon": ("[raycast]\nepsilon = -1", "[raycast] epsilon",
                          lambda: RaycastConfig(epsilon=-1.0)),
+    "nan epsilon": ("[raycast]\nepsilon = nan", "[raycast] epsilon",
+                    lambda: RaycastConfig(epsilon=math.nan)),
+    "infinite epsilon": ("[raycast]\nepsilon = inf", "[raycast] epsilon",
+                         lambda: RaycastConfig(epsilon=math.inf)),
+    "nan cast range": ("[raycast]\nrange_lambda = nan", "[raycast] range_lambda",
+                       lambda: RaycastConfig(range_lambda=math.nan)),
+    "infinite cast range": ("[raycast]\nrange_lambda = inf", "[raycast] range_lambda",
+                            lambda: RaycastConfig(range_lambda=math.inf)),
+    "nan sensor range": ("[sensor]\nrange_lambda = nan", "[sensor] range_lambda",
+                         lambda: SensorSpec(range_lambda=math.nan)),
+    "infinite sensor range": ("[sensor]\nrange_lambda = inf", "[sensor] range_lambda",
+                              lambda: SensorSpec(range_lambda=math.inf)),
 }
 
 
@@ -367,7 +394,7 @@ def test_the_documented_example_parses(tmp_path):
        ints=st.tuples(st.integers(0, 1000), st.integers(0, 1000), st.integers(0, 1000)))
 def test_header_round_trips_the_row_settings(sensor, raycast, kind, ensemble, flip_rate,
                                              command, corpus, block, ring, scorer, budget, ints):
-    assume(kind != "external" or command)
+    assume(kind != "external" or (command and command.replace(";", "").strip()))
     assume(kind != "patch" or corpus)
     predictor = PredictorSpec(kind, ensemble, flip_rate, command, corpus, block, ring)
     min_cluster_size, max_waypoint_age, checkpoint_every = ints
@@ -1180,6 +1207,15 @@ def test_cli_run_rejects_a_repeated_row_before_any_row(tmp_path, capsys, monkeyp
     ('starts = [[0, 0]]\n\n[maps]\ncount = 1\nwidth = 60\nheight = 60\n',
      "start GridPose(x=0, y=0) is not a free cell of map gen0000"),
     ('[maps]\nglob = "none/*.pgm"\n', "[maps] glob: 'none/*.pgm' matched no files"),
+    # A row would fail at its first scan (nan range), never end its casts
+    # (inf epsilon), see one cell (inf resolution) or find no command (" ; ").
+    ("[sensor]\nrange_lambda = nan\n",
+     "[sensor] range_lambda: must be finite and positive, got nan"),
+    ("[raycast]\nepsilon = inf\n", "[raycast] epsilon: must be finite and positive, got inf"),
+    ("[maps]\nresolution = inf\n", "[maps] resolution: must be finite and positive, got inf"),
+    ("max_waypoint_age = -1\n", "max_waypoint_age: must be >= 0, got -1"),
+    ("[predictor]\nkind = 'external'\ncommand = ' ; '\n",
+     "[predictor] command: lists no command, got ' ; '"),
 ])
 def test_cli_run_rejected_config_makes_no_output_directory(tmp_path, capsys, monkeypatch,
                                                           setting, message):

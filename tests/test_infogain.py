@@ -20,12 +20,10 @@ from exploresim import (
     new_grid,
     probabilistic_raycast,
     simulate_scan,
-    trace,
     visibility_mask,
 )
-from exploresim.infogain import THRESHOLD_GUARD, BoxMask
-from exploresim.trace import end_columns, gather_values, ray_cell_table
-from test_trace import bresenham_line, first_block
+from exploresim.infogain import BoxMask
+from test_trace import bresenham_line
 
 
 def accumulate_ray_oracle(cells, x, y, angle, range_cells, epsilon):
@@ -98,32 +96,29 @@ _any_grid = dict(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40),
 _strip = dict(seed=1, width=40, height=6, vx=20, vy=2, n_rays=64, range_dm=10)
 
 
-_first = st.sampled_from([None, 1, 2, 3])  # see `first_block`
-# Blocks [0, 2), [2, 6), [6, 10): the +x ray from (0, 0) of a 10x1 grid.
-_row = dict(seed=0, width=10, height=1, vx=0, vy=0, n_rays=8, range_dm=9, first=2)
-# The +x ray's prefix from (0, 0) on a 6x12 grid ends on column 5, the last
-# of the block [2, 6), while the +y ray's prefix runs on to column 9.
-_edge = dict(seed=0, width=6, height=12, vx=0, vy=0, n_rays=8, range_dm=9, first=2)
+# The one row of a 10x1 grid, from its west end.
+_row = dict(seed=0, width=10, height=1, vx=0, vy=0, n_rays=8, range_dm=9)
+# The +x ray's prefix from (0, 0) on a 6x12 grid ends on column 5, while
+# the +y ray's prefix runs on to column 9.
+_edge = dict(seed=0, width=6, height=12, vx=0, vy=0, n_rays=8, range_dm=9)
 
 
 @settings(max_examples=80, deadline=None)
-@given(**_any_grid, epsilon=st.floats(0.05, 3.0), first=_first)
-@example(**_strip, epsilon=2.0, first=None)
+@given(**_any_grid, epsilon=st.floats(0.05, 3.0))
+@example(**_strip, epsilon=2.0)
 # The running total of the +x ray is 2.05 after column 5 and 2.66 after
-# column 6, the first of the third block.
+# column 6.
 @example(**_row, epsilon=2.5)
 @example(**_edge, epsilon=3.0)
 def test_probabilistic_matches_accumulation_oracle_from_any_viewpoint(seed, width, height, vx, vy,
-                                                                      n_rays, range_dm, epsilon,
-                                                                      first):
+                                                                      n_rays, range_dm, epsilon):
     # Any grid shape, edge viewpoints and ranges up to past the far corner:
     # rays leave the grid at every side and some stay inside it.
     rng = np.random.default_rng(seed)
     mean = OccupancyGrid(rng.random((height, width)), 0.1)
     x, y = vx % width, vy % height
     cfg = RaycastConfig(epsilon=epsilon, n_rays=n_rays, range_lambda=range_dm / 10)
-    with first_block(first):
-        ends = probabilistic_raycast(GridPose(x, y), mean, cfg)
+    ends = probabilistic_raycast(GridPose(x, y), mean, cfg)
     assert ends.shape == (n_rays, 2)
     for j, end in enumerate(ends.tolist()):
         angle = j * (2.0 * math.pi / n_rays)
@@ -131,60 +126,44 @@ def test_probabilistic_matches_accumulation_oracle_from_any_viewpoint(seed, widt
 
 
 @settings(max_examples=80, deadline=None)
-@given(**_any_grid, density=st.floats(0.0, 0.6), first=_first)
-@example(**_strip, density=0.1, first=None)
-# The one wall of the row is column 6, the first of the third block.
+@given(**_any_grid, density=st.floats(0.0, 0.6))
+@example(**_strip, density=0.1)
+# The one wall of the row is column 6.
 @example(**dict(_row, seed=7), density=0.01)
 @example(**_edge, density=0.0)
 def test_deterministic_matches_accumulation_oracle_from_any_viewpoint(seed, width, height, vx, vy,
-                                                                      n_rays, range_dm, density,
-                                                                      first):
+                                                                      n_rays, range_dm, density):
     # On a binary map the first occupied cell past the viewpoint is where a
     # running total of cell values reaches 1; the viewpoint may be a wall.
     rng = np.random.default_rng(seed)
     grid = OccupancyGrid((rng.random((height, width)) < density).astype(float), 0.1)
     x, y = vx % width, vy % height
     cfg = RaycastConfig(n_rays=n_rays, range_lambda=range_dm / 10)
-    with first_block(first):
-        ends = deterministic_raycast(GridPose(x, y), grid, cfg)
+    ends = deterministic_raycast(GridPose(x, y), grid, cfg)
     assert ends.shape == (n_rays, 2)
     for j, end in enumerate(ends.tolist()):
         angle = j * (2.0 * math.pi / n_rays)
         assert tuple(end) == accumulate_ray_oracle(grid.cells, x, y, angle, range_dm, 1.0), j
 
 
-def one_block_cast(grid, vp, cfg, stop):
-    """Reference cast that reads the whole ray table at once: the end column
-    of each ray and the (n_rays, 2) endpoints, where `stop(values)` flags
-    the cells that end a ray."""
-    idx, length = ray_cell_table(vp, cfg.n_rays, cfg.range_lambda / grid.resolution, grid.shape)
-    values = gather_values(grid.cells, idx)
-    values[:, 0] = 0.0  # the viewpoint's own cell
-    end_idx, _ = end_columns(stop(values), length)
-    end = idx[np.arange(cfg.n_rays), end_idx]
-    return end_idx, np.stack([end % grid.width, end // grid.width], axis=1)
-
-
-def test_a_600_ray_cast_on_a_generated_plan_equals_a_one_block_read():
-    # 600 rays of 200 cells start with a block of 2**15 // 600 = 54 columns
-    # of the 263-column table, so the casts walk several blocks unforced.
+def test_a_600_ray_cast_on_a_generated_plan_matches_the_accumulation_oracle():
+    # 600 rays of 200 cells: a 263-column table, several blocks of the
+    # sensor's walk, which a cast reads in one gather.
     gt = generate_floorplan(0, 200, 200)
     rng = np.random.default_rng(12)
     mean = OccupancyGrid(0.8 * gt.cells + 0.01 * rng.random(gt.shape), 0.1)
     cfg = RaycastConfig(n_rays=600)
-    first = trace._FIRST_BLOCK_CELLS // cfg.n_rays
+    range_cells = cfg.range_lambda / gt.resolution
     free_ys, free_xs = np.nonzero(gt.cells == FREE)
-    walked = 0
-    for i in rng.choice(len(free_xs), 20, replace=False):
-        vp = GridPose(int(free_xs[i]), int(free_ys[i]))
-        for cast, grid, stop in (
-                (probabilistic_raycast, mean,
-                 lambda v: np.cumsum(v, axis=1) >= cfg.epsilon - THRESHOLD_GUARD),
-                (deterministic_raycast, gt, lambda v: v > 0.5)):
-            end_idx, want = one_block_cast(grid, vp, cfg, stop)
-            assert np.array_equal(cast(vp, grid, cfg), want), (cast.__name__, vp)
-            walked += (end_idx >= first).any()
-    assert walked > 0
+    for i in rng.choice(len(free_xs), 10, replace=False):
+        x, y = int(free_xs[i]), int(free_ys[i])
+        for cast, grid, epsilon in ((probabilistic_raycast, mean, cfg.epsilon),
+                                    (deterministic_raycast, gt, 1.0)):
+            ends = cast(GridPose(x, y), grid, cfg)
+            for j, end in enumerate(ends.tolist()):
+                angle = j * (2.0 * math.pi / cfg.n_rays)
+                want = accumulate_ray_oracle(grid.cells, x, y, angle, range_cells, epsilon)
+                assert tuple(end) == want, (cast.__name__, x, y, j)
 
 
 def test_binary_map_probabilistic_equals_deterministic_equals_scan():

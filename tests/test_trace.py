@@ -13,8 +13,8 @@ from exploresim.trace import line_cells, ray_table
 @contextmanager
 def first_block(first):
     """Within it, `trace.walk_rays` starts with a block of `first` columns
-    (None keeps the default size), so that a small scan or cast walks many
-    blocks and its rays stop, miss and leave the grid on block edges."""
+    (None keeps the default size), so that a small scan walks many blocks
+    and its rays stop, miss and leave the grid on block edges."""
     with pytest.MonkeyPatch.context() as mp:
         if first is not None:
             mp.setattr(trace, "_FIRST_BLOCK_MIN_COLS", first)
