@@ -12,12 +12,13 @@ Each episode writes a line-delimited JSON record, a header line followed
 by the lines `planner.run_episode` emits (its docstring lists their types
 and keys), plus checkpoint PGM snapshots of the observed/mean/variance
 maps. Records contain no wall-clock data, so a rerun with the same config
-and seed is byte-identical. The header line alone determines the episode:
-it holds the row's map as a one-map `MapSource`, its `EpisodeConfig` and
-its `PredictorSpec`, each by field name, and `replay` rebuilds them from
-it, checks that the re-run reproduces every line of the record, then
-re-emits the snapshots. The header also names the `RULES` the record was
-made under. The batch is resumable: a row whose outputs exist and whose
+and seed is byte-identical. The header line is a `RowHeader`, written
+with `asdict`, and alone determines the episode: it holds the row's map as
+a one-map `MapSource`, its start, `EpisodeConfig`, `PredictorSpec` and
+member seeds. `replay` reads it back with `config.from_table`, checks that
+the re-run reproduces every line of the record, then re-emits the
+snapshots. The header also names the `RULES` the record was made under.
+The batch is resumable: a row whose outputs exist and whose
 record starts with the header this run would write is not re-executed. A
 rejected config, or a score-map input it cannot read, exits 2 with one
 line on stderr, before any row runs or any output is written.
@@ -35,13 +36,14 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass, fields, replace
+from contextlib import suppress
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, MapSource, PredictorSpec, _typed, from_table, parse_config
-from .errors import ConfigError, RecordMismatchError
+from .config import ExperimentConfig, MapSource, PredictorSpec, from_table, parse_config
+from .errors import ConfigError, PgmParseError, RecordMismatchError
 from .grid import GridPose, OccupancyGrid, load_pgm, save_pgm
 from .metrics import (
     auc,
@@ -118,7 +120,10 @@ def materialize_maps(maps: MapSource) -> list[tuple[str, MapSource, OccupancyGri
     for label, one in _map_sources(maps):
         if one.kind == "files":
             [path] = globmod.glob(one.glob)
-            gt = _binarized(load_pgm(path, resolution=one.resolution))
+            try:
+                gt = _binarized(load_pgm(path, resolution=one.resolution))
+            except (PgmParseError, OSError) as exc:
+                raise ConfigError(f"[maps] {path}: {exc}") from None
         else:
             gt = generate_floorplan(one.map_seed, one.width, one.height,
                                     (one.rooms_min, one.rooms_max), one.corridor_width,
@@ -133,17 +138,30 @@ def member_seed(row_seed: int, map_index: int, member: int) -> int:
     return int(np.random.SeedSequence((row_seed, map_index, member)).generate_state(1)[0])
 
 
-def _corpus_paths(spec: PredictorSpec) -> list[str]:
-    """The corpus files; patch member i gets every `ensemble`-th one from i.
+def _corpus(spec: PredictorSpec) -> list[OccupancyGrid]:
+    """The corpus maps; patch member i gets every `ensemble`-th one from i.
     Members that shared a file would predict alike and report no variance,
-    so the corpus must hold at least one file per member."""
+    so the corpus must hold at least one file per member, and each member's
+    files a window of `block + 2 * ring` cells on a side."""
     paths = sorted(globmod.glob(spec.corpus))
     if not paths:
         raise ConfigError(f"[predictor] corpus: {spec.corpus!r} matched no files")
     if len(paths) < spec.ensemble:
         raise ConfigError(f"[predictor] corpus: {spec.corpus!r} matched {len(paths)} "
                           f"file(s), fewer than the {spec.ensemble} ensemble members")
-    return paths
+    corpus = []
+    for p in paths:
+        try:
+            corpus.append(load_pgm(p))
+        except (PgmParseError, OSError) as exc:
+            raise ConfigError(f"[predictor] corpus: {p}: {exc}") from None
+    side = spec.block + 2 * spec.ring
+    for i in range(spec.ensemble):
+        if all(min(g.shape) < side for g in corpus[i::spec.ensemble]):
+            raise ConfigError(f"[predictor] corpus: member {i}'s files "
+                              f"{', '.join(paths[i::spec.ensemble])} hold no {side}x{side} "
+                              f"window (block + 2 * ring)")
+    return corpus
 
 
 def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> list:
@@ -152,7 +170,7 @@ def build_ensemble(spec: PredictorSpec, gt: OccupancyGrid, seeds: list[int]) -> 
     if spec.kind == "noisy_oracle":
         return [NoisyOraclePredictor(gt, spec.flip_rate, s) for s in seeds]
     if spec.kind == "patch":
-        corpus = [load_pgm(p, resolution=gt.resolution) for p in _corpus_paths(spec)]
+        corpus = _corpus(spec)
         return [PatchInpaintingPredictor(corpus[i::spec.ensemble], spec.block, spec.ring)
                 for i in range(spec.ensemble)]
     commands = spec.commands  # external
@@ -180,11 +198,6 @@ class RowSpec:
                 f"__{self.scorer}__seed{self.seed}")
 
 
-def record_lines(record: EpisodeRecord, header: dict) -> list[str]:
-    """The record file's lines: the header, then the episode's own lines."""
-    return [_dumps(header), *map(_dumps, record.lines)]
-
-
 def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
     written = []
     for cp in record.checkpoints:
@@ -199,66 +212,49 @@ def _write_snapshots(row_dir: Path, record: EpisodeRecord) -> list[Path]:
 # made under other rules runs again and `replay` refuses its record.
 RULES = 1
 
-_HEADER_KEYS = {"type", "rules", "map", "map_label", "start", "seed", "episode", "predictor",
-                "member_seeds", "tu_goals", "snapshots"}  # what `_row_header` writes
+
+@dataclass
+class RowHeader:
+    """The record's header line, written with `asdict`: `map`, `episode` and
+    `predictor` by field name, `start` as [x, y]. File paths are absolute, so
+    the record replays anywhere. `rules`, `tu_goals` and `snapshots` are here
+    only so that a change re-runs the row."""
+
+    type: str
+    rules: int
+    map: MapSource
+    map_label: str
+    start: GridPose
+    seed: int
+    episode: EpisodeConfig
+    predictor: PredictorSpec
+    member_seeds: list[int]
+    tu_goals: int
+    snapshots: bool
+
+    def __post_init__(self):
+        if self.type != "header":
+            raise ValueError(f"type: must be 'header', got {self.type!r}")
+        if len(self.member_seeds) != self.predictor.ensemble:
+            raise ValueError(f"member_seeds: {len(self.member_seeds)} seeds for "
+                             f"{self.predictor.ensemble} ensemble members")
 
 
-def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> dict:
-    """The record's header line; `map`, `episode` and `predictor` are dataclasses
-    by field name. File paths are absolute, so the record replays anywhere.
-    `rules`, `tu_goals` and `snapshots` are here only so that a change re-runs
-    the row."""
-    episode = EpisodeConfig(
-        budget_t=cfg.budget, scorer=spec.scorer, sensor=cfg.sensor, raycast=cfg.raycast,
-        min_cluster_size=cfg.min_cluster_size, max_waypoint_age=cfg.max_waypoint_age,
-        checkpoint_every=cfg.checkpoint_every,
-    )
+def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> RowHeader:
     corpus = cfg.predictor.corpus and os.path.abspath(cfg.predictor.corpus)
-    return {
-        "type": "header",
-        "rules": RULES,
-        "map": asdict(dict(_map_sources(cfg.maps))[spec.map_label]),
-        "map_label": spec.map_label,
-        "start": [spec.start.x, spec.start.y],
-        "seed": spec.seed,
-        "episode": asdict(episode),
-        "predictor": asdict(replace(cfg.predictor, corpus=corpus)),
-        "member_seeds": [member_seed(spec.seed, spec.map_index, i)
-                         for i in range(cfg.predictor.ensemble)],
-        "tu_goals": cfg.tu_goals,
-        "snapshots": cfg.snapshots,
-    }
-
-
-def _from_header(cls, header: dict, key: str):
-    """The dataclass a record header stores under `key`, by field name. A
-    value the dataclass rejects raises RecordMismatchError."""
-    try:
-        return from_table(cls, header[key], key)
-    except (ConfigError, TypeError) as exc:  # TypeError: a field is missing
-        raise RecordMismatchError(f"record header {exc}") from None
-
-
-def _typed_from_header(hint, header: dict, key: str):
-    """`header[key]` as a field annotated `hint` holds it, else RecordMismatchError."""
-    try:
-        return _typed(hint, header[key])
-    except TypeError:
-        raise RecordMismatchError(f"record header {key}: {header[key]!r} does not fit") from None
-
-
-def _episode_inputs(header: dict, gt: OccupancyGrid) -> tuple[EpisodeConfig, list]:
-    """The episode config and predictor ensemble a record header describes.
-
-    `run_row` and `replay` both build their episode here, so a record's
-    header is all it takes to re-run the row.
-    """
-    ep_cfg = _from_header(EpisodeConfig, header, "episode")
-    spec = _from_header(PredictorSpec, header, "predictor")
-    seeds = _typed_from_header(list[int], header, "member_seeds")
-    if len(seeds) != spec.ensemble:
-        raise RecordMismatchError(f"record header member_seeds: {len(seeds)}, not {spec.ensemble}")
-    return ep_cfg, build_ensemble(spec, gt, seeds)
+    return RowHeader(
+        type="header", rules=RULES, map=dict(_map_sources(cfg.maps))[spec.map_label],
+        map_label=spec.map_label, start=spec.start, seed=spec.seed,
+        episode=EpisodeConfig(
+            budget_t=cfg.budget, scorer=spec.scorer, sensor=cfg.sensor, raycast=cfg.raycast,
+            min_cluster_size=cfg.min_cluster_size, max_waypoint_age=cfg.max_waypoint_age,
+            checkpoint_every=cfg.checkpoint_every,
+        ),
+        predictor=replace(cfg.predictor, corpus=corpus),
+        member_seeds=[member_seed(spec.seed, spec.map_index, i)
+                      for i in range(cfg.predictor.ensemble)],
+        tu_goals=cfg.tu_goals, snapshots=cfg.snapshots,
+    )
 
 
 def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Path) -> dict:
@@ -272,9 +268,10 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
     metrics_path = row_dir / "metrics.json"
     record_path = row_dir / "record.jsonl"
     header = _row_header(cfg, spec)
+    header_line = _dumps(asdict(header))
     if metrics_path.exists() and record_path.exists():
         with open(record_path) as fh:
-            resumable = fh.readline().rstrip("\n") == _dumps(header)
+            resumable = fh.readline().rstrip("\n") == header_line
         if resumable:
             with open(metrics_path) as fh:
                 return json.load(fh)
@@ -283,14 +280,14 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
     metrics_path.unlink(missing_ok=True)
     for old in row_dir.glob("*.pgm"):
         old.unlink()
-    ep_cfg, ensemble = _episode_inputs(header, gt)
+    ensemble = build_ensemble(header.predictor, gt, header.member_seeds)
 
     t0 = time.monotonic()
-    record = run_episode(gt, spec.start, ep_cfg, ensemble)
+    record = run_episode(gt, header.start, header.episode, ensemble)
     wall = time.monotonic() - t0
 
     with open(record_path, "w") as fh:
-        fh.write("\n".join(record_lines(record, header)) + "\n")
+        fh.write("\n".join([header_line, *map(_dumps, record.lines)]) + "\n")
     if cfg.snapshots:
         _write_snapshots(row_dir, record)
 
@@ -327,26 +324,33 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
     return result
 
 
+def _failed_row(spec: RowSpec, out_dir, status: str, details: str) -> dict:
+    """The CSV values of a row that failed; its `error.txt` holds `details`."""
+    error_path = Path(out_dir) / spec.name / "error.txt"
+    error_path.parent.mkdir(parents=True, exist_ok=True)
+    error_path.write_text(details)
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(map=spec.map_label, start_x=spec.start.x, start_y=spec.start.y,
+               scorer=spec.scorer, seed=spec.seed, status=status)
+    return row
+
+
 def _run_row_task(args):
     cfg, spec, gt, out_dir = args
-    error_path = Path(out_dir) / spec.name / "error.txt"
     try:
         result = run_row(cfg, spec, gt, Path(out_dir))
     except Exception as exc:  # a failed row must not sink the batch
-        error_path.parent.mkdir(parents=True, exist_ok=True)
-        error_path.write_text(traceback.format_exc())
-        row = dict.fromkeys(CSV_COLUMNS, "")
-        row.update(map=spec.map_label, start_x=spec.start.x, start_y=spec.start.y,
-                   scorer=spec.scorer, seed=spec.seed, status=f"error: {exc}")
-        return row
-    error_path.unlink(missing_ok=True)
+        return _failed_row(spec, out_dir, f"error: {exc}", traceback.format_exc())
+    (Path(out_dir) / spec.name / "error.txt").unlink(missing_ok=True)
     return result
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
-    """Run every (map, start, scorer, seed) combination; returns CSV rows."""
+    """Run every (map, start, scorer, seed) combination; returns CSV rows in
+    task order. A row whose pool worker died, and every row the broken pool
+    left unfinished, fails with status `error: worker died`."""
     if cfg.predictor.kind == "patch":
-        _corpus_paths(cfg.predictor)  # a short corpus is a config error, not a failed row
+        _corpus(cfg.predictor)  # a bad corpus is a config error, not a failed row
     out_dir = Path(cfg.output_dir)
 
     tasks = []
@@ -363,8 +367,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
 
     workers = min(workers, len(tasks))  # a pool starts all its processes at once
     if workers > 1:
+        rows = [None] * len(tasks)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_row_task, tasks))
+            futures = {}
+            for i, task in enumerate(tasks):
+                with suppress(concurrent.futures.BrokenExecutor):  # takes no task once broken
+                    futures[pool.submit(_run_row_task, task)] = i
+            for future in concurrent.futures.as_completed(futures):
+                with suppress(concurrent.futures.BrokenExecutor):  # this or another worker died
+                    rows[futures[future]] = future.result()
+        rows = [_failed_row(spec, out_dir, "error: worker died", "A worker process of the "
+                            "pool died before this row finished.\n") if row is None else row
+                for row, (_, spec, _, _) in zip(rows, tasks)]
     else:
         rows = [_run_row_task(t) for t in tasks]
 
@@ -379,26 +393,33 @@ def replay(record_path, out_dir) -> list[Path]:
     """Re-run a recorded episode from its header line, check that the re-run
     reproduces every line of the record, then re-emit its checkpoint
     snapshots. Raises RecordMismatchError naming the first line that differs,
-    or when the record has no header this version reads, one made under
-    other `RULES`, or one whose values the config dataclasses reject."""
+    or when the first line is no `RowHeader` that `asdict` writes back as it
+    reads, or one made under other `RULES`."""
     record_path = Path(record_path)
     # Bytes that are not UTF-8 read as U+FFFD, which no re-run writes.
     lines = record_path.read_text(encoding="utf-8", errors="replace").splitlines()
-    header = json.loads(lines[0]) if lines else {}
-    if (type(header) is not dict or set(header) != _HEADER_KEYS
-            or header["type"] != "header" or type(header["map"]) is not dict
-            or set(header["map"]) != {f.name for f in fields(MapSource)}):
-        raise RecordMismatchError(f"{record_path}: no header line in this version's format")
-    if header["rules"] != RULES:
-        raise RecordMismatchError(f"{record_path}: recorded under rules {header['rules']}, "
+    raw = json.loads(lines[0]) if lines else None
+    if type(raw) is not dict:
+        raise RecordMismatchError(f"{record_path}: the first line is not a header object")
+    if raw.get("rules") != RULES:  # other rules may mean other fields
+        raise RecordMismatchError(f"{record_path}: recorded under rules {raw.get('rules')}, "
                                   f"this version runs rules {RULES}")
-    [(_, _, gt)] = materialize_maps(_from_header(MapSource, header, "map"))
-    start = _typed_from_header(GridPose, header, "start")
-    if not gt.in_bounds(start.x, start.y) or gt.at(start) != 0.0:
-        raise RecordMismatchError(f"record header start: {start} is not a free map cell")
-    ep_cfg, ensemble = _episode_inputs(header, gt)
-    record = run_episode(gt, start, ep_cfg, ensemble)
-    for n, (old, new) in enumerate(zip_longest(lines, record_lines(record, header)), 1):
+    try:
+        header = from_table(RowHeader, raw)
+    except (ConfigError, TypeError) as exc:  # TypeError: a field is missing
+        raise RecordMismatchError(f"{record_path}: header {exc}") from None
+    if json.loads(_dumps(asdict(header))) != raw:  # a key left out, at any depth
+        raise RecordMismatchError(f"{record_path}: header is not the one this version writes")
+    maps = materialize_maps(header.map)
+    if len(maps) != 1:
+        raise RecordMismatchError(f"{record_path}: header map: {len(maps)} maps, not one")
+    [(_, _, gt)] = maps
+    if not gt.in_bounds(*header.start) or gt.at(header.start) != 0.0:
+        raise RecordMismatchError(f"{record_path}: header start: {header.start} "
+                                  f"is not a free map cell")
+    record = run_episode(gt, header.start, header.episode,
+                         build_ensemble(header.predictor, gt, header.member_seeds))
+    for n, (old, new) in enumerate(zip_longest(lines[1:], map(_dumps, record.lines)), 2):
         if old != new:
             # Only the re-run's lines are parsed: an old line past its end need not be JSON.
             obj = json.loads(new) if new is not None else {"type": "past the re-run's end"}

@@ -34,6 +34,7 @@ is "corners" or a list of [x, y] cells, and `[maps] kind` defaults to
 from __future__ import annotations
 
 import math
+import shlex
 import tomllib
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -103,9 +104,13 @@ class PredictorSpec:
             raise ValueError(f"ring: must be >= 1, got {self.ring}")
 
     @property
-    def commands(self) -> list[str]:
-        """The external predictor's commands: `command` split at each ';'."""
-        return [c.strip() for c in (self.command or "").split(";") if c.strip()]
+    def commands(self) -> list[list[str]]:
+        """The external predictor's commands: `command` split at each ';', and
+        each into its words as a POSIX shell would."""
+        try:
+            return [words for c in (self.command or "").split(";") if (words := shlex.split(c))]
+        except ValueError as exc:  # an unclosed quote, or a trailing escape
+            raise ValueError(f"command: cannot split {self.command!r}: {exc}") from None
 
 
 @dataclass

@@ -184,15 +184,16 @@ def _blocks_with_any(mask: np.ndarray, b: int) -> np.ndarray:
 
 
 class ExternalPredictor:
-    """Runs `<command> <input.pgm> <output.pgm>` to produce a prediction.
+    """Runs `<command> <input.pgm> <output.pgm>` to produce a prediction;
+    `command` is the program and its arguments, one list item each.
 
     The command gets the observed map as a P5 file and must write its
     prediction (same dimensions) to the output path, exiting 0 within
     `EXTERNAL_TIMEOUT_S` seconds.
     """
 
-    def __init__(self, command):
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+    def __init__(self, command: list[str]):
+        self.command = list(command)
         if not self.command:
             raise ValueError("external predictor command is empty")
 

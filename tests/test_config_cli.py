@@ -1,5 +1,8 @@
+import concurrent.futures
+import csv
 import json
 import math
+import multiprocessing
 import os
 import shlex
 import sys
@@ -7,6 +10,7 @@ import tempfile
 import textwrap
 import tomllib
 from dataclasses import asdict, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -34,8 +38,8 @@ from exploresim import (
 )
 from exploresim import cli, config
 from exploresim.cli import (
+    RowHeader,
     RowSpec,
-    _episode_inputs,
     _row_header,
     corner_starts,
     main,
@@ -394,24 +398,43 @@ def test_the_documented_example_parses(tmp_path):
        ints=st.tuples(st.integers(0, 1000), st.integers(0, 1000), st.integers(0, 1000)))
 def test_header_round_trips_the_row_settings(sensor, raycast, kind, ensemble, flip_rate,
                                              command, corpus, block, ring, scorer, budget, ints):
-    assume(kind != "external" or (command and command.replace(";", "").strip()))
+    try:
+        predictor = PredictorSpec(kind, ensemble, flip_rate, command, corpus, block, ring)
+    except ValueError:  # an external command that names no command, or that shlex cannot split
+        assume(False)
     assume(kind != "patch" or corpus)
-    predictor = PredictorSpec(kind, ensemble, flip_rate, command, corpus, block, ring)
     min_cluster_size, max_waypoint_age, checkpoint_every = ints
     cfg = ExperimentConfig(
         maps=MapSource(kind="generate", count=1), scorers=[scorer], budget=budget,
         min_cluster_size=min_cluster_size, max_waypoint_age=max_waypoint_age, sensor=sensor,
         raycast=raycast, predictor=predictor, checkpoint_every=checkpoint_every,
     )
-    header = json.loads(json.dumps(_row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0,
-                                                            scorer, 0))))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "build_ensemble", lambda spec, gt, seeds: (spec, seeds))
-        ep_cfg, (spec, seeds) = _episode_inputs(header, None)
-    assert ep_cfg == EpisodeConfig(budget, scorer, sensor, raycast, min_cluster_size,
-                                   max_waypoint_age, checkpoint_every)
-    assert spec == replace(predictor, corpus=corpus and os.path.abspath(corpus))
-    assert len(seeds) == ensemble
+    written = _row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0, scorer, 0))
+    header = config.from_table(RowHeader, json.loads(json.dumps(asdict(written))))
+    assert header == written
+    assert header.episode == EpisodeConfig(budget, scorer, sensor, raycast, min_cluster_size,
+                                           max_waypoint_age, checkpoint_every)
+    assert header.predictor == replace(predictor, corpus=corpus and os.path.abspath(corpus))
+    assert len(header.member_seeds) == ensemble
+
+
+def test_a_row_writes_exactly_this_header_line(tmp_path):
+    # Resume compares the header line whole, so a change to its bytes re-runs
+    # every stored row, although the episode lines stay the same.
+    cfg = _tiny_row_config(tmp_path, predictor=PredictorSpec(kind="noisy_oracle", ensemble=2))
+    [(label, one, gt)] = materialize_maps(cfg.maps)
+    spec = RowSpec(label, 0, GridPose(1, 1), 0, "nearest", 0)
+    run_row(replace(cfg, maps=one), spec, gt, tmp_path)
+    assert (tmp_path / spec.name / "record.jsonl").read_text().splitlines()[0] == (
+        '{"episode":{"budget_t":10,"checkpoint_every":5,"max_waypoint_age":50,'
+        '"min_cluster_size":10,"raycast":{"epsilon":0.8,"n_rays":60,"range_lambda":20.0},'
+        '"scorer":"nearest","sensor":{"n_rays":120,"range_lambda":3.0}},'
+        '"map":{"corridor_width":8,"count":1,"glob":null,"height":60,"kind":"generate",'
+        '"map_seed":0,"resolution":0.1,"rooms_max":12,"rooms_min":6,"width":60},'
+        '"map_label":"gen0000","member_seeds":[2968811710,3831201730],'
+        '"predictor":{"block":16,"command":null,"corpus":null,"ensemble":2,"flip_rate":0.05,'
+        '"kind":"noisy_oracle","ring":2},"rules":1,"seed":0,"snapshots":true,"start":[1,1],'
+        '"tu_goals":0,"type":"header"}')
 
 
 def _sealed_box(n=20):
@@ -736,13 +759,14 @@ def test_replay_verifies_the_record(tmp_path, capsys):
     header = json.loads(lines[0])
     old_map = {"kind": "generated", "seed": 0, "width": 60, "height": 60, "rooms_min": 2,
                "rooms_max": 3, "corridor_width": 6, "resolution": 0.1}
-    for header in ({k: v for k, v in header.items() if k != "episode"},
-                   header | {"map": old_map}):
+    for header, message in (({k: v for k, v in header.items() if k != "episode"},
+                             "missing 1 required positional argument: 'episode'"),
+                            (header | {"map": old_map}, "header [map] seed: unknown key")):
         old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
         assert main(["replay", str(old), "--out", str(tmp_path / "out")]) == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
-        assert "no header line in this version's format" in err
+        assert message in err
 
 
 def test_replay_refuses_a_record_made_under_other_rules(tmp_path, capsys):
@@ -775,6 +799,15 @@ def test_replay_reports_a_line_past_the_reruns_end(tmp_path, capsys, extra):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("replay failed: ")
 
 
+def _nested_key_removed(header, *path):
+    header = json.loads(json.dumps(header))
+    table = header
+    for key in path[:-1]:
+        table = table[key]
+    del table[path[-1]]
+    return header
+
+
 @pytest.mark.parametrize("first_line, message", [
     pytest.param(lambda h: h | {"map": h["map"] | {"kind": "file"}}, r"\[map\] kind: must be",
                  id="map-kind-file"),
@@ -782,27 +815,37 @@ def test_replay_reports_a_line_past_the_reruns_end(tmp_path, capsys, extra):
                  r"\[episode\] budget_t: must be", id="episode-budget_t--1"),
     pytest.param(lambda h: h | {"predictor": h["predictor"] | {"ensemble": 0}},
                  r"\[predictor\] ensemble: must be", id="predictor-ensemble-0"),
-    pytest.param(lambda h: 5, "no header line", id="not-an-object"),
-    pytest.param(lambda h: h | {"map": 3}, "no header line", id="map-3"),
-    pytest.param(lambda h: h | {"start": [1]}, r"start: \[1\] does not fit", id="start-one-int"),
-    pytest.param(lambda h: h | {"start": "xy"}, "start: 'xy' does not fit", id="start-text"),
+    pytest.param(lambda h: 5, "the first line is not a header object", id="not-an-object"),
+    pytest.param(lambda h: h | {"map": 3}, "map: expected MapSource, got 3", id="map-3"),
+    pytest.param(lambda h: h | {"map": h["map"] | {"count": 2}}, "map: 2 maps, not one",
+                 id="map-count-2"),
+    pytest.param(lambda h: h | {"start": [1]}, r"start: expected GridPose, got \[1\]",
+                 id="start-one-int"),
+    pytest.param(lambda h: h | {"start": "xy"}, "start: expected GridPose, got 'xy'",
+                 id="start-text"),
     pytest.param(lambda h: h | {"start": [0, 0]}, r"start: GridPose\(x=0, y=0\) is not a free",
                  id="start-wall"),
     pytest.param(lambda h: h | {"member_seeds": ["a", "b", "c"]},
-                 r"member_seeds: \['a', 'b', 'c'\] does not fit", id="seeds-text"),
-    pytest.param(lambda h: h | {"member_seeds": []}, "member_seeds: 0, not 1",
+                 r"member_seeds: expected list\[int\], got \['a', 'b', 'c'\]", id="seeds-text"),
+    pytest.param(lambda h: h | {"member_seeds": []}, "member_seeds: 0 seeds for 1 ensemble",
                  id="seeds-too-few"),
-    pytest.param(lambda h: h | {"member_seeds": [0, 1]}, "member_seeds: 2, not 1",
+    pytest.param(lambda h: h | {"member_seeds": [0, 1]}, "member_seeds: 2 seeds for 1 ensemble",
                  id="seeds-too-many"),
+    pytest.param(lambda h: h | {"rules": True}, "rules: expected int, got True",
+                 id="rules-true"),
+    pytest.param(lambda h: _nested_key_removed(h, "episode", "sensor", "n_rays"),
+                 "header is not the one this version writes", id="no-episode-sensor-n_rays"),
+    pytest.param(lambda h: _nested_key_removed(h, "map", "count"),
+                 "header is not the one this version writes", id="no-map-count"),
     pytest.param(lambda h: json.dumps(h).replace("header", "he\xffder").encode("latin-1") + b"\n",
-                 "no header line", id="not-utf8"),
+                 "type: must be 'header'", id="not-utf8"),
 ])
 def test_replay_reports_a_rejected_header_value(tmp_path, capsys, first_line, message):
     # A first line that is no header of this version, or a header with a
     # value its dataclass, its type or its map rejects, fails with one line.
     cfg = ExperimentConfig(maps=MapSource(kind="generate", count=1, width=60, height=60),
                            predictor=PredictorSpec(kind="passthrough", ensemble=1))
-    header = _row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0, "nearest", 0))
+    header = asdict(_row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0, "nearest", 0)))
     line = first_line(header)
     record = tmp_path / "record.jsonl"
     record.write_bytes(line if isinstance(line, bytes) else json.dumps(line).encode() + b"\n")
@@ -816,12 +859,14 @@ def test_replay_reports_a_rejected_header_value(tmp_path, capsys, first_line, me
 def test_replay_requires_exactly_the_header_keys_a_row_writes(tmp_path, capsys):
     cfg = ExperimentConfig(maps=MapSource(kind="generate", count=1, width=60, height=60),
                            predictor=PredictorSpec(kind="passthrough", ensemble=1))
-    header = _row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0, "nearest", 0))
+    header = asdict(_row_header(cfg, RowSpec("gen0000", 0, GridPose(1, 1), 0, "nearest", 0)))
     record = tmp_path / "record.jsonl"
-    broken = [{k: v for k, v in header.items() if k != key} for key in header]
-    for bad in [*broken, header | {"extra": 1}]:
+    missing = [({k: v for k, v in header.items() if k != key},
+                "recorded under rules None" if key == "rules"
+                else f"missing 1 required positional argument: '{key}'") for key in header]
+    for bad, message in [*missing, (header | {"extra": 1}, "extra: unknown key")]:
         record.write_text(json.dumps(bad) + "\n")
-        with pytest.raises(RecordMismatchError, match="no header line in this version's format"):
+        with pytest.raises(RecordMismatchError, match=message):
             replay(record, tmp_path / "out")
         assert main(["replay", str(record), "--out", str(tmp_path / "out")]) == 1
         out, err = capsys.readouterr()
@@ -1047,8 +1092,10 @@ class _PoolRecorder:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, item):
+        future = concurrent.futures.Future()
+        future.set_result(fn(item))
+        return future
 
 
 def test_a_batch_starts_no_more_pool_processes_than_it_has_rows(tmp_path, monkeypatch):
@@ -1061,6 +1108,66 @@ def test_a_batch_starts_no_more_pool_processes_than_it_has_rows(tmp_path, monkey
     run_experiment(replace(cfg, scorers=["nearest"], output_dir=str(tmp_path / "one")),
                    workers=8)
     assert _PoolRecorder.sizes == [2]  # one row runs in this process
+
+
+def test_a_dead_pool_worker_is_a_failed_row(tmp_path, monkeypatch, capsys):
+    # The worker of the last corner row dies without a word. Each worker has
+    # finished a row before it takes the next, so two rows are done by then;
+    # the rest, the dead row among them, fail and run again on resume.
+    cfg_path = write_config(tmp_path / "exp.toml", textwrap.dedent(f"""
+        budget = 10
+        tu_goals = 0
+        scorers = ["nearest"]
+        output_dir = {json.dumps(str(tmp_path / "results"))}
+
+        [maps]
+        count = 1
+        width = 60
+        height = 60
+
+        [sensor]
+        range_lambda = 3.0
+        n_rays = 120
+
+        [predictor]
+        kind = "noisy_oracle"
+    """))
+    cfg = parse_config(cfg_path)
+    [(_, _, gt)] = materialize_maps(cfg.maps)
+    victim = corner_starts(gt)[-1]
+    real_run_row = cli.run_row
+
+    def dies_on_the_victim(cfg, spec, gt, out_dir):
+        if spec.start == victim:
+            os._exit(3)
+        return real_run_row(cfg, spec, gt, out_dir)
+
+    fork = multiprocessing.get_context("fork")  # carries the patch into the workers
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "run_row", dies_on_the_victim)
+        mp.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                   partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork))
+        assert main(["run", str(cfg_path), "--workers", "2"]) == 1
+    assert "FAILED" in capsys.readouterr().out
+    with open(tmp_path / "results" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["start_x"]), int(r["start_y"])) for r in rows] == corner_starts(gt)
+    assert rows[-1]["status"] == "error: worker died"
+    assert sum(r["status"] == "ok" for r in rows) >= 2
+    records = {}
+    for r in rows:
+        row_dir = tmp_path / "results" / f"gen0000__s{r['start_x']}-{r['start_y']}__nearest__seed0"
+        if r["status"] == "ok":
+            records[row_dir] = (row_dir / "record.jsonl").stat().st_mtime_ns
+        else:
+            assert r["status"] == "error: worker died" and r["steps"] == ""
+            assert "worker process of the pool died" in (row_dir / "error.txt").read_text()
+
+    assert main(["run", str(cfg_path), "--workers", "2"]) == 0
+    assert "4 rows, 4 ok" in capsys.readouterr().out
+    for row_dir, stamp in records.items():  # finished rows are not run again
+        assert (row_dir / "record.jsonl").stat().st_mtime_ns == stamp
+    assert not list((tmp_path / "results").glob("*/error.txt"))
 
 
 def test_no_predictor_state_crosses_rows(tmp_path):
@@ -1216,11 +1323,31 @@ def test_cli_run_rejects_a_repeated_row_before_any_row(tmp_path, capsys, monkeyp
     ("max_waypoint_age = -1\n", "max_waypoint_age: must be >= 0, got -1"),
     ("[predictor]\nkind = 'external'\ncommand = ' ; '\n",
      "[predictor] command: lists no command, got ' ; '"),
+    # Inputs every row would fail on: a map file that is no P5 PGM, a patch
+    # member whose files hold no window, a command shlex cannot split.
+    ('[maps]\nglob = "text/*.pgm"\n',
+     "[maps] {tmp}/text/plan.pgm: not a binary PGM (magic b'P2', expected b'P5') "
+     "(byte offset 0)"),
+    ("[maps]\ncount = 1\nwidth = 60\nheight = 60\n\n"
+     "[predictor]\nkind = 'patch'\nensemble = 2\ncorpus = 'corpus/*.pgm'\n",
+     "[predictor] corpus: member 1's files corpus/b.pgm hold no 20x20 window "
+     "(block + 2 * ring)"),
+    ("[maps]\ncount = 1\nwidth = 60\nheight = 60\n\n"
+     "[predictor]\nkind = 'patch'\nensemble = 1\ncorpus = 'text/*.pgm'\n",
+     "[predictor] corpus: text/plan.pgm: not a binary PGM (magic b'P2', expected b'P5') "
+     "(byte offset 0)"),
+    ("[predictor]\nkind = 'external'\ncommand = '\"unclosed'\n",
+     "[predictor] command: cannot split '\"unclosed': No closing quotation"),
 ])
 def test_cli_run_rejected_config_makes_no_output_directory(tmp_path, capsys, monkeypatch,
                                                           setting, message):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "text").mkdir()
+    (tmp_path / "text" / "plan.pgm").write_text("P2\n2 2\n255\n0 0 0 0\n")
+    (tmp_path / "corpus").mkdir()
+    save_pgm(generate_floorplan(0, 60, 60), tmp_path / "corpus" / "a.pgm")
+    save_pgm(new_grid(19, 40), tmp_path / "corpus" / "b.pgm")  # one side short of 16 + 2 * 2
     cfg_path = write_config(tmp_path / "exp.toml", 'output_dir = "out"\n' + setting)
     assert main(["run", str(cfg_path)]) == 2
-    assert capsys.readouterr() == ("", f"explore: error: {message}\n")
+    assert capsys.readouterr() == ("", f"explore: error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "out").exists()

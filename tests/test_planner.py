@@ -11,19 +11,24 @@ from exploresim import (
     OCCUPIED,
     SCORER_KINDS,
     UNKNOWN,
+    Ensemble,
     EpisodeConfig,
     GridPose,
     NoisyOraclePredictor,
     OccupancyGrid,
     PassThroughPredictor,
+    PatchInpaintingPredictor,
     RaycastConfig,
     SensorSpec,
     astar,
+    ensemble_predict,
+    generate_floorplan,
     new_grid,
     path_cells,
     run_episode,
     waypoint_valid,
 )
+from exploresim import frontier, planner, trace
 from exploresim.planner import reach_avoiding
 
 SQRT2 = math.sqrt(2.0)
@@ -458,3 +463,63 @@ def test_episode_invariants_on_random_maps(side, seed, scorer):
             assert cp.variance.cells.max() <= 0.25
             r = max(t for t in replans if t < cp.t)
             assert cp.variance.cells[known_at[r + 1]].max(initial=0.0) == 0.0
+
+
+class _Fresh:
+    """An ensemble member built afresh for every call that returns a writable
+    copy: nothing it kept survives a call, and no output is the last one."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def predict(self, observed):
+        return self.make().predict(observed).copy()
+
+
+@settings(max_examples=5, deadline=None)
+@given(map_seed=st.integers(0, 99), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["noisy_oracle", "patch", "passthrough"]),
+       scorer=st.sampled_from(SCORER_KINDS))
+@example(map_seed=0, seed=0, kind="noisy_oracle", scorer="mapex")
+@example(map_seed=1, seed=1, kind="patch", scorer="variance_only")
+@example(map_seed=2, seed=2, kind="passthrough", scorer="observed_map")
+def test_an_episode_with_every_kept_state_defeated_writes_the_same_record(map_seed, seed,
+                                                                          kind, scorer):
+    # The episode keeps state from step to step: the ensemble's outputs and
+    # statistics, the patch members' last maps, the cached ray tables and
+    # corridor half-widths. A twin run that keeps none of it must write the
+    # same record lines and checkpoint grids.
+    gt = generate_floorplan(map_seed, 60, 60)
+    rng = np.random.default_rng(seed)
+    free = np.argwhere(gt.cells == FREE)
+    y, x = free[rng.integers(len(free))]
+    start = GridPose(int(x), int(y))
+    corpus = [OccupancyGrid((rng.random((40, 40)) < 0.3).astype(float)) for _ in range(2)]
+    makers = {
+        "noisy_oracle": [lambda s=s: NoisyOraclePredictor(gt, 0.2, s) for s in (1, 2)],
+        "patch": [lambda c=c: PatchInpaintingPredictor([c], 16, 2) for c in corpus],
+        "passthrough": [PassThroughPredictor, PassThroughPredictor],
+    }[kind]
+    cfg = EpisodeConfig(budget_t=60, scorer=scorer, sensor=SensorSpec(2.0, 200),
+                        raycast=RaycastConfig(n_rays=24, range_lambda=3.0),
+                        min_cluster_size=5, max_waypoint_age=10, checkpoint_every=10)
+    normal = run_episode(gt, start, cfg, [make() for make in makers])
+
+    scan = planner.simulate_scan
+
+    def scan_with_no_cache(*args):
+        trace.ray_table.cache_clear()
+        frontier._half_widths.cache_clear()
+        return scan(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "simulate_scan", scan_with_no_cache)
+        mp.setattr(planner, "ensemble_predict",
+                   lambda kept, observed: ensemble_predict(Ensemble(kept.members), observed))
+        twin = run_episode(gt, start, cfg, [_Fresh(make) for make in makers])
+    assert twin.lines == normal.lines
+    assert len(twin.checkpoints) == len(normal.checkpoints)
+    for a, b in zip(twin.checkpoints, normal.checkpoints):
+        assert a.t == b.t
+        for name in ("observed", "mean", "variance"):
+            assert np.array_equal(getattr(a, name).cells, getattr(b, name).cells)
