@@ -20,8 +20,9 @@ the re-run reproduces every line of the record, then re-emits the
 snapshots. The header also names the `RULES` the record was made under.
 The batch is resumable: a row whose outputs exist and whose
 record starts with the header this run would write is not re-executed. A
-rejected config, or a score-map input it cannot read, exits 2 with one
-line on stderr, before any row runs or any output is written.
+rejected config, an output path that cannot be a directory, or a score-map
+input it cannot read, exits 2 with one line on stderr, before any row runs
+or any output is written. `explore run` reports each finished row on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import concurrent.futures
 import csv
 import glob as globmod
 import json
+import logging
 import os
 import sys
 import time
@@ -66,6 +68,9 @@ CSV_COLUMNS = [
     "final_coverage", "coverage_auc", "final_iou", "iou_auc", "tu_final",
     "tu_checkpoints", "wall_time_s",
 ]
+
+
+log = logging.getLogger(__name__)
 
 
 def _dumps(obj) -> str:
@@ -348,7 +353,9 @@ def _run_row_task(args):
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Run every (map, start, scorer, seed) combination; returns CSV rows in
     task order. A row whose pool worker died, and every row the broken pool
-    left unfinished, fails with status `error: worker died`."""
+    left unfinished, fails with status `error: worker died`. As each row
+    finishes, `[k/n] <row name> ok|FAILED <seconds since the batch began>`
+    is logged at INFO level; `main` shows it on stderr."""
     if cfg.predictor.kind == "patch":
         _corpus(cfg.predictor)  # a bad corpus is a config error, not a failed row
     out_dir = Path(cfg.output_dir)
@@ -363,11 +370,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
                 for seed in cfg.seeds:
                     spec = RowSpec(label, mi, start, si, scorer, seed)
                     tasks.append((replace(cfg, maps=one), spec, gt, str(out_dir)))
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once the config is accepted
+    _make_dir(out_dir, "output_dir")  # only once the config is accepted
+
+    rows = [None] * len(tasks)
+    began = time.monotonic()
+
+    def finish(i: int, row: dict) -> None:
+        rows[i] = row
+        log.info("[%d/%d] %s %s %.1fs", len(rows) - rows.count(None), len(rows),
+                 tasks[i][1].name, "ok" if row["status"] == "ok" else "FAILED",
+                 time.monotonic() - began)
 
     workers = min(workers, len(tasks))  # a pool starts all its processes at once
     if workers > 1:
-        rows = [None] * len(tasks)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {}
             for i, task in enumerate(tasks):
@@ -375,18 +390,29 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
                     futures[pool.submit(_run_row_task, task)] = i
             for future in concurrent.futures.as_completed(futures):
                 with suppress(concurrent.futures.BrokenExecutor):  # this or another worker died
-                    rows[futures[future]] = future.result()
-        rows = [_failed_row(spec, out_dir, "error: worker died", "A worker process of the "
-                            "pool died before this row finished.\n") if row is None else row
-                for row, (_, spec, _, _) in zip(rows, tasks)]
+                    finish(futures[future], future.result())
+        for i, (_, spec, _, _) in enumerate(tasks):
+            if rows[i] is None:
+                finish(i, _failed_row(spec, out_dir, "error: worker died", "A worker process "
+                                      "of the pool died before this row finished.\n"))
     else:
-        rows = [_run_row_task(t) for t in tasks]
+        for i, task in enumerate(tasks):
+            finish(i, _run_row_task(task))
 
     with open(out_dir / "results.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     return rows
+
+
+def _make_dir(path: Path, name: str) -> None:
+    """Make the output directory `path`; one the OS refuses, such as a file,
+    is a config error that names the setting `name`."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{name}: cannot make directory {path}: {exc.strerror}") from None
 
 
 def replay(record_path, out_dir) -> list[Path]:
@@ -454,7 +480,7 @@ def _cmd_generate_maps(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"[maps] {exc}") from None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out, "--out")
     for label, _, gt in materialize_maps(maps):
         path = out / f"{label}.pgm"
         save_pgm(gt, path)
@@ -539,11 +565,16 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)
+    progress = logging.StreamHandler()  # to this call's sys.stderr
+    log.addHandler(progress)
+    log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"explore: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(progress)
 
 
 if __name__ == "__main__":

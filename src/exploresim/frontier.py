@@ -64,9 +64,6 @@ SCORER_KINDS = (
     "variance_only",
 )
 
-# Scorers that cannot run without an ensemble prediction.
-_NEEDS_PREDICTIONS = {"mapex", "deterministic", "no_variance", "no_visibility", "variance_only"}
-
 LOCAL_VARIANCE_RADIUS_M = 5.0
 
 _EIGHT = np.ones((3, 3), dtype=bool)
@@ -83,12 +80,13 @@ class FrontierCluster:
 
 @dataclass
 class ScoreContext:
-    """Everything a scorer may consult."""
+    """Everything a scorer may consult: the observed map, the pose, the
+    scoring raycast and the ensemble's prediction for this map."""
 
     observed: OccupancyGrid
     robot_pose: GridPose
     raycast: RaycastConfig
-    prediction_set: PredictionSet | None = None
+    prediction_set: PredictionSet
 
 
 def frontier_mask(observed: OccupancyGrid) -> np.ndarray:
@@ -183,8 +181,6 @@ def score_frontier(cluster: FrontierCluster, kind: str, ctx: ScoreContext) -> fl
     """Kind-specific raw gain divided by the distance to the robot."""
     if kind not in SCORER_KINDS:
         raise ConfigError(f"unknown scorer kind {kind!r}")
-    if kind in _NEEDS_PREDICTIONS and ctx.prediction_set is None:
-        raise ConfigError(f"scorer {kind!r} requires a prediction set")
 
     c = cluster.centroid
     dist = float(np.hypot(c.x - ctx.robot_pose.x, c.y - ctx.robot_pose.y))

@@ -117,9 +117,6 @@ def visibility_mask(
     viewpoint, dx*dx + dy*dy, is at most that of the farthest endpoint. The
     mask is empty when the viewpoint lies on its own boundary polygon.
     """
-    if len(endpoints) == 0:
-        return _EMPTY
-
     ex, ey = endpoints[:, 0], endpoints[:, 1]
     x0 = int(min(ex.min(), viewpoint.x))
     y0 = int(min(ey.min(), viewpoint.y))

@@ -107,21 +107,18 @@ def topological_understanding(
     return sum(reach_avoiding(blocked, start, goals, gt.cells > 0.5)) / n_goals
 
 
-def auc(values, times=None) -> float:
+def auc(values, times) -> float:
     """Trapezoidal area under the series, normalized by the time span.
 
     A constant series integrates to its value; a single-sample series is
     returned as-is.
     """
     values = np.asarray(values, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("series must be a nonempty 1D sequence")
-    if times is None:
-        times = np.arange(len(values), dtype=np.float64)
-    else:
-        times = np.asarray(times, dtype=np.float64)
-        if times.shape != values.shape:
-            raise ValueError("times and values differ in length")
+    if times.shape != values.shape:
+        raise ValueError("times and values differ in length")
     if len(values) == 1:
         return float(values[0])
     span = times[-1] - times[0]

@@ -91,31 +91,30 @@ class PatchInpaintingPredictor:
     the ring of it changed; all such blocks lie in one window, the box of
     the changed cells grown by the ring and widened to whole blocks. Every
     other cell keeps its last output, or takes the map's value where it
-    changed, so the output equals a fresh member's bit for bit.
+    changed, so the output equals that of matching every block.
 
-    The output is copy-on-write: an unchanged map returns the kept output
-    itself; otherwise the member copies it, updates the window, and keeps
-    and returns the copy. Both are read-only. The first call, and a call on
-    a map of another shape, matches every block.
+    A new member, or one given a map of another shape, starts from an
+    all-unknown kept map. Its kept output is patch 0's interior tiled over
+    the grid, which a block takes when its ring holds no known cell. Every
+    call, the first included, then runs the update above. The output is
+    copy-on-write: an unchanged map returns the kept output itself;
+    otherwise the member copies it, updates the window, and keeps and
+    returns the copy. Both are read-only.
 
-    Corpus windows are cut every `stride` cells (default: block_size). The
-    config never sets it; tests pass stride 1, which takes every window, to
-    check that a block is recovered exactly from the window it came from.
+    Corpus windows are cut every block_size cells along both axes.
     """
 
-    def __init__(self, corpus: list[OccupancyGrid], block_size: int, ring: int,
-                 stride: int | None = None):
+    def __init__(self, corpus: list[OccupancyGrid], block_size: int, ring: int):
         if block_size < 1 or ring < 1:
             raise ValueError("block_size and ring must be positive")
         self.block_size = block_size
         self.ring = ring
-        stride = stride or block_size
         side = block_size + 2 * ring
         patches = []
         for g in corpus:
             c = g.cells
-            for y in range(0, c.shape[0] - side + 1, stride):
-                for x in range(0, c.shape[1] - side + 1, stride):
+            for y in range(0, c.shape[0] - side + 1, block_size):
+                for x in range(0, c.shape[1] - side + 1, block_size):
                     patches.append(c[y : y + side, x : x + side])
         if not patches:
             raise ValueError("corpus contains no windows of the required size")
@@ -130,31 +129,27 @@ class PatchInpaintingPredictor:
         side = b + 2 * r
         cells = observed.cells
         h, w = cells.shape
-        if self._last_output is not None and self._last_output.shape == cells.shape:
-            seen = self._last_observed[r : r + h, r : r + w]
-            changed = seen != cells
-            rows = np.flatnonzero(changed.any(axis=1))
-            if rows.size == 0:
-                return self._last_output
-            cols = np.flatnonzero(changed.any(axis=0))
-            y0, y1 = _block_span(rows[0] - r, rows[-1] + r + 1, b, h)
-            x0, x1 = _block_span(cols[0] - r, cols[-1] + r + 1, b, w)
-            win = np.s_[y0:y1, x0:x1]
-            out = self._last_output.copy()
-            np.copyto(out[win], cells[win], where=changed[win])
-            seen[win] = cells[win]
-        else:
-            (y0, x0), (y1, x1) = (0, 0), cells.shape
-            out = cells.copy()
-            changed = None
-            self._last_observed = np.full((-(-h // b) * b + 2 * r, -(-w // b) * b + 2 * r),
-                                          UNKNOWN)
-            self._last_observed[r : r + h, r : r + w] = cells
-        unknown = cells[y0:y1, x0:x1] == UNKNOWN
+        if self._last_output is None or self._last_output.shape != cells.shape:
+            ny, nx = -(-h // b), -(-w // b)
+            self._last_observed = np.full((ny * b + 2 * r, nx * b + 2 * r), UNKNOWN)
+            self._last_output = np.tile(self.patches[0, r : r + b, r : r + b], (ny, nx))[:h, :w]
+            self._last_output.flags.writeable = False
+        seen = self._last_observed[r : r + h, r : r + w]
+        changed = seen != cells
+        rows = np.flatnonzero(changed.any(axis=1))
+        if rows.size == 0:
+            return self._last_output
+        cols = np.flatnonzero(changed.any(axis=0))
+        y0, y1 = _block_span(rows[0] - r, rows[-1] + r + 1, b, h)
+        x0, x1 = _block_span(cols[0] - r, cols[-1] + r + 1, b, w)
+        win = np.s_[y0:y1, x0:x1]
+        out = self._last_output.copy()
+        np.copyto(out[win], cells[win], where=changed[win])
+        seen[win] = cells[win]
+        unknown = cells[win] == UNKNOWN
         ys, xs = np.nonzero(_blocks_with_any(unknown, b))
         for by, bx in zip((y0 + ys * b).tolist(), (x0 + xs * b).tolist()):
-            if changed is not None and not changed[max(0, by - r) : by + b + r,
-                                                   max(0, bx - r) : bx + b + r].any():
+            if not changed[max(0, by - r) : by + b + r, max(0, bx - r) : bx + b + r].any():
                 continue
             ctx = self._last_observed[by : by + side, bx : bx + side]
             known_ring = self.ring_mask & (ctx != UNKNOWN)

@@ -243,17 +243,17 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block):
     The blocks are those the table is stored in: the first is
     `_first_block_cols(n_rays)` columns of every ray, each later one twice as
     wide; a ray leaves the walk in the block where it stops or its in-bounds
-    prefix ends. Each block calls `block(rays, c0, idx, length)` with the
-    block's rays, its first column, their cells in the block as flat grid
-    indices, which past a prefix may lie off the grid (see the module
-    docstring), and their prefixes clipped to it; `block` returns
-    `end_columns` of the block.
+    prefix ends. Each block calls `block(idx, length)` with the cells of
+    the block's rays in it as flat grid indices, one row per ray, which past
+    a prefix may lie off the grid (see the module docstring), and their
+    prefixes clipped to the block; `block` returns `end_columns` of the
+    block.
 
-    The first block reads the first ray of each of the table's groups, with
-    `rays` the table's `rep` and `idx` from its `first`, and copies their
-    results to their groups by `row` (see the module docstring); when every
-    prefix is distinct, every ray is its own group. Later blocks get the
-    indices of their rays.
+    The first block reads the first ray of each of the table's groups, the
+    table's `rep`, from its `first`, and copies their results to their
+    groups by `row` (see the module docstring); when every prefix is
+    distinct, every ray is its own group. Later blocks read the rays still
+    live, in ascending order.
     """
     w = shape[1]
     cols = _first_block_cols(n_rays)
@@ -263,7 +263,7 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block):
     # Groups on `cols` columns hold for any fewer, as the first c1 can be.
     c1 = min(cols, int(length.max()))
     idx = t.first[:, :c1] + base
-    col, hit = block(t.rep, 0, idx, np.minimum(length[t.rep], c1))
+    col, hit = block(idx, np.minimum(length[t.rep], c1))
     stopped, end = hit[t.row], idx[np.arange(len(t.rep)), col][t.row]
     rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
     for b in t.blocks[1:]:
@@ -276,7 +276,7 @@ def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block):
         c1 = min(c0 + b.shape[1], int(ray_len.max()))
         idx = b.take(rays, axis=0)
         idx += base  # on whole rows: a strided add over the cut columns costs more
-        col, hit = block(rays, c0, idx[:, : c1 - c0], np.minimum(ray_len - c0, c1 - c0))
+        col, hit = block(idx[:, : c1 - c0], np.minimum(ray_len - c0, c1 - c0))
         stopped[rays], end[rays] = hit, idx[np.arange(len(rays)), col]
         rays = rays[~hit & (ray_len > c1)]
     return stopped, cells_xy(end, w)

@@ -76,7 +76,7 @@ def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
     occupied = gt.cells > 0.5
     seen = np.zeros(gt.cells.size, dtype=bool)
 
-    def block(rays, c0, idx, length):
+    def block(idx, length):
         col, stopped = end_columns(gather_values(occupied, idx), length)
         # Every cell strictly before the end is free space the ray passed
         # through; a ray that did not stop passed its end cell too. All of

@@ -999,6 +999,20 @@ def test_cli_reports_a_bad_config_in_one_line(tmp_path, capsys):
     assert capsys.readouterr() == ("", "explore: error: [maps] count: must be >= 1, got 0\n")
     assert not (tmp_path / "maps").exists()
 
+    # An output path that is a file, or lies under one, cannot be a directory.
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    before = sorted(tmp_path.iterdir())
+    cfg_path = write_config(tmp_path / "exp.toml", _small_experiment(taken))
+    for argv, name, path in ((["run", str(cfg_path)], "output_dir", taken),
+                             (["generate-maps", "--out", str(taken / "maps")], "--out",
+                              taken / "maps")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"explore: error: {name}: cannot make directory {path}: ")
+    assert sorted(tmp_path.iterdir()) == before and taken.read_text() == "a file\n"
+
 
 def test_cli_run_rejects_an_empty_corpus_before_any_row(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -1168,6 +1182,51 @@ def test_a_dead_pool_worker_is_a_failed_row(tmp_path, monkeypatch, capsys):
     for row_dir, stamp in records.items():  # finished rows are not run again
         assert (row_dir / "record.jsonl").stat().st_mtime_ns == stamp
     assert not list((tmp_path / "results").glob("*/error.txt"))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_run_reports_each_finished_row_on_stderr(tmp_path, monkeypatch, capsys, workers):
+    cfg_path = write_config(tmp_path / "exp.toml", textwrap.dedent(f"""
+        budget = 10
+        tu_goals = 0
+        scorers = ["nearest"]
+        output_dir = {json.dumps(str(tmp_path / "results"))}
+
+        [maps]
+        count = 1
+        width = 60
+        height = 60
+
+        [sensor]
+        range_lambda = 3.0
+        n_rays = 120
+    """))
+    [(_, _, gt)] = materialize_maps(parse_config(cfg_path).maps)
+    starts = corner_starts(gt)
+    names = [f"gen0000__s{s.x}-{s.y}__nearest__seed0" for s in starts]
+    real_run_row = cli.run_row
+
+    def fails_on_the_second(cfg, spec, gt, out_dir):
+        if spec.start == starts[1]:
+            raise RuntimeError("this row fails")
+        return real_run_row(cfg, spec, gt, out_dir)
+
+    fork = multiprocessing.get_context("fork")  # carries the patch into the workers
+    monkeypatch.setattr(cli, "run_row", fails_on_the_second)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork))
+    assert main(["run", str(cfg_path), "--workers", workers]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"4 rows, 3 ok, 1 failed; results in {tmp_path / 'results'}/")
+    lines = [ln.split(" ") for ln in err.splitlines()]
+    assert [ln[0] for ln in lines] == ["[1/4]", "[2/4]", "[3/4]", "[4/4]"]
+    assert sorted((name, status) for _, name, status, _ in lines) == sorted(
+        (name, "FAILED" if name == names[1] else "ok") for name in names)
+    seconds = [float(ln[3].removesuffix("s")) for ln in lines]
+    assert all(ln[3].endswith("s") for ln in lines) and seconds == sorted(seconds)
+    with open(tmp_path / "results" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["start_x"]), int(r["start_y"])) for r in rows] == starts  # task order
 
 
 def test_no_predictor_state_crosses_rows(tmp_path):

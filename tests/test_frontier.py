@@ -262,12 +262,10 @@ def test_nearest_ignores_prediction_set():
     assert score_frontier(cl, "nearest", a) == score_frontier(cl, "nearest", b)
 
 
-def test_missing_prediction_set_is_config_error():
+def test_unknown_scorer_kind_is_config_error():
+    # Without the check, an unknown kind would be scored as mapex.
     observed = new_grid(16, 16)
-    ctx = ScoreContext(observed=observed, robot_pose=GridPose(5, 5),
-                       raycast=RaycastConfig(n_rays=16, range_lambda=2.0))
-    with pytest.raises(ConfigError):
-        score_frontier(_cluster_at(8, 8), "mapex", ctx)
+    ctx = _ctx(observed, _uniform_prediction_set(observed, 0.1), GridPose(5, 5))
     with pytest.raises(ConfigError):
         score_frontier(_cluster_at(8, 8), "bogus", ctx)
 

@@ -342,8 +342,10 @@ def visibility_mask_oracle(vp, endpoints, cells):
 
 @settings(max_examples=150, deadline=None)
 @given(**_any_grid, source=st.sampled_from(["probabilistic", "deterministic", "free"]),
-       # Free endpoints; None stands for the viewpoint itself.
-       free=st.lists(st.none() | st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=12))
+       # Free endpoints; None stands for the viewpoint itself. A cast has at
+       # least 8 rays, so the mask is never asked for none.
+       free=st.lists(st.none() | st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                     min_size=1, max_size=12))
 @example(**_strip, source="free", free=[(3, 1), None, (30, 4), (30, 4), (3, 1)])
 @example(**dict(_strip, vx=39, vy=5), source="probabilistic", free=[])
 @example(**dict(_strip, vx=0, vy=0), source="free", free=[(0, 5), (39, 5), (39, 0)])

@@ -300,11 +300,11 @@ def test_tu_counts_a_goal_when_any_minimal_plan_avoids_the_walls():
 
 
 def test_auc_constant_series():
-    assert auc([7.5] * 10) == pytest.approx(7.5)
+    assert auc([7.5] * 10, range(10)) == pytest.approx(7.5)
 
 
 def test_auc_single_point():
-    assert auc([3.0]) == 3.0
+    assert auc([3.0], [4]) == 3.0
 
 
 def test_auc_linear_ramp():
@@ -328,4 +328,4 @@ def test_auc_matches_trapezoid_oracle():
 
 def test_auc_empty_rejected():
     with pytest.raises(ValueError):
-        auc([])
+        auc([], [])

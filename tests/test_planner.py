@@ -459,10 +459,9 @@ def test_episode_invariants_on_random_maps(side, seed, scorer):
         assert np.array_equal(cp.observed.cells[known], cells[known])
         assert not (prev & ~known).any()
         known_at[cp.t] = prev = known
-        if cp.variance is not None:
-            assert cp.variance.cells.max() <= 0.25
-            r = max(t for t in replans if t < cp.t)
-            assert cp.variance.cells[known_at[r + 1]].max(initial=0.0) == 0.0
+        assert cp.variance.cells.max() <= 0.25
+        r = max(t for t in replans if t < cp.t)
+        assert cp.variance.cells[known_at[r + 1]].max(initial=0.0) == 0.0
 
 
 class _Fresh:

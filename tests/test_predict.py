@@ -85,14 +85,16 @@ def test_known_cell_agreement_across_predictors():
 
 
 def test_patch_inpainter_pastes_matching_corpus_patch():
-    # Corpus contains the ground truth itself; a block whose context ring is
-    # fully observed must be filled with that exact patch interior.
+    # The corpus is the ground truth cut at (6, 6), so its first window is
+    # the hole's context; a block whose context ring is fully observed must
+    # be filled with that exact patch interior.
     rng = np.random.default_rng(4)
     gt = random_binary(rng, 24)
     observed = OccupancyGrid(gt.cells.copy(), 0.1)
     block, ring = 8, 2
     observed.cells[8:16, 8:16] = UNKNOWN  # exactly one block-aligned hole
-    pred = PatchInpaintingPredictor([gt], block_size=block, ring=ring, stride=1)
+    pred = PatchInpaintingPredictor([OccupancyGrid(gt.cells[6:, 6:], 0.1)], block_size=block,
+                                    ring=ring)
     out = predict(pred, observed)
     assert (out.cells == gt.cells).all()
 
@@ -100,15 +102,16 @@ def test_patch_inpainter_pastes_matching_corpus_patch():
 def test_patch_inpainter_selection_matches_exhaustive_search():
     rng = np.random.default_rng(5)
     corpus = [random_binary(rng, 20) for _ in range(3)]
-    block, ring, stride = 6, 2, 2
+    block, ring = 6, 2
     side = block + 2 * ring
-    pred = PatchInpaintingPredictor(corpus, block_size=block, ring=ring, stride=stride)
+    pred = PatchInpaintingPredictor(corpus, block_size=block, ring=ring)
 
     observed = random_three_label(rng, 18)
     observed.cells[6:12, 6:12] = UNKNOWN
     out = predict(pred, observed)
 
-    # Exhaustive oracle over all corpus windows for the block at (6, 6).
+    # Exhaustive oracle over the corpus windows, cut every block cells, for
+    # the block at (6, 6).
     ctx = np.full((side, side), np.nan)
     y0 = x0 = 6 - ring
     ctx[:, :] = observed.cells[y0 : y0 + side, x0 : x0 + side]
@@ -118,8 +121,8 @@ def test_patch_inpainter_selection_matches_exhaustive_search():
 
     best, best_d = None, None
     for g in corpus:
-        for wy in range(0, g.height - side + 1, stride):
-            for wx in range(0, g.width - side + 1, stride):
+        for wy in range(0, g.height - side + 1, block):
+            for wx in range(0, g.width - side + 1, block):
                 win = g.cells[wy : wy + side, wx : wx + side]
                 d = float(((win[known_ring] - ctx[known_ring]) ** 2).sum())
                 if best_d is None or d < best_d - 1e-12:
@@ -127,6 +130,35 @@ def test_patch_inpainter_selection_matches_exhaustive_search():
     expected = best[ring : ring + block, ring : ring + block]
     blk_unknown = observed.cells[6:12, 6:12] == UNKNOWN
     assert (out.cells[6:12, 6:12][blk_unknown] == expected[blk_unknown]).all()
+
+
+def patch_reference(corpus, block, ring, cells):
+    """The patch rule applied from scratch: the map's known cells, and in
+    each block that holds an unknown cell, the interior of the first corpus
+    window, cut every `block` cells, nearest to the block's known ring cells
+    (patch 0 when none is known)."""
+    side = block + 2 * ring
+    patches = np.stack([g.cells[y : y + side, x : x + side] for g in corpus
+                        for y in range(0, g.height - side + 1, block)
+                        for x in range(0, g.width - side + 1, block)])
+    ring_mask = np.ones((side, side), bool)
+    ring_mask[ring : ring + block, ring : ring + block] = False
+    h, w = cells.shape
+    padded = np.full((h + side, w + side), UNKNOWN)  # off the grid is unknown
+    padded[ring : ring + h, ring : ring + w] = cells
+    out = cells.copy()
+    for by in range(0, h, block):
+        for bx in range(0, w, block):
+            hole = cells[by : by + block, bx : bx + block] == UNKNOWN
+            if not hole.any():
+                continue
+            ctx = padded[by : by + side, bx : bx + side]
+            known = ring_mask & (ctx != UNKNOWN)
+            best = int(np.argmin(((patches[:, known] - ctx[known]) ** 2).sum(axis=1)))
+            bh, bw = hole.shape
+            out[by : by + bh, bx : bx + bw][hole] = patches[best, ring : ring + bh,
+                                                            ring : ring + bw][hole]
+    return out
 
 
 def _grid_side(n, block):
@@ -145,7 +177,8 @@ def _grid_side(n, block):
 @example(block=5, ring=4, n_corpus=2, seed=1, h=3, w=13, steps=["in_place", "local", "reveal"])
 def test_a_reused_patch_member_matches_a_fresh_one(block, ring, n_corpus, seed, h, w, steps):
     # One member predicts a sequence of observed maps; after every call its
-    # output must equal that of a member that never saw the earlier maps.
+    # output must equal that of a member that never saw the earlier maps,
+    # and the patch rule applied to every block from scratch.
     rng = np.random.default_rng(seed)
     corpus = [random_binary(rng, int(rng.integers(block + 2 * ring, 20)))
               for _ in range(n_corpus)]
@@ -182,6 +215,7 @@ def test_a_reused_patch_member_matches_a_fresh_one(block, ring, n_corpus, seed, 
         out = member.predict(observed)
         fresh = PatchInpaintingPredictor(corpus, block, ring).predict(observed)
         assert np.array_equal(out, fresh)
+        assert np.array_equal(out, patch_reference(corpus, block, ring, observed.cells))
         with pytest.raises(ValueError):  # a caller cannot write to the kept output
             out[0, 0] = FREE
         assert member.predict(OccupancyGrid(observed.cells.copy(), 0.1)) is out  # unchanged map

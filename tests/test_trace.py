@@ -135,28 +135,31 @@ def test_rays_share_a_group_exactly_when_their_first_cells_are_equal(n_rays, ran
 def test_the_walk_reads_the_table_block_by_block(first):
     # On an open grid no ray stops or leaves it, so the walk reads every
     # stored block whole, at the columns it is stored for, also when the
-    # first block is monkeypatched to 1-3 columns. Each block gets its
-    # rays' stored offsets moved onto the grid, base + b[rays], and the
-    # blocks, end to end, are the one-block table.
+    # first block is monkeypatched to 1-3 columns. The first block reads
+    # one ray per group, the table's `rep`; each later one the rays whose
+    # prefix reaches it. Each block gets its rays' stored offsets moved onto
+    # the grid, base + b[rays], and the blocks, end to end, are the
+    # one-block table.
     n_rays, range_cells, origin, shape = 24, 9.0, GridPose(12, 12), (25, 25)
     calls = []
 
-    def block(rays, c0, idx, length):
-        calls.append((c0, idx.shape[1], rays, idx.copy()))
-        return np.asarray(length) - 1, np.zeros(len(rays), dtype=bool)
+    def block(idx, length):
+        calls.append(idx.copy())
+        return np.asarray(length) - 1, np.zeros(len(idx), dtype=bool)
 
     with first_block(first):
         cols = trace._first_block_cols(n_rays)
         table = ray_table(n_rays, range_cells, shape[1], cols)
         trace.walk_rays(n_rays, range_cells, origin, shape, block)
         idx, _ = trace.ray_cell_table(origin, n_rays, range_cells, shape)
-    assert calls[0][2] is table.rep  # the first block reads one ray per group
+    length = trace.prefix_lengths(table, origin, shape)
     widths = [b.shape[1] for b in table.blocks]
     assert widths[:-1] == [cols << k for k in range(len(widths) - 1)]
     assert 0 < widths[-1] <= cols << (len(widths) - 1)
-    assert [(c0, n) for c0, n, _, _ in calls] == list(zip(np.cumsum([0] + widths[:-1]).tolist(),
-                                                          widths))
+    assert [c.shape[1] for c in calls] == widths
     base = origin.y * shape[1] + origin.x
-    for (c0, n, rays, block_idx), b in zip(calls, table.blocks):
+    starts = np.cumsum([0] + widths[:-1]).tolist()
+    for c0, n, block_idx, b in zip(starts, widths, calls, table.blocks):
+        rays = table.rep if c0 == 0 else np.flatnonzero(length > c0)
         assert np.array_equal(block_idx, base + b[rays])
         assert np.array_equal(block_idx, idx[rays, c0 : c0 + n])
