@@ -2,9 +2,11 @@
 
 A frontier cell is a free cell of the observed map that is 8-adjacent to at
 least one unknown cell. Clusters are 8-connected components of frontier
-cells; small clusters are dropped and each survivor is summarized by the
-member cell nearest the cluster's coordinate mean (a concave cluster's raw
-mean can land inside a wall).
+cells, from `grid.components`, numbered in raster order of their first
+cells; its runs give each cell and its cluster in row-major order, with no
+label image. Small clusters are dropped and each survivor is summarized by
+the member cell nearest the cluster's coordinate mean (a concave cluster's
+raw mean can land inside a wall).
 
 Every scorer returns its raw gain divided by the robot-to-centroid
 Euclidean distance in cells, floored at 1 cell. The scorer kinds:
@@ -40,10 +42,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError
-from .grid import FREE, UNKNOWN, GridPose, OccupancyGrid
+from .grid import FREE, UNKNOWN, GridPose, OccupancyGrid, components
 from .infogain import (
     RaycastConfig,
     deterministic_raycast,
@@ -65,8 +66,6 @@ SCORER_KINDS = (
 )
 
 LOCAL_VARIANCE_RADIUS_M = 5.0
-
-_EIGHT = np.ones((3, 3), dtype=bool)
 
 
 @dataclass
@@ -108,9 +107,9 @@ def extract_frontiers(observed: OccupancyGrid, min_cluster_size: int) -> list[Fr
     The map must be a three-label grid; this is not checked here, since an
     episode's map changes only through `world.integrate_scan`.
     """
-    labels, count = ndimage.label(frontier_mask(observed), structure=_EIGHT)
-    ys, xs = np.nonzero(labels)
-    label = labels[ys, xs]
+    clusters = components(frontier_mask(observed), diagonal=True)
+    ys, xs, label = clusters.cells()
+    count = clusters.count
     sizes = np.bincount(label, minlength=count + 1)
     # Cluster by cluster, small ones dropped; the stable sort keeps each
     # cluster's cells in row-major order.

@@ -11,7 +11,9 @@ so reading past where the rays end costs nothing a walk would save.
 Endpoints are (N, 2) int arrays with columns (x, y), like `Scan.endpoints`.
 A visibility mask is a `BoxMask`: the box of the grid the flood filled, as
 a pair of slices, and a boolean `keep` over that box; its `len()` is the
-number of cells it keeps.
+number of cells it keeps. The flood is the viewpoint's 4-connected
+component of the box's cells off the polygon, from `grid.components`,
+which paints only that component's runs.
 
 A probabilistic ray accumulates the occupancy value of each cell it
 traverses, once per cell, as one cumsum along its row, and stops once the
@@ -30,9 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .grid import UNKNOWN, GridPose, OccupancyGrid
+from .grid import UNKNOWN, GridPose, OccupancyGrid, components
 from .trace import cells_xy, end_columns, gather_values, line_cells, ray_cell_table
 
 # The running total is a float cumsum; comparing against epsilon minus this
@@ -111,11 +112,12 @@ def visibility_mask(
     `info_gain` sums the variance in row-major order (by y, then x).
 
     The closed polyline joining consecutive endpoints is rasterized as an
-    8-connected barrier; a 4-connected flood from the viewpoint collects the
-    enclosed region. A region cell is kept when it is unknown in the
-    observed map and within range: its squared integer distance to the
-    viewpoint, dx*dx + dy*dy, is at most that of the farthest endpoint. The
-    mask is empty when the viewpoint lies on its own boundary polygon.
+    8-connected barrier; the viewpoint's 4-connected component of the other
+    cells of the box is the enclosed region. A region cell is kept when it
+    is unknown in the observed map and within range: its squared integer
+    distance to the viewpoint, dx*dx + dy*dy, is at most that of the
+    farthest endpoint. The mask is empty when the viewpoint lies on its own
+    boundary polygon.
     """
     ex, ey = endpoints[:, 0], endpoints[:, 1]
     x0 = int(min(ex.min(), viewpoint.x))
@@ -133,9 +135,9 @@ def visibility_mask(
     if barrier[vy, vx]:
         return _EMPTY
 
-    labels, _ = ndimage.label(~barrier)  # 4-connected by default
-    keep = labels == labels[vy, vx]
-    keep &= observed.cells[y0:y1, x0:x1] == UNKNOWN
+    region = components(~barrier, diagonal=False)
+    keep = observed.cells[y0:y1, x0:x1] == UNKNOWN
+    keep &= region.paint(region.label == region.at(vy, vx))
     # Range clip in exact integer arithmetic: squared distances, no sqrt.
     dy = np.arange(y0, y1) - viewpoint.y
     dx = np.arange(x0, x1) - viewpoint.x

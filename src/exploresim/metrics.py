@@ -5,7 +5,9 @@ and area-under-curve aggregation.
 The building footprint is everything not reachable from the grid border
 through ground-truth free space — the walls plus the enclosed interior.
 That definition is computable from the ground truth alone and makes
-exterior margins in scanned floor plans not count against coverage.
+exterior margins in scanned floor plans not count against coverage. The
+exterior is the 4-connected free components (`grid.components`) with a run
+on the border.
 
 Topological understanding (TU) is the fraction of seeded random goals, free
 ground-truth cells inside the footprint, that a plan on the binarized
@@ -18,25 +20,16 @@ paths.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
-from .grid import UNKNOWN, GridPose, OccupancyGrid
+from .grid import UNKNOWN, GridPose, OccupancyGrid, components
 from .planner import astar  # noqa: F401  (bench/run.py traces `metrics.astar`)
 from .planner import reach_avoiding
-
-_FOUR = ndimage.generate_binary_structure(2, 1)
 
 
 def building_footprint(gt: OccupancyGrid) -> np.ndarray:
     """Boolean mask of footprint cells (not exterior-reachable free space)."""
-    free = gt.cells < 0.25
-    labels, count = ndimage.label(free, structure=_FOUR)
-    if count == 0:
-        return np.ones(gt.shape, dtype=bool)
-    border = np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-    exterior_labels = np.unique(border[border > 0])
-    exterior = np.isin(labels, exterior_labels)
-    return ~exterior
+    free = components(gt.cells < 0.25, diagonal=False)
+    return ~free.paint(np.isin(free.label, free.label[free.on_border()]))
 
 
 def coverage_percent(known: int, total: int) -> float:

@@ -299,9 +299,19 @@ def line_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     steps = np.abs(d)
     major = steps.max(axis=1)
     n = major + 1
-    seg = np.repeat(np.arange(len(a)), n)
-    i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    # A divisor floored at 1 keeps a zero-length segment at offset 0.
-    m = np.maximum(major, 1)[seg, None]
-    offsets = (2 * i[:, None] * steps[seg] + m - 1) // (2 * m)
-    return a[seg] + np.sign(d[seg]) * offsets
+    # The i-th cell of a segment moves (2 * i * step + m - 1) // (2 * m)
+    # cells along each axis, with m = major floored at 1 so that a
+    # zero-length segment stays put. Cell k of the result is the i-th of a
+    # segment whose cells begin at k - i = first, so the numerator is
+    # 2 * k * step + (m - 1 - 2 * first * step): one block of per-segment
+    # columns, repeated to every cell, holds all of it but k.
+    m = np.maximum(major, 1)[:, None]
+    first = (np.cumsum(n) - n)[:, None]
+    seg = np.repeat(np.hstack((a, np.sign(d), 2 * steps, m - 1 - 2 * first * steps, 2 * m)),
+                    n, axis=0)
+    cells = np.arange(len(seg))[:, None] * seg[:, 4:6]
+    cells += seg[:, 6:8]
+    cells //= seg[:, 8:]
+    cells *= seg[:, 2:4]
+    cells += seg[:, :2]
+    return cells

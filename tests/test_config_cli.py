@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import shlex
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -1410,3 +1411,16 @@ def test_cli_run_rejected_config_makes_no_output_directory(tmp_path, capsys, mon
     assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr() == ("", f"explore: error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_the_package_runs_without_scipy():
+    # numpy is the one runtime dependency; scipy is installed for the tests.
+    root = Path(cli.__file__).resolve().parents[2]
+    probe = ("import sys, exploresim, exploresim.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]

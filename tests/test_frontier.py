@@ -103,6 +103,45 @@ def test_min_cluster_size_filters_small_clusters():
     assert len(big) == 1 and big[0].size == 20
 
 
+def extract_frontiers_label_reference(observed, min_cluster_size):
+    """The clusters with `ndimage.label` over the frontier mask, 8-connected,
+    numbered in raster order of their first cells: each cluster's cells in
+    row-major order, snapped to the member nearest their mean (ties by
+    (y, x)), small ones dropped."""
+    labels, count = ndimage.label(frontier_mask(observed), structure=np.ones((3, 3)))
+    out = []
+    for k in range(1, count + 1):
+        ys, xs = np.nonzero(labels == k)
+        if len(xs) < min_cluster_size:
+            continue
+        d2 = (xs - xs.mean()) ** 2 + (ys - ys.mean()) ** 2
+        best = np.lexsort((xs, ys, d2))[0]
+        out.append((np.stack([xs, ys], axis=1), GridPose(int(xs[best]), int(ys[best])), len(xs)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 70), w=st.integers(1, 70),
+       block=st.integers(1, 8), p_unknown=st.floats(0.0, 1.0), min_cluster_size=st.integers(1, 12))
+def test_extract_frontiers_equals_the_label_reference(seed, h, w, block, p_unknown,
+                                                     min_cluster_size):
+    # Blocks of one label make long frontiers; single cells flipped at random
+    # break them up and join them across corners.
+    rng = np.random.default_rng(seed)
+    p = [(1 - p_unknown) * 0.7, p_unknown, (1 - p_unknown) * 0.3]
+    coarse = rng.choice([FREE, UNKNOWN, OCCUPIED], size=(h // block + 1, w // block + 1), p=p)
+    cells = np.kron(coarse, np.ones((block, block)))[:h, :w]
+    flip = rng.random((h, w)) < 0.05
+    cells[flip] = rng.choice([FREE, UNKNOWN, OCCUPIED], size=int(flip.sum()))
+    observed = OccupancyGrid(cells, 0.1)
+    clusters = extract_frontiers(observed, min_cluster_size)
+    expected = extract_frontiers_label_reference(observed, min_cluster_size)
+    assert len(clusters) == len(expected)
+    for cl, (members, centroid, size) in zip(clusters, expected):
+        assert np.array_equal(cl.cells, members)
+        assert cl.centroid == centroid and cl.size == size
+
+
 def _uniform_prediction_set(observed, variance_value):
     mean = OccupancyGrid(np.zeros(observed.shape), observed.resolution)
     var = OccupancyGrid(np.full(observed.shape, variance_value), observed.resolution)

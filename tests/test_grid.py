@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
 from exploresim import (
     FREE,
@@ -12,6 +16,7 @@ from exploresim import (
     new_grid,
     save_pgm,
 )
+from exploresim.grid import components
 
 
 def test_new_grid_initializes_unknown():
@@ -134,3 +139,34 @@ def test_grid_equality_and_copy():
     assert g == h
     h.cells[0, 0] = OCCUPIED
     assert g != h
+
+
+@settings(max_examples=400, deadline=None)
+@given(mask=arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)),
+       diagonal=st.booleans())
+@example(mask=np.ones((1, 9), dtype=bool), diagonal=False)
+@example(mask=np.array([[True, False, True, True, False, True]]), diagonal=True)
+@example(mask=np.array([[True], [True], [False], [True]]), diagonal=False)
+@example(mask=np.ones((7, 1), dtype=bool), diagonal=True)
+@example(mask=np.ones((5, 6), dtype=bool), diagonal=False)
+@example(mask=np.zeros((5, 6), dtype=bool), diagonal=True)
+@example(mask=np.eye(6, dtype=bool)[::-1], diagonal=True)  # 6 components at 4, 1 at 8
+@example(mask=np.eye(6, dtype=bool)[::-1], diagonal=False)
+# Two arms of a U join only in the bottom row; the right arm's first cell
+# comes after the left's, so both must end up with the left arm's label.
+@example(mask=np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=bool), diagonal=False)
+def test_components_equal_ndimage_label(mask, diagonal):
+    """Labels, their numbering (raster order of each component's first
+    cell) and count; each component painted alone, and found from each of
+    its cells."""
+    expected, count = ndimage.label(mask, structure=np.ones((3, 3)) if diagonal else None)
+    found = components(mask, diagonal)
+    assert found.count == count
+    ys, xs, label = found.cells()
+    got = np.zeros(mask.shape, dtype=np.int64)
+    got[ys, xs] = label
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.ravel_multi_index((ys, xs), mask.shape), np.flatnonzero(mask))
+    for k in range(1, count + 1):
+        assert np.array_equal(found.paint(found.label == k), expected == k)
+    assert [found.at(y, x) for y, x in zip(ys.tolist(), xs.tolist())] == label.tolist()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from exploresim import (
     FREE,
@@ -23,6 +24,7 @@ from exploresim import (
     visibility_mask,
 )
 from exploresim.infogain import BoxMask
+from exploresim.trace import line_cells
 from test_trace import bresenham_line
 
 
@@ -369,6 +371,57 @@ def test_visibility_mask_matches_its_definition(seed, width, height, vx, vy, n_r
     expected = np.array(visibility_mask_oracle(vp, ends, observed.cells), dtype=np.int64)
     assert np.array_equal(mask_cells(mask), expected.reshape(-1, 2))
     assert len(mask) == len(expected)
+
+
+def visibility_mask_label_reference(vp, endpoints, observed):
+    """The mask with `ndimage.label` for the flood: the viewpoint's
+    4-connected component of the cells off the closed polyline i -> i+1 in
+    the box of the endpoints and the viewpoint, kept where unknown and no
+    farther than the farthest endpoint; None when the viewpoint is on the
+    polyline."""
+    ex, ey = endpoints[:, 0], endpoints[:, 1]
+    x0, y0 = min(ex.min(), vp.x), min(ey.min(), vp.y)
+    x1, y1 = max(ex.max(), vp.x) + 1, max(ey.max(), vp.y) + 1
+    barrier = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+    cells = line_cells(endpoints, np.roll(endpoints, -1, axis=0))
+    barrier[cells[:, 1] - y0, cells[:, 0] - x0] = True
+    if barrier[vp.y - y0, vp.x - x0]:
+        return None
+    labels, _ = ndimage.label(~barrier)
+    ys, xs = np.mgrid[y0:y1, x0:x1]
+    reach = ((ex - vp.x) ** 2 + (ey - vp.y) ** 2).max()
+    keep = labels == labels[vp.y - y0, vp.x - x0]
+    keep &= observed.cells[y0:y1, x0:x1] == UNKNOWN
+    keep &= (xs - vp.x) ** 2 + (ys - vp.y) ** 2 <= reach
+    return np.s_[y0:y1, x0:x1], keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 90), height=st.integers(1, 90),
+       vx=st.integers(0, 89), vy=st.integers(0, 89), cast=st.booleans(),
+       corners=st.lists(st.tuples(st.integers(0, 89), st.integers(0, 89)), min_size=1,
+                        max_size=40))
+# The viewpoint on its own polyline, at a corner and mid-edge: the empty mask.
+@example(seed=0, width=30, height=20, vx=5, vy=5, cast=False, corners=[(5, 5), (25, 5), (25, 15)])
+@example(seed=0, width=30, height=20, vx=15, vy=5, cast=False,
+         corners=[(5, 5), (25, 5), (25, 15), (5, 15)])
+def test_visibility_mask_equals_the_label_reference(seed, width, height, vx, vy, cast, corners):
+    rng = np.random.default_rng(seed)
+    observed = OccupancyGrid(rng.choice([FREE, UNKNOWN, OCCUPIED], size=(height, width),
+                                        p=[0.2, 0.7, 0.1]), 0.1)
+    vp = GridPose(vx % width, vy % height)
+    if cast:  # a star-shaped polygon with ragged walls
+        mean = OccupancyGrid(rng.random((height, width)) * 0.5, 0.1)
+        ends = probabilistic_raycast(vp, mean, RaycastConfig(n_rays=60, range_lambda=6.0))
+    else:
+        ends = np.array([(x % width, y % height) for x, y in corners], dtype=np.int64)
+    mask = visibility_mask(vp, ends, observed)
+    expected = visibility_mask_label_reference(vp, ends, observed)
+    if expected is None:
+        assert len(mask) == 0 and mask.keep.shape == (0, 0)
+    else:
+        assert mask.box == expected[0]
+        assert np.array_equal(mask.keep, expected[1])
 
 
 def test_info_gain_zero_cases():

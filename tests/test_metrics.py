@@ -67,6 +67,31 @@ def test_footprint_with_free_border_is_walls_plus_interior():
     }
 
 
+def test_footprint_keeps_pockets_and_drops_every_border_margin():
+    # The margin touches all four borders and is cut in four by walls that
+    # run out to the borders, so it is four components. The building holds
+    # a free pocket; a diamond of walls in the margin holds a one-cell
+    # pocket whose only free neighbours are diagonal.
+    plan = [
+        "....#.......",
+        "....#.......",
+        ".#######....",
+        ".#.....#####",
+        "##.....#....",
+        ".#.....#....",
+        ".#######....",
+        "....#...##..",
+        "....#..#.#..",
+        "....#...#...",
+    ]
+    gt = OccupancyGrid(np.array([[c == "#" for c in row] for row in plan], dtype=float), 0.1)
+    outside = exterior_reachable_oracle(gt.cells)
+    assert {(x, y) for x in (0, 11) for y in (0, 9)} <= outside  # the four corners
+    assert (8, 8) not in outside and (3, 4) not in outside
+    expected = np.array([[(x, y) not in outside for x in range(12)] for y in range(10)])
+    assert np.array_equal(building_footprint(gt), expected)
+
+
 def test_footprint_fully_occupied_map():
     gt = OccupancyGrid(np.ones((8, 8)), 0.1)
     assert building_footprint(gt).all()
