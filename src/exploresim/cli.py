@@ -101,12 +101,17 @@ def _binarized(grid: OccupancyGrid) -> OccupancyGrid:
     return OccupancyGrid((grid.cells > 0.5).astype(np.float64), grid.resolution)
 
 
-def _map_sources(maps: MapSource) -> list[tuple[str, MapSource]]:
-    """(label, one-map MapSource) per map. A file's glob is its escaped absolute
-    path, which matches only that file from any directory. A label names a row
-    directory, so two files may not share a stem."""
+def materialize_maps(maps: MapSource) -> list[tuple[str, MapSource, OccupancyGrid]]:
+    """(label, one-map MapSource, binary ground truth) per map, from the
+    generator or from files; a files source is globbed once. A file's
+    one-map glob is its escaped absolute path, which matches only that file
+    from any directory. A label names a row directory, so two files may not
+    share a stem."""
     if maps.kind == "generate":
-        return [(f"gen{seed:04d}", replace(maps, map_seed=seed, count=1))
+        return [(f"gen{seed:04d}", replace(maps, map_seed=seed, count=1),
+                 generate_floorplan(seed, maps.width, maps.height,
+                                    (maps.rooms_min, maps.rooms_max), maps.corridor_width,
+                                    maps.resolution))
                 for seed in range(maps.map_seed, maps.map_seed + maps.count)]
     paths = {}
     for p in sorted(globmod.glob(maps.glob)):
@@ -114,26 +119,14 @@ def _map_sources(maps: MapSource) -> list[tuple[str, MapSource]]:
             raise ConfigError(f"[maps] glob: {other} and {p} share the label {Path(p).stem!r}")
     if not paths:
         raise ConfigError(f"[maps] glob: {maps.glob!r} matched no files")
-    return [(label, replace(maps, glob=globmod.escape(os.path.abspath(p))))
-            for label, p in paths.items()]
-
-
-def materialize_maps(maps: MapSource) -> list[tuple[str, MapSource, OccupancyGrid]]:
-    """(label, one-map MapSource, binary ground truth) per map, from files or
-    the generator; a files source is globbed once."""
     out = []
-    for label, one in _map_sources(maps):
-        if one.kind == "files":
-            [path] = globmod.glob(one.glob)
-            try:
-                gt = _binarized(load_pgm(path, resolution=one.resolution))
-            except (PgmParseError, OSError) as exc:
-                raise ConfigError(f"[maps] {path}: {exc}") from None
-        else:
-            gt = generate_floorplan(one.map_seed, one.width, one.height,
-                                    (one.rooms_min, one.rooms_max), one.corridor_width,
-                                    one.resolution)
-        out.append((label, one, gt))
+    for label, p in paths.items():
+        path = os.path.abspath(p)
+        try:
+            gt = _binarized(load_pgm(path, resolution=maps.resolution))
+        except (PgmParseError, OSError) as exc:
+            raise ConfigError(f"[maps] {path}: {exc}") from None
+        out.append((label, replace(maps, glob=globmod.escape(path)), gt))
     return out
 
 
@@ -248,7 +241,7 @@ class RowHeader:
 def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> RowHeader:
     corpus = cfg.predictor.corpus and os.path.abspath(cfg.predictor.corpus)
     return RowHeader(
-        type="header", rules=RULES, map=dict(_map_sources(cfg.maps))[spec.map_label],
+        type="header", rules=RULES, map=cfg.maps,
         map_label=spec.map_label, start=spec.start, seed=spec.seed,
         episode=EpisodeConfig(
             budget_t=cfg.budget, scorer=spec.scorer, sensor=cfg.sensor, raycast=cfg.raycast,
@@ -264,6 +257,7 @@ def _row_header(cfg: ExperimentConfig, spec: RowSpec) -> RowHeader:
 
 def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Path) -> dict:
     """Execute one experiment row and write its outputs. Returns CSV values.
+    `cfg.maps` is the row's one map, as `materialize_maps` gives it.
 
     A row whose metrics and record exist is not re-run when the record
     starts with the header this run would write. Otherwise its old metrics
@@ -324,8 +318,11 @@ def run_row(cfg: ExperimentConfig, spec: RowSpec, gt: OccupancyGrid, out_dir: Pa
                                    for t, v in tu_points[:len(record.checkpoints)]),
         "wall_time_s": round(wall, 3),
     }
-    with open(metrics_path, "w") as fh:
+    # Written whole or not at all: a resume trusts any metrics file it finds.
+    part = row_dir / "metrics.json.part"
+    with open(part, "w") as fh:
         json.dump(result, fh, sort_keys=True, indent=1)
+    os.replace(part, metrics_path)
     return result
 
 

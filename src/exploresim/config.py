@@ -34,6 +34,7 @@ is "corners" or a list of [x, y] cells, and `[maps] kind` defaults to
 from __future__ import annotations
 
 import math
+import re
 import shlex
 import tomllib
 from contextlib import suppress
@@ -48,6 +49,12 @@ from .infogain import RaycastConfig
 from .world import CORRIDOR_WIDTH, ROOM_COUNT_RANGE, SensorSpec, check_floorplan_args
 
 PREDICTOR_KINDS = ("passthrough", "noisy_oracle", "patch", "external")
+
+# One command of an external predictor's `command`: a run of characters
+# other than ';', backslash-escaped characters and quoted strings. An
+# unclosed quote or a trailing backslash takes the rest, which `shlex.split`
+# then rejects.
+_COMMAND = re.compile(r"""(?:[^;'"\\]|\\.|'[^']*'|"(?:[^"\\]|\\.)*"|['"\\].*)+""", re.DOTALL)
 
 
 @dataclass
@@ -105,10 +112,12 @@ class PredictorSpec:
 
     @property
     def commands(self) -> list[list[str]]:
-        """The external predictor's commands: `command` split at each ';', and
-        each into its words as a POSIX shell would."""
+        """The external predictor's commands: `command` split at each ';'
+        that is neither quoted nor escaped, and each into its words as a
+        POSIX shell would."""
         try:
-            return [words for c in (self.command or "").split(";") if (words := shlex.split(c))]
+            return [words for c in _COMMAND.findall(self.command or "")
+                    if (words := shlex.split(c))]
         except ValueError as exc:  # an unclosed quote, or a trailing escape
             raise ValueError(f"command: cannot split {self.command!r}: {exc}") from None
 

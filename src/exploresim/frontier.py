@@ -3,10 +3,10 @@
 A frontier cell is a free cell of the observed map that is 8-adjacent to at
 least one unknown cell. Clusters are 8-connected components of frontier
 cells, from `grid.components`, numbered in raster order of their first
-cells; its runs give each cell and its cluster in row-major order, with no
-label image. Small clusters are dropped and each survivor is summarized by
-the member cell nearest the cluster's coordinate mean (a concave cluster's
-raw mean can land inside a wall).
+cells; its runs give each cell and its cluster, with no label image. A
+cluster is kept as its size and its centroid, the viewpoint a scorer rates:
+the member nearest the coordinate mean (a concave cluster's raw mean can
+land inside a wall), found for all clusters by one sort of all the cells.
 
 Every scorer returns its raw gain divided by the robot-to-centroid
 Euclidean distance in cells, floored at 1 cell. The scorer kinds:
@@ -70,9 +70,9 @@ LOCAL_VARIANCE_RADIUS_M = 5.0
 
 @dataclass
 class FrontierCluster:
-    """One connected frontier component; `cells` is (N, 2) with columns (x, y)."""
+    """One connected frontier component: the viewpoint a scorer rates, and
+    the component's cell count."""
 
-    cells: np.ndarray
     centroid: GridPose
     size: int
 
@@ -111,23 +111,16 @@ def extract_frontiers(observed: OccupancyGrid, min_cluster_size: int) -> list[Fr
     ys, xs, label = clusters.cells()
     count = clusters.count
     sizes = np.bincount(label, minlength=count + 1)
-    # Cluster by cluster, small ones dropped; the stable sort keeps each
-    # cluster's cells in row-major order.
-    big = sizes[label] >= min_cluster_size
-    order = np.argsort(label[big], kind="stable")
-    ys, xs, label = ys[big][order], xs[big][order], label[big][order]
     # Sums of integers are exact, so these are each cluster's xs.mean() and ys.mean().
     n = sizes[label]
     mx = np.bincount(label, xs, count + 1)[label] / n
     my = np.bincount(label, ys, count + 1)[label] / n
     d2 = (xs - mx) ** 2 + (ys - my) ** 2
-    # Snap to the member nearest the mean; break ties on (y, x).
-    order = np.lexsort((xs, ys, d2, label))
-    kept = sizes[1:][sizes[1:] >= min_cluster_size]
-    starts = np.cumsum(kept) - kept
-    cells = np.stack([xs, ys], axis=1)
-    return [FrontierCluster(cells=cells[s : s + k], centroid=GridPose(*cells[b].tolist()), size=k)
-            for s, k, b in zip(starts.tolist(), kept.tolist(), order[starts].tolist())]
+    # Cluster by cluster, the member nearest the mean first; ties break on (y, x).
+    big = sizes[1:] >= min_cluster_size
+    first = np.lexsort((xs, ys, d2, label))[np.cumsum(sizes)[:-1][big]]
+    return [FrontierCluster(GridPose(x, y), k) for x, y, k in
+            zip(xs[first].tolist(), ys[first].tolist(), sizes[1:][big].tolist())]
 
 
 def _disc_variance_sum(center: GridPose, radius_cells: float, variance: OccupancyGrid,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontier import ScoreContext, extract_frontiers, rank_frontiers, score_frontier
-from .grid import OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
+from .grid import FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
 from .infogain import RaycastConfig
 from .predict import Ensemble, ensemble_predict
 from .world import SensorSpec, apply_action, integrate_scan, simulate_scan
@@ -219,17 +219,16 @@ def waypoint_valid(
     path: np.ndarray | None,
     observed: OccupancyGrid,
     *,
-    path_index: int = 0,
-    age: int = 0,
+    age: int,
     max_age: int,
 ) -> bool:
     """False when the waypoint, the end of `path`, should be replanned.
 
-    `path` is the planned path as `path_cells` on the observed map, None
-    when there is none. Any of: no path; robot within one cell of the
-    waypoint; a newly observed wall on the remaining path; the waypoint's
-    frontier dissolved (no unknown neighbor left); or the plan is older than
-    `max_age` steps.
+    `path` is the rest of the plan, from the robot's cell, as `path_cells`
+    on the observed map, None when there is none. Any of: no path; robot
+    within one cell of the waypoint; a newly observed wall on the path; the
+    waypoint's frontier dissolved (no unknown neighbor left); or the plan
+    is older than `max_age` steps.
     """
     if path is None:
         return False
@@ -238,7 +237,7 @@ def waypoint_valid(
         return False
     if age > max_age:
         return False
-    if (observed.cells.take(path[path_index:]) == OCCUPIED).any():
+    if (observed.cells.take(path) == OCCUPIED).any():
         return False
     x0, x1 = max(0, wx - 1), min(observed.width, wx + 2)
     y0, y1 = max(0, wy - 1), min(observed.height, wy + 2)
@@ -293,10 +292,15 @@ def run_episode(
     predict with the ensemble, extract and score frontiers, pick the best
     reachable one and plan a path; then advance one step. Ends at the
     budget, when no frontiers remain ("complete"), or when none of the
-    scored frontiers is reachable ("stuck").
+    scored frontiers is reachable ("stuck"). The ground truth must be
+    binary and `start` one of its free cells.
     """
     from .metrics import building_footprint, coverage_percent  # local: breaks the module cycle
 
+    # The sensor stops at cells above 0.5 and a move needs a FREE cell; only
+    # on a binary map do the two agree.
+    if not ((gt.cells == FREE) | (gt.cells == OCCUPIED)).all():
+        raise ValueError("ground truth must be binary: every cell 0.0 or 1.0")
     if not gt.in_bounds(start.x, start.y) or gt.at(start) != 0.0:
         raise ValueError(f"start {start} must be a free ground-truth cell")
 
@@ -310,9 +314,8 @@ def run_episode(
     pose = start
     lines: list[dict] = []
     checkpoints: list[Checkpoint] = []
-    path: list[GridPose] | None = None
+    path: list[GridPose] | None = None  # the rest of the plan, from the robot's cell
     cells = None  # `path` as `path_cells`
-    path_index = 0
     age = 0
     latest_pset = None
     coverage = 0.0
@@ -325,12 +328,9 @@ def run_episode(
         step = {"type": "step", "t": t, "x": pose.x, "y": pose.y, "coverage": coverage,
                 "replanned": False, "waypoint": None}
 
-        if not waypoint_valid(
-            pose, cells, observed,
-            path_index=path_index, age=age, max_age=cfg.max_waypoint_age,
-        ):
+        if not waypoint_valid(pose, cells, observed, age=age, max_age=cfg.max_waypoint_age):
             step["replanned"] = True
-            path, cells, path_index, age = None, None, 0, 0
+            path, cells, age = None, None, 0
             clusters = extract_frontiers(observed, cfg.min_cluster_size)
             if not clusters:
                 end_reason = "complete"
@@ -366,11 +366,11 @@ def run_episode(
         step["waypoint"] = list(path[-1])
         lines.append(step)
 
-        if path_index + 1 < len(path):
-            nxt = path[path_index + 1]
+        if len(path) > 1:
+            nxt = path[1]
             pose = apply_action(pose, (nxt.x - pose.x, nxt.y - pose.y), gt)
             if pose == nxt:
-                path_index += 1
+                path, cells = path[1:], cells[1:]
             # else: blocked by an undiscovered wall; next scan reveals it and
             # waypoint_valid forces a replan
         age += 1

@@ -18,11 +18,13 @@ had been overridden there by the observation.
 Variance is the population (divide-by-n) variance, which is well defined
 for a single member and bounded by 0.25 for values in [0, 1].
 
-An `Ensemble` keeps each member's last output and the unclamped mean and
-variance. When every member returns the very array it returned last, the
-kept statistics stand; otherwise they are computed again over the whole
-grid. The sums run in member order, as numpy's mean and variance over
-axis 0 of the member stack do, so the result equals theirs bit for bit.
+An `Ensemble` is data alone: the members, and the state `ensemble_predict`
+keeps from one call to the next, each member's last output and the
+unclamped mean and variance. When every member returns the very array it
+returned last, the kept statistics stand; otherwise they are computed again
+over the whole grid. The sums run in member order, as numpy's mean and
+variance over axis 0 of the member stack do, so the result equals theirs
+bit for bit without building the stack (about 6x slower on 200x200 maps).
 """
 
 from __future__ import annotations
@@ -230,9 +232,9 @@ class PredictionSet:
 
 class Ensemble:
     """The members of one episode's ensemble and the statistics kept from
-    its last call: each member's last output and the unclamped mean and
-    variance. Nobody writes to an output after it is returned, so an output
-    that `is` the kept one holds the same values (see the module docstring)."""
+    its last `ensemble_predict` call: each member's last output and the
+    unclamped mean and variance. Nobody writes to an output after it is
+    returned, so an output that `is` the kept one holds the same values."""
 
     def __init__(self, members: list):
         if not members:
@@ -241,36 +243,6 @@ class Ensemble:
         self.outputs: list[np.ndarray | None] = [None] * len(self.members)
         self.mean: np.ndarray | None = None
         self.variance: np.ndarray | None = None
-
-    def update(self, outputs: list[np.ndarray]) -> None:
-        """Keep `outputs` and bring the mean and variance up to date with
-        them; an array a member returned again still holds its values."""
-        if all(new is old for new, old in zip(outputs, self.outputs)):
-            return
-        self.outputs = outputs
-        # numpy's mean and var over axis 0 of the member stack, in the same
-        # order of operations: sums run member by member, then divide by n.
-        n = len(outputs)
-        total = outputs[0].copy()
-        for out in outputs[1:]:
-            total += out
-        self.mean = total / n
-        squares = np.square(outputs[0] - self.mean)
-        for out in outputs[1:]:
-            np.subtract(out, self.mean, out=total)
-            squares += np.square(total, out=total)
-        self.variance = np.divide(squares, n, out=squares)
-
-    def clamped(self, observed: OccupancyGrid) -> PredictionSet:
-        """Read-only copies of the kept mean and variance, clamped to the
-        cells `observed` knows."""
-        known = observed.cells != UNKNOWN
-        mean, variance = self.mean.copy(), self.variance.copy()
-        np.copyto(mean, observed.cells, where=known)
-        np.copyto(variance, 0.0, where=known)
-        mean.flags.writeable = variance.flags.writeable = False
-        return PredictionSet(mean=OccupancyGrid(mean, observed.resolution),
-                             variance=OccupancyGrid(variance, observed.resolution))
 
 
 def ensemble_predict(ensemble: Ensemble, observed: OccupancyGrid) -> PredictionSet:
@@ -292,5 +264,23 @@ def ensemble_predict(ensemble: Ensemble, observed: OccupancyGrid) -> PredictionS
             outputs.append(member.predict(observed))
         except Exception as exc:
             raise EnsembleError(i, str(exc)) from exc
-    ensemble.update(outputs)
-    return ensemble.clamped(observed)
+    if not all(new is old for new, old in zip(outputs, ensemble.outputs)):
+        # numpy's mean and var over axis 0 of the member stack, in the same
+        # order of operations: sums run member by member, then divide by n.
+        n = len(outputs)
+        total = outputs[0].copy()
+        for out in outputs[1:]:
+            total += out
+        ensemble.outputs, ensemble.mean = outputs, total / n
+        squares = np.square(outputs[0] - ensemble.mean)
+        for out in outputs[1:]:
+            np.subtract(out, ensemble.mean, out=total)
+            squares += np.square(total, out=total)
+        ensemble.variance = np.divide(squares, n, out=squares)
+    known = observed.cells != UNKNOWN
+    mean, variance = ensemble.mean.copy(), ensemble.variance.copy()
+    np.copyto(mean, observed.cells, where=known)
+    np.copyto(variance, 0.0, where=known)
+    mean.flags.writeable = variance.flags.writeable = False
+    return PredictionSet(mean=OccupancyGrid(mean, observed.resolution),
+                         variance=OccupancyGrid(variance, observed.resolution))

@@ -278,6 +278,29 @@ def test_dataclasses_reject_what_parse_config_rejects(tmp_path, text, where, bui
         build()
 
 
+# External predictor commands, and the commands they split into.
+SPLIT_COMMANDS = {
+    "quoted ';'": ("python -c 'import sys; print(1)'",
+                   [["python", "-c", "import sys; print(1)"]]),
+    "quoted and bare ';'": ("a 'x;y' ; b", [["a", "x;y"], ["b"]]),
+    "escaped ';'": (r"a \; b", [["a", ";", "b"]]),
+    "bare ';'": ("a b; c d", [["a", "b"], ["c", "d"]]),
+}
+
+
+@pytest.mark.parametrize("command, expected", SPLIT_COMMANDS.values(), ids=SPLIT_COMMANDS.keys())
+def test_only_a_bare_semicolon_separates_external_commands(command, expected):
+    assert PredictorSpec(kind="external", command=command).commands == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.text(alphabet="ab ;", min_size=1))
+def test_a_command_with_no_quote_or_escape_splits_at_every_semicolon(command):
+    expected = [words for c in command.split(";") if (words := shlex.split(c))]
+    assume(expected)
+    assert PredictorSpec(kind="external", command=command).commands == expected
+
+
 # Bad floor-plan settings: the [maps] values, and the key the error names.
 BAD_PLANS = {
     "plan too small": ({"width": 5}, "width"),
@@ -614,6 +637,22 @@ def test_an_interrupted_rerun_never_returns_the_old_metrics(tmp_path, monkeypatc
     [row] = run_experiment(_tiny_row_config(tmp_path, budget=25, tu_goals=5))
     assert row["steps"] == 25
     assert json.loads((row_dir / "record.jsonl").read_text().splitlines()[-1])["t"] == 25
+
+
+def test_a_metrics_write_cut_midway_leaves_no_metrics_a_resume_trusts(tmp_path, monkeypatch):
+    # A row stopped while it writes its metrics, by a full disk or a kill,
+    # leaves no metrics file, so a resume runs it again.
+    cfg = _tiny_row_config(tmp_path, scorers=["nearest", "mapex"])
+
+    def cut(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("No space left on device")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.json, "dump", cut)
+        rows = run_experiment(cfg)
+    assert [r["status"] for r in rows] == ["error: No space left on device"] * 2
+    assert [r["status"] for r in run_experiment(cfg)] == ["ok", "ok"]
 
 
 def test_resume_reruns_a_row_made_under_other_rules(tmp_path, monkeypatch):

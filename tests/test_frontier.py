@@ -59,13 +59,42 @@ def test_revealed_disc_rim_is_one_cluster():
     clusters = extract_frontiers(observed, 1)
     assert len(clusters) == 1
     cl = clusters[0]
-    members = {(int(x), int(y)) for x, y in cl.cells}
-    assert members == brute_force_frontier_cells(observed)
+    members = brute_force_frontier_cells(observed)
+    assert cl.size == len(members)
     # rim cells only: every member is on the free/unknown boundary
-    mx = cl.cells[:, 0].mean()
-    my = cl.cells[:, 1].mean()
+    mx = np.mean([x for x, _ in members])
+    my = np.mean([y for _, y in members])
     assert abs(mx - 15) <= 1.0 and abs(my - 15) <= 1.0  # coordinate mean is central
     assert tuple(cl.centroid) in members  # snapped to a member cell
+
+
+def brute_force_clusters(observed, min_cluster_size):
+    """(centroid, size) per 8-connected group of the definition scan's cells,
+    by flood fill, in raster order of each group's first cell: the member
+    nearest the group's coordinate mean (ties by (y, x)), small groups
+    dropped."""
+    left = brute_force_frontier_cells(observed)
+    out = []
+    for seed in sorted(left, key=lambda c: (c[1], c[0])):
+        if seed not in left:
+            continue
+        group, todo = [], [seed]
+        left.remove(seed)
+        while todo:
+            x, y = todo.pop()
+            group.append((x, y))
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    if (x + dx, y + dy) in left:
+                        left.remove((x + dx, y + dy))
+                        todo.append((x + dx, y + dy))
+        if len(group) < min_cluster_size:
+            continue
+        mx = sum(x for x, _ in group) / len(group)
+        my = sum(y for _, y in group) / len(group)
+        x, y = min(group, key=lambda c: ((c[0] - mx) ** 2 + (c[1] - my) ** 2, c[1], c[0]))
+        out.append((GridPose(x, y), len(group)))
+    return out
 
 
 def test_extraction_matches_definition_scan_on_random_maps():
@@ -74,11 +103,10 @@ def test_extraction_matches_definition_scan_on_random_maps():
         observed = OccupancyGrid(
             rng.choice([FREE, UNKNOWN, OCCUPIED], size=(64, 64), p=[0.5, 0.3, 0.2]), 0.1
         )
-        clusters = extract_frontiers(observed, min_cluster_size=1)
-        union = set()
-        for cl in clusters:
-            union |= {(int(x), int(y)) for x, y in cl.cells}
-        assert union == brute_force_frontier_cells(observed)
+        min_cluster_size = int(rng.integers(1, 4))
+        clusters = extract_frontiers(observed, min_cluster_size)
+        assert ([(cl.centroid, cl.size) for cl in clusters]
+                == brute_force_clusters(observed, min_cluster_size))
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,10 +132,9 @@ def test_min_cluster_size_filters_small_clusters():
 
 
 def extract_frontiers_label_reference(observed, min_cluster_size):
-    """The clusters with `ndimage.label` over the frontier mask, 8-connected,
-    numbered in raster order of their first cells: each cluster's cells in
-    row-major order, snapped to the member nearest their mean (ties by
-    (y, x)), small ones dropped."""
+    """(centroid, size) per cluster with `ndimage.label` over the frontier
+    mask, 8-connected, numbered in raster order of their first cells: the
+    member nearest the cluster's mean (ties by (y, x)), small ones dropped."""
     labels, count = ndimage.label(frontier_mask(observed), structure=np.ones((3, 3)))
     out = []
     for k in range(1, count + 1):
@@ -116,7 +143,7 @@ def extract_frontiers_label_reference(observed, min_cluster_size):
             continue
         d2 = (xs - xs.mean()) ** 2 + (ys - ys.mean()) ** 2
         best = np.lexsort((xs, ys, d2))[0]
-        out.append((np.stack([xs, ys], axis=1), GridPose(int(xs[best]), int(ys[best])), len(xs)))
+        out.append((GridPose(int(xs[best]), int(ys[best])), len(xs)))
     return out
 
 
@@ -136,10 +163,7 @@ def test_extract_frontiers_equals_the_label_reference(seed, h, w, block, p_unkno
     observed = OccupancyGrid(cells, 0.1)
     clusters = extract_frontiers(observed, min_cluster_size)
     expected = extract_frontiers_label_reference(observed, min_cluster_size)
-    assert len(clusters) == len(expected)
-    for cl, (members, centroid, size) in zip(clusters, expected):
-        assert np.array_equal(cl.cells, members)
-        assert cl.centroid == centroid and cl.size == size
+    assert [(cl.centroid, cl.size) for cl in clusters] == expected
 
 
 def _uniform_prediction_set(observed, variance_value):
@@ -160,7 +184,7 @@ def _ctx(observed, pset, pose, range_m=3.0):
 def _cluster_at(x, y):
     from exploresim import FrontierCluster
 
-    return FrontierCluster(cells=np.array([[x, y]]), centroid=GridPose(x, y), size=1)
+    return FrontierCluster(centroid=GridPose(x, y), size=1)
 
 
 def test_nearest_score_is_inverse_distance():

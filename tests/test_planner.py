@@ -294,7 +294,7 @@ def test_waypoint_invalid_on_arrival():
     pose = GridPose(5, 5)
     observed.cells[:, :] = UNKNOWN
     observed.cells[5, 6] = FREE
-    assert not waypoint_valid(pose, path_cells(path, 16), observed, max_age=50)
+    assert not waypoint_valid(pose, path_cells(path, 16), observed, age=0, max_age=50)
 
 
 def test_waypoint_invalid_when_new_wall_crosses_path():
@@ -302,9 +302,9 @@ def test_waypoint_invalid_when_new_wall_crosses_path():
     path = [GridPose(1, 1), GridPose(2, 1), GridPose(3, 1), GridPose(4, 1)]
     observed.cells[1, 3] = OCCUPIED
     pose = GridPose(1, 1)
-    assert not waypoint_valid(pose, path_cells(path, 16), observed, max_age=50)
+    assert not waypoint_valid(pose, path_cells(path, 16), observed, age=0, max_age=50)
     # cells already passed do not invalidate the plan
-    assert waypoint_valid(pose, path_cells(path, 16), observed, path_index=3, max_age=50)
+    assert waypoint_valid(pose, path_cells(path, 16)[3:], observed, age=0, max_age=50)
 
 
 def test_waypoint_invalid_when_frontier_dissolves():
@@ -312,7 +312,7 @@ def test_waypoint_invalid_when_frontier_dissolves():
     observed.cells[:, :] = FREE  # fully known: waypoint has no unknown neighbor
     path = [GridPose(1, 1), GridPose(2, 2), GridPose(3, 3), GridPose(4, 4), GridPose(5, 5)]
     pose = GridPose(1, 1)
-    assert not waypoint_valid(pose, path_cells(path, 16), observed, max_age=50)
+    assert not waypoint_valid(pose, path_cells(path, 16), observed, age=0, max_age=50)
 
 
 def test_waypoint_invalid_when_too_old():
@@ -403,6 +403,16 @@ def test_episode_rejects_bad_start():
     gt = _single_room()
     with pytest.raises(ValueError):
         run_episode(gt, GridPose(0, 0), _small_cfg(5), _passthrough_ensemble())
+
+
+def test_episode_rejects_a_ground_truth_that_is_not_binary():
+    # The sensor stops at cells above 0.5 and a move needs a free cell, so a
+    # 0.3 cell would be seen through but never entered.
+    gt = generate_floorplan(0, 60, 60)
+    column = gt.cells[:, 30]
+    column[column == FREE] = 0.3
+    with pytest.raises(ValueError, match="binary"):
+        run_episode(gt, GridPose(1, 1), _small_cfg(5), _passthrough_ensemble())
 
 
 def test_scorer_isolation_first_scan_identical():
