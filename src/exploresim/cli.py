@@ -45,8 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, MapSource, PredictorSpec, from_table, parse_config
-from .errors import ConfigError, PgmParseError, RecordMismatchError
-from .grid import GridPose, OccupancyGrid, load_pgm, save_pgm
+from .errors import ConfigError, EnsembleError, PgmParseError, RecordMismatchError
+from .grid import FREE, GridPose, OccupancyGrid, load_pgm, save_pgm
 from .metrics import (
     auc,
     building_footprint,
@@ -126,6 +126,8 @@ def materialize_maps(maps: MapSource) -> list[tuple[str, MapSource, OccupancyGri
             gt = _binarized(load_pgm(path, resolution=maps.resolution))
         except (PgmParseError, OSError) as exc:
             raise ConfigError(f"[maps] {path}: {exc}") from None
+        if not (gt.cells == FREE).any():  # no start could be free
+            raise ConfigError(f"[maps] {path}: the map has no free cell")
         out.append((label, replace(maps, glob=globmod.escape(path)), gt))
     return out
 
@@ -233,6 +235,10 @@ class RowHeader:
     def __post_init__(self):
         if self.type != "header":
             raise ValueError(f"type: must be 'header', got {self.type!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        if any(s < 0 for s in self.member_seeds):
+            raise ValueError(f"member_seeds: must be >= 0, got {self.member_seeds}")
         if len(self.member_seeds) != self.predictor.ensemble:
             raise ValueError(f"member_seeds: {len(self.member_seeds)} seeds for "
                              f"{self.predictor.ensemble} ensemble members")
@@ -522,7 +528,8 @@ def _positive_int(text: str) -> int:
 def _cmd_replay(args) -> int:
     try:
         written = replay(args.record, args.out)
-    except (RecordMismatchError, ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (RecordMismatchError, ConfigError, EnsembleError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 1
     for p in written:

@@ -77,6 +77,8 @@ class MapSource:
             raise ValueError("glob: required when maps come from files")
         if self.count < 1:
             raise ValueError(f"count: must be >= 1, got {self.count}")
+        if self.map_seed < 0:
+            raise ValueError(f"map_seed: must be >= 0, got {self.map_seed}")
         if not (math.isfinite(self.resolution) and self.resolution > 0):
             raise ValueError(f"resolution: must be finite and positive, got {self.resolution}")
         if self.kind == "generate":
@@ -154,6 +156,8 @@ class ExperimentConfig:
             raise ValueError(f"tu_goals: must be >= 0 (0 scores no TU), got {self.tu_goals}")
         if not self.seeds:
             raise ValueError("seeds: at least one seed required")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds: must be >= 0, got {min(self.seeds)}")
         # Rows are named by start, scorer and seed, so a repeat would share a row directory.
         starts = [] if self.starts == "corners" else [list(p) for p in self.starts]
         for key, items in (("starts", starts), ("scorers", self.scorers), ("seeds", self.seeds)):

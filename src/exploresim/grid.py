@@ -26,6 +26,7 @@ their first cells, as `label` does.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +62,8 @@ class OccupancyGrid:
         cells = np.asarray(cells, dtype=np.float64)
         if cells.ndim != 2 or cells.shape[0] < 1 or cells.shape[1] < 1:
             raise ValueError(f"grid must be 2D with positive dimensions, got shape {cells.shape}")
-        if resolution <= 0:
-            raise ValueError(f"resolution must be positive, got {resolution}")
+        if not (math.isfinite(resolution) and resolution > 0):
+            raise ValueError(f"resolution must be finite and positive, got {resolution}")
         if not (cells.min() >= 0.0 and cells.max() <= 1.0):  # NaN fails both tests
             raise ValueError("cell values must lie in [0, 1]")
         self.cells = cells

@@ -371,8 +371,10 @@ def run_episode(
             pose = apply_action(pose, (nxt.x - pose.x, nxt.y - pose.y), gt)
             if pose == nxt:
                 path, cells = path[1:], cells[1:]
-            # else: blocked by an undiscovered wall; next scan reveals it and
-            # waypoint_valid forces a replan
+            # else: blocked by a wall the observed map lacked. The next scan
+            # reveals it; waypoint_valid replans when the wall is on the path,
+            # but not at a closed corner (both orthogonal cells walls), where
+            # the robot waits until the plan is older than max_waypoint_age.
         age += 1
 
         if cfg.checkpoint_every > 0 and (t + 1) % cfg.checkpoint_every == 0:

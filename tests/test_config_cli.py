@@ -20,23 +20,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exploresim import (
-    EpisodeConfig,
-    FREE,
-    OCCUPIED,
-    SCORER_KINDS,
-    ConfigError,
-    GridPose,
-    OccupancyGrid,
-    RaycastConfig,
-    RecordMismatchError,
-    SensorSpec,
-    generate_floorplan,
-    load_pgm,
-    new_grid,
-    save_pgm,
-    topological_understanding,
-)
 from exploresim import cli, config
 from exploresim.cli import (
     RowHeader,
@@ -56,6 +39,13 @@ from exploresim.config import (
     PredictorSpec,
     parse_config,
 )
+from exploresim.errors import ConfigError, RecordMismatchError
+from exploresim.frontier import SCORER_KINDS
+from exploresim.grid import FREE, OCCUPIED, GridPose, OccupancyGrid, load_pgm, new_grid, save_pgm
+from exploresim.infogain import RaycastConfig
+from exploresim.metrics import topological_understanding
+from exploresim.planner import EpisodeConfig
+from exploresim.world import SensorSpec, generate_floorplan
 
 
 def write_config(path, text):
@@ -306,6 +296,7 @@ BAD_PLANS = {
     "plan too small": ({"width": 5}, "width"),
     "corridor too wide": ({"width": 60, "height": 60, "corridor_width": 45}, "corridor_width"),
     "room count range reversed": ({"rooms_min": 5, "rooms_max": 2}, "rooms_max"),
+    "negative map seed": ({"map_seed": -2}, "map_seed"),
 }
 
 
@@ -867,6 +858,11 @@ def _nested_key_removed(header, *path):
                  id="start-wall"),
     pytest.param(lambda h: h | {"member_seeds": ["a", "b", "c"]},
                  r"member_seeds: expected list\[int\], got \['a', 'b', 'c'\]", id="seeds-text"),
+    pytest.param(lambda h: h | {"member_seeds": [-5]}, r"member_seeds: must be >= 0, got \[-5\]",
+                 id="seeds-negative"),
+    pytest.param(lambda h: h | {"seed": -1}, "seed: must be >= 0, got -1", id="seed-negative"),
+    pytest.param(lambda h: h | {"map": h["map"] | {"map_seed": -1}},
+                 r"\[map\] map_seed: must be >= 0, got -1", id="map-seed-negative"),
     pytest.param(lambda h: h | {"member_seeds": []}, "member_seeds: 0 seeds for 1 ensemble",
                  id="seeds-too-few"),
     pytest.param(lambda h: h | {"member_seeds": [0, 1]}, "member_seeds: 2 seeds for 1 ensemble",
@@ -1003,6 +999,24 @@ def test_failed_row_leaves_its_traceback(tmp_path):
     [row] = run_experiment(cfg)  # the same row, now succeeding
     assert row["status"] == "ok"
     assert not error.exists()
+
+
+def test_cli_replay_reports_a_failing_predictor_in_one_line(tmp_path, capsys):
+    # The recorded run's external predictor copied its input; at replay it exits 3.
+    script = tmp_path / "predictor.py"
+    script.write_text("import shutil, sys\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+    cfg = parse_config(_write_experiment(tmp_path))
+    cfg.starts = [GridPose(31, 31)]
+    cfg.predictor = PredictorSpec(kind="external", ensemble=1,
+                                  command=shlex.join([sys.executable, str(script)]))
+    [row] = run_experiment(cfg)
+    assert row["status"] == "ok"
+    script.write_text("raise SystemExit(3)\n")
+    record = _first_row_dir(tmp_path / "results") / "record.jsonl"
+    assert main(["replay", str(record), "--out", str(tmp_path / "replayed")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("replay failed: ensemble member 0: ") and " exited 3;" in err
 
 
 def test_cli_generate_maps_and_score_map(tmp_path, capsys):
@@ -1420,6 +1434,7 @@ def test_cli_run_rejects_a_repeated_row_before_any_row(tmp_path, capsys, monkeyp
     ("[raycast]\nepsilon = inf\n", "[raycast] epsilon: must be finite and positive, got inf"),
     ("[maps]\nresolution = inf\n", "[maps] resolution: must be finite and positive, got inf"),
     ("max_waypoint_age = -1\n", "max_waypoint_age: must be >= 0, got -1"),
+    ("seeds = [-1]\n", "seeds: must be >= 0, got -1"),
     ("[predictor]\nkind = 'external'\ncommand = ' ; '\n",
      "[predictor] command: lists no command, got ' ; '"),
     # Inputs every row would fail on: a map file that is no P5 PGM, a patch
@@ -1427,6 +1442,7 @@ def test_cli_run_rejects_a_repeated_row_before_any_row(tmp_path, capsys, monkeyp
     ('[maps]\nglob = "text/*.pgm"\n',
      "[maps] {tmp}/text/plan.pgm: not a binary PGM (magic b'P2', expected b'P5') "
      "(byte offset 0)"),
+    ('[maps]\nglob = "walls/*.pgm"\n', "[maps] {tmp}/walls/plan.pgm: the map has no free cell"),
     ("[maps]\ncount = 1\nwidth = 60\nheight = 60\n\n"
      "[predictor]\nkind = 'patch'\nensemble = 2\ncorpus = 'corpus/*.pgm'\n",
      "[predictor] corpus: member 1's files corpus/b.pgm hold no 20x20 window "
@@ -1446,20 +1462,34 @@ def test_cli_run_rejected_config_makes_no_output_directory(tmp_path, capsys, mon
     (tmp_path / "corpus").mkdir()
     save_pgm(generate_floorplan(0, 60, 60), tmp_path / "corpus" / "a.pgm")
     save_pgm(new_grid(19, 40), tmp_path / "corpus" / "b.pgm")  # one side short of 16 + 2 * 2
+    (tmp_path / "walls").mkdir()
+    save_pgm(OccupancyGrid(np.ones((60, 60))), tmp_path / "walls" / "plan.pgm")
     cfg_path = write_config(tmp_path / "exp.toml", 'output_dir = "out"\n' + setting)
     assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr() == ("", f"explore: error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "out").exists()
 
 
+ROOT = Path(cli.__file__).resolve().parents[2]
+
+
+def _modules_loaded_by(imports, package):
+    """The modules of `package` that a fresh interpreter has loaded after `imports`."""
+    probe = (f"import sys, {imports}; "
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # Each name is imported from the module that defines it; the package re-exports none.
+    assert _modules_loaded_by("exploresim", "exploresim") == "['exploresim']\n"
+
+
 def test_the_package_runs_without_scipy():
     # numpy is the one runtime dependency; scipy is installed for the tests.
-    root = Path(cli.__file__).resolve().parents[2]
-    probe = ("import sys, exploresim, exploresim.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert _modules_loaded_by("exploresim.cli", "scipy") == "[]\n"
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=1.24"]

@@ -4,20 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from exploresim import (
-    FREE,
-    OCCUPIED,
-    UNKNOWN,
-    ConfigError,
-    GridPose,
-    OccupancyGrid,
-    RaycastConfig,
+from exploresim.errors import ConfigError
+from exploresim.frontier import (
+    LOCAL_VARIANCE_RADIUS_M,
+    FrontierCluster,
     ScoreContext,
     extract_frontiers,
-    new_grid,
+    frontier_mask,
+    rank_frontiers,
     score_frontier,
 )
-from exploresim.frontier import LOCAL_VARIANCE_RADIUS_M, frontier_mask, rank_frontiers
+from exploresim.grid import FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
+from exploresim.infogain import RaycastConfig
 from exploresim.predict import PredictionSet
 from exploresim.trace import line_cells
 from test_trace import bresenham_line
@@ -182,8 +180,6 @@ def _ctx(observed, pset, pose, range_m=3.0):
 
 
 def _cluster_at(x, y):
-    from exploresim import FrontierCluster
-
     return FrontierCluster(centroid=GridPose(x, y), size=1)
 
 

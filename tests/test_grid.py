@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,18 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
-from exploresim import (
+from exploresim.errors import PgmParseError
+from exploresim.grid import (
     FREE,
     OCCUPIED,
     UNKNOWN,
     GridPose,
     OccupancyGrid,
-    PgmParseError,
+    components,
     load_pgm,
     new_grid,
     save_pgm,
 )
-from exploresim.grid import components
 
 
 def test_new_grid_initializes_unknown():
@@ -41,6 +43,13 @@ def test_new_grid_rejects_bad_dimensions(w, h):
 def test_new_grid_rejects_bad_resolution():
     with pytest.raises(ValueError):
         new_grid(3, 3, 0.0)
+
+
+@pytest.mark.parametrize("resolution", [math.nan, math.inf])
+def test_grid_rejects_a_resolution_that_is_not_finite(resolution):
+    # A NaN resolution fails the first scan; an infinite one scans one cell.
+    with pytest.raises(ValueError, match="resolution must be finite and positive"):
+        OccupancyGrid(np.zeros((2, 2)), resolution)
 
 
 def test_grid_rejects_out_of_range_values():

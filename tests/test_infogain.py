@@ -7,24 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from exploresim import (
-    FREE,
-    OCCUPIED,
-    UNKNOWN,
-    GridPose,
-    OccupancyGrid,
+from exploresim.grid import FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
+from exploresim.infogain import (
+    BoxMask,
     RaycastConfig,
-    SensorSpec,
     deterministic_raycast,
-    generate_floorplan,
     info_gain,
-    new_grid,
     probabilistic_raycast,
-    simulate_scan,
     visibility_mask,
 )
-from exploresim.infogain import BoxMask
 from exploresim.trace import line_cells
+from exploresim.world import SensorSpec, generate_floorplan, simulate_scan
 from test_trace import bresenham_line
 
 

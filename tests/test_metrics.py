@@ -5,20 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exploresim import (
-    FREE,
-    OCCUPIED,
-    GridPose,
-    OccupancyGrid,
-    astar,
+from exploresim.grid import FREE, OCCUPIED, GridPose, OccupancyGrid, new_grid
+from exploresim.metrics import (
     auc,
     building_footprint,
     coverage_of,
     iou_occupied,
-    new_grid,
     topological_understanding,
 )
-from exploresim.planner import reach_avoiding
+from exploresim.planner import astar, reach_avoiding
 
 
 def _room_with_margin(n=30, margin=6):

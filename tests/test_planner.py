@@ -6,30 +6,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exploresim import (
-    FREE,
-    OCCUPIED,
-    SCORER_KINDS,
-    UNKNOWN,
-    Ensemble,
+from exploresim import frontier, planner, trace
+from exploresim.frontier import SCORER_KINDS
+from exploresim.grid import FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
+from exploresim.infogain import RaycastConfig
+from exploresim.planner import (
     EpisodeConfig,
-    GridPose,
-    NoisyOraclePredictor,
-    OccupancyGrid,
-    PassThroughPredictor,
-    PatchInpaintingPredictor,
-    RaycastConfig,
-    SensorSpec,
     astar,
-    ensemble_predict,
-    generate_floorplan,
-    new_grid,
     path_cells,
+    reach_avoiding,
     run_episode,
     waypoint_valid,
 )
-from exploresim import frontier, planner, trace
-from exploresim.planner import reach_avoiding
+from exploresim.predict import (
+    Ensemble,
+    NoisyOraclePredictor,
+    PassThroughPredictor,
+    PatchInpaintingPredictor,
+    ensemble_predict,
+)
+from exploresim.world import SensorSpec, generate_floorplan
 
 SQRT2 = math.sqrt(2.0)
 

@@ -8,22 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exploresim import (
-    FREE,
-    OCCUPIED,
-    UNKNOWN,
+from exploresim import predict as predict_module
+from exploresim.errors import EnsembleError, ExternalPredictorError
+from exploresim.grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, new_grid
+from exploresim.predict import (
     Ensemble,
-    EnsembleError,
-    ExternalPredictorError,
-    NoisyOraclePredictor,
-    OccupancyGrid,
-    PassThroughPredictor,
     ExternalPredictor,
+    NoisyOraclePredictor,
+    PassThroughPredictor,
     PatchInpaintingPredictor,
     ensemble_predict,
-    new_grid,
 )
-from exploresim import predict as predict_module
 
 
 def predict(predictor, observed):

@@ -6,29 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exploresim import (
-    FREE,
-    OCCUPIED,
-    UNKNOWN,
-    GridPose,
-    InvalidStateError,
-    OccupancyGrid,
-    RaycastConfig,
+from exploresim import world
+from exploresim.errors import InvalidStateError
+from exploresim.grid import FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid, new_grid
+from exploresim.infogain import RaycastConfig, deterministic_raycast
+from exploresim.metrics import building_footprint, coverage_of, coverage_percent
+from exploresim.planner import astar
+from exploresim.trace import end_columns, gather_values, ray_cell_table
+from exploresim.world import (
     Scan,
     SensorSpec,
     apply_action,
-    astar,
-    building_footprint,
-    coverage_of,
-    deterministic_raycast,
     generate_floorplan,
     integrate_scan,
-    new_grid,
     simulate_scan,
 )
-from exploresim import world
-from exploresim.metrics import coverage_percent
-from exploresim.trace import end_columns, gather_values, ray_cell_table
 from test_trace import first_block
 
 
