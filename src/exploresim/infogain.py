@@ -8,7 +8,7 @@ reads the map there, and `trace.end_columns`, the sensor's stop rule, ends
 each ray at the first cell its stop test flags. The casts differ only in
 that test. A default cast's 60 x 258 cells fit the first block of a walk,
 so reading past where the rays end costs nothing a walk would save.
-Endpoints are (N, 2) int arrays with columns (x, y), like `Scan.endpoints`.
+Endpoints are (N, 2) int arrays with columns (x, y).
 A visibility mask is a `BoxMask`: the box of the grid the flood filled, as
 a pair of slices, and a boolean `keep` over that box; its `len()` is the
 number of cells it keeps. The flood is the viewpoint's 4-connected

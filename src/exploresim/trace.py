@@ -6,11 +6,11 @@ visibility-mask polygon and the variance corridor.
 
 The table has two readers, which end a ray by `end_columns`, the one rule
 for where a ray stops: at its first in-bounds cell flagged by the caller's
-stop mask, else at its last in-bounds cell. `walk_rays`, the sensor's,
-reads the table in column blocks of the rays still live; `ray_cell_table`,
-the scoring casts', reads it in one block. The sensor flags occupied
-ground-truth cells, the scoring casts the cell where their termination
-test first holds.
+stop mask, else at its last in-bounds cell. The sensor,
+`world.simulate_scan`, reads the table in column blocks of the rays still
+live; `ray_cell_table`, the scoring casts', reads it in one block. The
+sensor flags occupied ground-truth cells, the scoring casts the cell where
+their termination test first holds.
 
 Rays are walked by sampling points every quarter cell along the ray
 direction, starting at the origin cell's center. A sample at distance d
@@ -40,13 +40,13 @@ padding, which lies past the ray's last cell, is never inside it.
 `prefix_lengths` is the one exit-table rule. The exit tables hold one row
 per k, so the entries one pose reads are contiguous.
 
-Both readers give the rays' cells as flat grid indices, `base + offset`
+Both readers see the rays' cells as flat grid indices, `base + offset`
 with `base` the origin's flat index. An index past a ray's prefix lies off
 the grid, below 0 or past its last cell, or wraps onto another row;
-`gather_values` clips it and its value is never used. The walk's reads stop
-near where its rays end; a cast's 60 rays fit its first block, so a walk
-would read their whole table too. `ray_cell_table` is also the reference
-the walk is tested against.
+`gather_values` clips it and its value is never used. The sensor's reads
+stop near where its rays end; a cast's 60 rays fit its first block, so a
+block walk would read their whole table too. `ray_cell_table` is also the
+reference the sensor is tested against.
 
 Neighbouring rays start through the same cells: of the 2,500 rays of the
 default sensor, only 604 differ in their first 13 cells. A block's result
@@ -55,9 +55,9 @@ rays whose cells are the same 2-D offsets have the same prefix from every
 origin. So `ray_table` groups the rays by their first-block cells, each
 as the one int `offy * (2 * reach + 1) + offx`, which no two cells within
 reach share, and 0 past a ray's last cell (flat offsets can collide on a
-grid narrower than 2 * cols - 1 cells), and `walk_rays` reads the first
-block once per group and copies the result to the group's other rays.
-Later blocks read every live ray.
+grid narrower than 2 * cols - 1 cells), and the sensor reads the first
+block once per group: the rays of a group pass, stop at and hit the same
+cells in it. Later blocks read every live ray.
 
 A segment from a to b has max(|dx|, |dy|) + 1 cells; the i-th moves each
 axis i * |d| / max(|dx|, |dy|) cells towards b, rounded half down. These
@@ -84,7 +84,7 @@ _COUNT_GUARD = 1e-9
 
 _BUILD_RAYS = 256  # rays per pass of the table build; bounds its float temporaries
 
-# Size the first block of a `walk_rays` walk; see its docstring.
+# Size the table's first block, the sensor's first read; see `first_block_cols`.
 _FIRST_BLOCK_CELLS = 2**15
 _FIRST_BLOCK_MIN_COLS = 8
 
@@ -113,8 +113,8 @@ def _reach(range_cells: float) -> int:
     return math.floor(0.5 + (_sample_count(range_cells) - 1) * STEP)
 
 
-def _first_block_cols(n_rays: int) -> int:
-    """The width of the first block of a walk of `n_rays` rays."""
+def first_block_cols(n_rays: int) -> int:
+    """The width of the first block of the table of `n_rays` rays."""
     return max(_FIRST_BLOCK_MIN_COLS, _FIRST_BLOCK_CELLS // n_rays)
 
 
@@ -203,14 +203,14 @@ def prefix_lengths(t: RayTable, origin: GridPose, shape) -> np.ndarray:
 
 def ray_cell_table(origin: GridPose, n_rays: int, range_cells: float, shape):
     """The cells of all rays from the center of `origin`, in walk order, in
-    one block: the scoring casts' read, and the walk's test reference.
+    one block: the scoring casts' read, and the sensor's test reference.
 
     Returns (idx, length): `idx` is (n_rays, n_cols) flat indices into a
     grid of `shape`, column 0 being the origin cell, and `length` is each
     ray's in-bounds prefix length (n_rays,); `n_cols` is the longest.
     """
     w = shape[1]
-    t = ray_table(n_rays, float(range_cells), w, _first_block_cols(n_rays))
+    t = ray_table(n_rays, float(range_cells), w, first_block_cols(n_rays))
     length = prefix_lengths(t, origin, shape)
     return origin.y * w + origin.x + np.concatenate(t.blocks, axis=1)[:, : length.max()], length
 
@@ -232,54 +232,6 @@ def end_columns(stop: np.ndarray, length: np.ndarray):
     first = np.argmax(stop, axis=1)
     stopped = stop[np.arange(len(length)), first] & (first < length)
     return np.where(stopped, first, length - 1), stopped
-
-
-def walk_rays(n_rays: int, range_cells: float, origin: GridPose, shape, block):
-    """Walk the rays of the ray table of `n_rays` rays of `range_cells`
-    cells from the center of `origin` on a grid of `shape`, in column blocks
-    of the rays still live. Returns (stopped, endpoints): per ray, whether a
-    block stopped it, and its end cell as an (n_rays, 2) int array of (x, y).
-
-    The blocks are those the table is stored in: the first is
-    `_first_block_cols(n_rays)` columns of every ray, each later one twice as
-    wide; a ray leaves the walk in the block where it stops or its in-bounds
-    prefix ends. Each block calls `block(idx, length)` with the cells of
-    the block's rays in it as flat grid indices, one row per ray, which past
-    a prefix may lie off the grid (see the module docstring), and their
-    prefixes clipped to the block; `block` returns `end_columns` of the
-    block.
-
-    The first block reads the first ray of each of the table's groups, the
-    table's `rep`, from its `first`, and copies their results to their
-    groups by `row` (see the module docstring); when every prefix is
-    distinct, every ray is its own group. Later blocks read the rays still
-    live, in ascending order.
-    """
-    w = shape[1]
-    cols = _first_block_cols(n_rays)
-    t = ray_table(n_rays, range_cells, w, cols)
-    length = prefix_lengths(t, origin, shape)
-    base = origin.y * w + origin.x
-    # Groups on `cols` columns hold for any fewer, as the first c1 can be.
-    c1 = min(cols, int(length.max()))
-    idx = t.first[:, :c1] + base
-    col, hit = block(idx, np.minimum(length[t.rep], c1))
-    stopped, end = hit[t.row], idx[np.arange(len(t.rep)), col][t.row]
-    rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
-    for b in t.blocks[1:]:
-        if not len(rays):
-            break
-        # Each block starts at the column where the last one ended: a block
-        # cut short at its rays' longest prefix leaves no ray live.
-        c0 = c1
-        ray_len = length[rays]
-        c1 = min(c0 + b.shape[1], int(ray_len.max()))
-        idx = b.take(rays, axis=0)
-        idx += base  # on whole rows: a strided add over the cut columns costs more
-        col, hit = block(idx[:, : c1 - c0], np.minimum(ray_len - c0, c1 - c0))
-        stopped[rays], end[rays] = hit, idx[np.arange(len(rays)), col]
-        rays = rays[~hit & (ray_len > c1)]
-    return stopped, cells_xy(end, w)
 
 
 def cells_xy(flat: np.ndarray, width: int) -> np.ndarray:

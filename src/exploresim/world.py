@@ -2,15 +2,13 @@
 robot kinematics on the diagonally-connected grid, and a procedural
 floor-plan generator.
 
-The sensor walks the ray table with `trace.walk_rays`, its one caller:
-each block reads the ground truth's stop cells and marks the cells its
-rays pass at the flat grid indices the walk hands it. A `Scan`
-lists the passed cells as sorted flat indices, and `integrate_scan`
-writes through them and returns the flat indices it made known, from
-which an episode keeps its coverage as a running count. Sensing is
-noise-free and the robot pose is known exactly: a cell the sensor marks
-free is free in the ground truth, and a hit endpoint is occupied in the
-ground truth.
+The sensor walks the `trace` ray table block by block, the rays still
+live in each, and marks the cells its rays pass and hit. A `Scan` is
+those cells as sorted flat indices, and `integrate_scan` writes through
+them and returns the flat indices it made known, from which an episode
+keeps its coverage as a running count. Sensing is noise-free and the
+robot pose is known exactly: a cell the sensor marks free is free in the
+ground truth, and a hit cell is occupied in the ground truth.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .grid import DEFAULT_RESOLUTION, FREE, OCCUPIED, UNKNOWN, GridPose, OccupancyGrid
-from .trace import end_columns, gather_values, walk_rays
+from .trace import end_columns, first_block_cols, gather_values, prefix_lengths, ray_table
 from .trace import ray_cell_table  # noqa: F401  (bench/run.py traces `world.ray_cell_table`)
 
 # Floor-plan generator defaults, shared with the [maps] config table.
@@ -47,26 +45,25 @@ class SensorSpec:
 
 @dataclass
 class Scan:
-    """One LiDAR acquisition.
+    """One LiDAR acquisition on a grid of `shape`: the flat indices
+    `y * width + x` of the cells its rays passed without hitting, and of the
+    occupied cells they hit, each array sorted and duplicate-free."""
 
-    `endpoints`/`hits` are per-ray arrays; `free_cells` holds the flat
-    indices `y * width + x` of all cells the rays traversed without hitting,
-    sorted and each once.
-    """
-
-    endpoints: np.ndarray  # (n_rays, 2) int, columns (x, y)
-    hits: np.ndarray  # (n_rays,) bool
-    free_cells: np.ndarray = field(repr=False)  # (m,) intp flat indices, ascending
+    free_cells: np.ndarray = field(repr=False)  # (m,) intp
+    hit_cells: np.ndarray = field(repr=False)  # (k,) intp
+    shape: tuple[int, int]
 
 
 def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
     """Trace every ray from `pose` until the first occupied cell or max range.
 
-    The rays are the cached `trace.ray_table`, walked by `trace.walk_rays`,
-    so an indoor scan reads the cells up to its walls, not the whole table.
-    Each block marks the cells its rays passed without hitting; they make up
-    `free_cells`. Deterministic for fixed inputs. The pose must be a free
-    cell of the ground truth.
+    The rays are the cached `trace.ray_table`, read in the column blocks it
+    is stored in: the first once per group of rays, each later one for the
+    rays still live, those that neither stopped nor left their in-bounds
+    prefix. So an indoor scan reads the cells up to its walls, not the whole
+    table. A block is one `gather_values` and one `end_columns`.
+    Deterministic for fixed inputs. The pose must be a free cell of the
+    ground truth.
     """
     if not gt.in_bounds(pose.x, pose.y):
         raise InvalidStateError(f"scan pose {pose} is outside the grid")
@@ -74,47 +71,65 @@ def simulate_scan(gt: OccupancyGrid, pose: GridPose, spec: SensorSpec) -> Scan:
         raise InvalidStateError(f"scan pose {pose} is not on a free ground-truth cell")
 
     occupied = gt.cells > 0.5
-    seen = np.zeros(gt.cells.size, dtype=bool)
+    passed = np.zeros(gt.cells.size, dtype=bool)
+    hit = np.zeros(gt.cells.size, dtype=bool)
 
-    def block(idx, length):
+    def read(idx, length):
+        """Mark the passed and hit cells of a block's rays, one row of flat
+        indices each; return which rays stopped."""
         col, stopped = end_columns(gather_values(occupied, idx), length)
         # Every cell strictly before the end is free space the ray passed
         # through; a ray that did not stop passed its end cell too. All of
         # these cells lie in the ray's in-bounds prefix. The column counts
         # fit int16, as the exit tables do, which halves the mask's cost.
-        passed = (col + ~stopped).astype(np.int16)
-        seen[idx[np.arange(idx.shape[1], dtype=np.int16) < passed[:, None]]] = True
-        return col, stopped
+        n = (col + ~stopped).astype(np.int16)
+        passed[idx[np.arange(idx.shape[1], dtype=np.int16) < n[:, None]]] = True
+        hit[idx[stopped, col[stopped]]] = True
+        return stopped
 
-    range_cells = spec.range_lambda / gt.resolution
-    hits, endpoints = walk_rays(spec.n_rays, range_cells, pose, gt.shape, block)
-    return Scan(endpoints=endpoints, hits=hits, free_cells=np.flatnonzero(seen))
+    w = gt.width
+    cols = first_block_cols(spec.n_rays)
+    t = ray_table(spec.n_rays, spec.range_lambda / gt.resolution, w, cols)
+    length = prefix_lengths(t, pose, gt.shape)
+    base = pose.y * w + pose.x
+    # Groups on `cols` columns hold for any fewer, as the first c1 can be.
+    c1 = min(cols, int(length.max()))
+    stopped = read(t.first[:, :c1] + base, np.minimum(length[t.rep], c1))[t.row]
+    rays = np.flatnonzero(~stopped & (length > c1))  # the live rays
+    for b in t.blocks[1:]:
+        if not len(rays):
+            break
+        # Each block starts at the column where the last one ended: a block
+        # cut short at its rays' longest prefix leaves no ray live.
+        c0 = c1
+        ray_len = length[rays]
+        c1 = min(c0 + b.shape[1], int(ray_len.max()))
+        idx = b.take(rays, axis=0)
+        idx += base  # on whole rows: a strided add over the cut columns costs more
+        stopped = read(idx[:, : c1 - c0], np.minimum(ray_len - c0, c1 - c0))
+        rays = rays[~stopped & (ray_len > c1)]
+    return Scan(np.flatnonzero(passed), np.flatnonzero(hit), gt.shape)
 
 
 def integrate_scan(observed: OccupancyGrid, scan: Scan) -> np.ndarray:
     """Fold a scan into the observed map, in place, and return the flat
     indices of the cells it turned from unknown to known, each once.
 
-    Traversed cells become free, hit endpoints become occupied. Known cells
-    never revert to unknown, and free never overwrites occupied. The map
-    must be a three-label grid of the shape the scan was taken on; a flat
-    index past its size raises, but the shape is not checked here, nor the
-    labels, since an episode's map starts unknown and changes only through
+    Passed cells become free, hit cells occupied. Known cells never revert
+    to unknown, and free never overwrites occupied. The map must be a
+    three-label grid of the shape the scan was taken on; its labels are not
+    checked, since an episode's map starts unknown and changes only through
     this function.
     """
+    if scan.shape != observed.shape:
+        raise ValueError(f"scan taken on a grid of shape {scan.shape} does not fit "
+                         f"the observed map's shape {observed.shape}")
     cells = observed.cells
-    free = scan.free_cells
-    if len(free) and free[-1] >= cells.size:
-        raise ValueError("scan does not fit the observed map dimensions")
-    hx, hy = scan.endpoints[scan.hits, 0], scan.endpoints[scan.hits, 1]
-    if len(hx) and (hx.max() >= observed.width or hy.max() >= observed.height):
-        raise ValueError("scan does not fit the observed map dimensions")
-    free = free[cells.take(free) == UNKNOWN]
+    free = scan.free_cells[cells.take(scan.free_cells) == UNKNOWN]
     cells.put(free, FREE)
-    hit = hy * observed.width + hx
     # Read after the free writes, so a cell listed both ways counts once.
-    new_hits = np.unique(hit[cells.take(hit) == UNKNOWN])
-    cells.put(hit, OCCUPIED)
+    new_hits = scan.hit_cells[cells.take(scan.hit_cells) == UNKNOWN]
+    cells.put(scan.hit_cells, OCCUPIED)
     return np.concatenate([free, new_hits])
 
 

@@ -19,6 +19,7 @@ from exploresim.infogain import (
 from exploresim.trace import line_cells
 from exploresim.world import SensorSpec, generate_floorplan, simulate_scan
 from test_trace import bresenham_line
+from test_world import assert_cast_agrees_with_scan
 
 
 def accumulate_ray_oracle(cells, x, y, angle, range_cells, epsilon):
@@ -172,7 +173,7 @@ def test_binary_map_probabilistic_equals_deterministic_equals_scan():
         det = deterministic_raycast(GridPose(32, 32), gt, cfg)
         scan = simulate_scan(gt, GridPose(32, 32), SensorSpec(3.0, 64))
         assert np.array_equal(prob, det)
-        assert np.array_equal(prob, scan.endpoints)
+        assert_cast_agrees_with_scan(prob, scan, gt)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exploresim import trace
-from exploresim.grid import GridPose
+from exploresim import trace, world
+from exploresim.grid import GridPose, OccupancyGrid
 from exploresim.trace import line_cells, ray_table
 
 
 @contextmanager
 def first_block(first):
-    """Within it, `trace.walk_rays` starts with a block of `first` columns
-    (None keeps the default size), so that a small scan walks many blocks
-    and its rays stop, miss and leave the grid on block edges."""
+    """Within it, the ray table's first block, and so the sensor's first
+    read, is `first` columns wide (None keeps the default size), so that a
+    small scan walks many blocks and its rays stop, miss and leave the grid
+    on block edges."""
     with pytest.MonkeyPatch.context() as mp:
         if first is not None:
             mp.setattr(trace, "_FIRST_BLOCK_MIN_COLS", first)
@@ -86,7 +87,7 @@ def test_line_cells_equals_the_concatenated_oracle(pairs):
 def test_the_default_ray_table_is_small_and_read_only():
     # 2,500 rays of 200 cells on a 200-cell-wide grid: one flat offset per
     # distinct cell, not per sample, stored once, and two int16 exit tables.
-    table = ray_table(2500, 200.0, 200, trace._first_block_cols(2500))
+    table = ray_table(2500, 200.0, 200, trace.first_block_cols(2500))
     assert sum(b.nbytes for b in table.blocks) + table.tx.nbytes + table.ty.nbytes <= 8_000_000
     assert len(table.rep) == 604  # the groups of the first 13 cells; see the trace docstring
     assert table.row.nbytes + table.first.nbytes <= 100_000
@@ -133,25 +134,28 @@ def test_rays_share_a_group_exactly_when_their_first_cells_are_equal(n_rays, ran
 
 @pytest.mark.parametrize("first", [None, 1, 2, 3])
 def test_the_walk_reads_the_table_block_by_block(first):
-    # On an open grid no ray stops or leaves it, so the walk reads every
+    # On an open grid no ray stops or leaves it, so the sensor reads every
     # stored block whole, at the columns it is stored for, also when the
     # first block is monkeypatched to 1-3 columns. The first block reads
     # one ray per group, the table's `rep`; each later one the rays whose
-    # prefix reaches it. Each block gets its rays' stored offsets moved onto
+    # prefix reaches it. Each read gets its rays' stored offsets moved onto
     # the grid, base + b[rays], and the blocks, end to end, are the
     # one-block table.
     n_rays, range_cells, origin, shape = 24, 9.0, GridPose(12, 12), (25, 25)
     calls = []
 
-    def block(idx, length):
+    def gather(cells, idx):
         calls.append(idx.copy())
-        return np.asarray(length) - 1, np.zeros(len(idx), dtype=bool)
+        return trace.gather_values(cells, idx)
 
-    with first_block(first):
-        cols = trace._first_block_cols(n_rays)
+    with first_block(first), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world, "gather_values", gather)
+        cols = trace.first_block_cols(n_rays)
         table = ray_table(n_rays, range_cells, shape[1], cols)
-        trace.walk_rays(n_rays, range_cells, origin, shape, block)
+        scan = world.simulate_scan(OccupancyGrid(np.zeros(shape), 1.0), origin,
+                                   world.SensorSpec(range_lambda=range_cells, n_rays=n_rays))
         idx, _ = trace.ray_cell_table(origin, n_rays, range_cells, shape)
+    assert len(scan.hit_cells) == 0
     length = trace.prefix_lengths(table, origin, shape)
     widths = [b.shape[1] for b in table.blocks]
     assert widths[:-1] == [cols << k for k in range(len(widths) - 1)]

@@ -49,15 +49,27 @@ def walk_ray_oracle(cells, x, y, angle, range_cells):
 
 def assert_scan_matches_oracle(gt, x, y, n_rays, range_dm):
     """The scan of `n_rays` rays of `range_dm` cells from (x, y) on `gt`
-    (0.1 m cells) ends every ray where the oracle does and lists exactly the
-    cells the oracle passes, once each, as ascending flat indices."""
+    (0.1 m cells) lists exactly the cells the oracle's rays hit and exactly
+    those they pass, each once, as ascending flat indices."""
     scan = simulate_scan(gt, GridPose(x, y), SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays))
-    passed = set()
+    passed, hits = set(), set()
     for j in range(n_rays):
         end, hit, cells = walk_ray_oracle(gt.cells, x, y, j * (2.0 * math.pi / n_rays), range_dm)
-        assert (tuple(scan.endpoints[j].tolist()), scan.hits[j]) == (end, hit), j
         passed |= cells
+        if hit:
+            hits.add(end)
+    assert scan.shape == gt.shape
+    assert scan.hit_cells.tolist() == sorted(cy * gt.width + cx for cx, cy in hits)
     assert scan.free_cells.tolist() == sorted(cy * gt.width + cx for cx, cy in passed)
+
+
+def assert_cast_agrees_with_scan(ends, scan, gt):
+    """A cast's (n, 2) endpoints on occupied cells of `gt` are exactly the
+    scan's hit cells, and its other endpoints lie in the scan's free cells."""
+    flat = ends[:, 1] * gt.width + ends[:, 0]
+    occupied = gt.cells.ravel()[flat] > 0.5
+    assert np.array_equal(np.unique(flat[occupied]), scan.hit_cells)
+    assert np.isin(flat[~occupied], scan.free_cells).all()
 
 
 def random_binary_map(rng, n, density=0.2):
@@ -67,19 +79,24 @@ def random_binary_map(rng, n, density=0.2):
 
 
 def test_unobstructed_rays_reach_max_range():
+    # Each ray passes the cell of its last sample, 200 cells out, and no
+    # cell further out.
     gt = OccupancyGrid(np.zeros((401, 401)), 0.1)
     scan = simulate_scan(gt, GridPose(200, 200), SensorSpec(range_lambda=20.0, n_rays=16))
-    assert not scan.hits.any()
-    d = np.hypot(scan.endpoints[:, 0] - 200, scan.endpoints[:, 1] - 200)
-    assert (np.abs(d - 200.0) <= 1.0).all()
+    assert len(scan.hit_cells) == 0
+    fy, fx = np.divmod(scan.free_cells, gt.width)
+    assert np.hypot(fx - 200, fy - 200).max() <= 201.0
+    ends = [(200 + math.floor(0.5 + 200 * math.cos(a)), 200 + math.floor(0.5 + 200 * math.sin(a)))
+            for a in np.arange(16) * (2.0 * math.pi / 16)]
+    assert np.isin([y * gt.width + x for x, y in ends], scan.free_cells).all()
 
 
 def test_adjacent_wall_is_hit():
     gt = OccupancyGrid(np.zeros((11, 11)), 0.1)
     gt.cells[5, 6] = OCCUPIED  # directly east of the pose
     scan = simulate_scan(gt, GridPose(5, 5), SensorSpec(range_lambda=2.0, n_rays=8))
-    # ray 0 points along +x
-    assert (GridPose(*scan.endpoints[0]), scan.hits[0]) == (GridPose(6, 5), True)
+    # ray 0 points along +x; the other rays leave the grid
+    assert scan.hit_cells.tolist() == [5 * 11 + 6]
 
 
 def test_scan_requires_free_pose():
@@ -90,18 +107,10 @@ def test_scan_requires_free_pose():
 
 
 def test_scan_endpoints_match_quarter_step_walk_oracle():
+    # The hit cells are the ends of the oracle's rays that hit.
     rng = np.random.default_rng(42)
-    spec = SensorSpec(range_lambda=3.0, n_rays=64)
     for _ in range(10):
-        gt = random_binary_map(rng, 64)
-        pose = GridPose(32, 32)
-        scan = simulate_scan(gt, pose, spec)
-        range_cells = spec.range_lambda / gt.resolution
-        for j in range(spec.n_rays):
-            angle = j * (2.0 * math.pi / spec.n_rays)
-            (ex, ey), hit, _ = walk_ray_oracle(gt.cells, 32, 32, angle, range_cells)
-            assert (scan.endpoints[j, 0], scan.endpoints[j, 1]) == (ex, ey)
-            assert scan.hits[j] == hit
+        assert_scan_matches_oracle(random_binary_map(rng, 64), 32, 32, 64, 30)
 
 
 @settings(max_examples=120, deadline=None)
@@ -161,14 +170,14 @@ def test_scan_matches_the_quarter_step_oracle_from_any_pose(seed, width, height,
 
 
 def one_block_scan(gt, pose, spec):
-    """Reference scan that reads the whole ray table at once: (endpoints,
-    hits, free_cells) as `simulate_scan` returns them."""
+    """Reference scan that reads the whole ray table at once: (free_cells,
+    hit_cells) as `simulate_scan` returns them."""
     idx, length = ray_cell_table(pose, spec.n_rays, spec.range_lambda / gt.resolution, gt.shape)
     end_idx, hits = end_columns(gather_values(gt.cells > 0.5, idx), length)
     end = idx[np.arange(spec.n_rays), end_idx]
     seen = np.zeros(gt.cells.size, dtype=bool)
     seen[idx[np.arange(idx.shape[1]) < (end_idx + ~hits)[:, None]]] = True
-    return np.stack([end % gt.width, end // gt.width], axis=1), hits, np.flatnonzero(seen)
+    return np.flatnonzero(seen), np.unique(end[hits])
 
 
 def test_the_default_scan_on_a_generated_plan_equals_a_one_block_read(monkeypatch):
@@ -188,8 +197,7 @@ def test_the_default_scan_on_a_generated_plan_equals_a_one_block_read(monkeypatc
         reads.clear()
         scan = simulate_scan(gt, pose, spec)
         assert reads[0] == (604, 13), pose
-        for got, want in zip((scan.endpoints, scan.hits, scan.free_cells),
-                             one_block_scan(gt, pose, spec)):
+        for got, want in zip((scan.free_cells, scan.hit_cells), one_block_scan(gt, pose, spec)):
             assert got.dtype == want.dtype and np.array_equal(got, want), pose
 
 
@@ -204,15 +212,17 @@ def test_one_sensor_scans_grids_of_different_widths():
 
 
 def test_scan_rotation_symmetry_on_open_map():
+    # 40 rays: a quarter turn maps the rays onto one another, so each passed
+    # cell, turned 90° about the pose, lies within a cell of a passed cell.
     gt = OccupancyGrid(np.zeros((201, 201)), 0.1)
-    spec = SensorSpec(range_lambda=5.0, n_rays=40)
-    scan = simulate_scan(gt, GridPose(100, 100), spec)
-    q = spec.n_rays // 4
-    for j in range(spec.n_rays):
-        x, y = scan.endpoints[j] - 100
+    scan = simulate_scan(gt, GridPose(100, 100), SensorSpec(range_lambda=5.0, n_rays=40))
+    assert len(scan.hit_cells) == 0
+    ys, xs = np.divmod(scan.free_cells, gt.width)
+    free = set(zip(xs.tolist(), ys.tolist()))
+    for x, y in free:
         # 90° rotation in image coordinates (y down): (x, y) -> (-y, x)
-        rx, ry = scan.endpoints[(j + q) % spec.n_rays] - 100
-        assert abs(rx - (-y)) <= 1 and abs(ry - x) <= 1
+        rx, ry = 100 - (y - 100), 100 + (x - 100)
+        assert any((rx + dx, ry + dy) in free for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
 def test_scan_soundness_against_ground_truth():
@@ -222,9 +232,7 @@ def test_scan_soundness_against_ground_truth():
         gt = random_binary_map(rng, 48)
         scan = simulate_scan(gt, GridPose(24, 24), spec)
         assert (gt.cells.ravel()[scan.free_cells] == FREE).all()
-        hx = scan.endpoints[scan.hits, 0]
-        hy = scan.endpoints[scan.hits, 1]
-        assert (gt.cells[hy, hx] == OCCUPIED).all()
+        assert (gt.cells.ravel()[scan.hit_cells] == OCCUPIED).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,7 +242,7 @@ def test_scan_soundness_against_ground_truth():
 def test_scan_shares_the_scoring_ray_end_rule(seed, width, height, density, pick, n_rays,
                                               range_dm):
     # On a binary plan, from any free pose, the sensor and the deterministic
-    # scoring cast end every ray on the same cell; the scan is sound.
+    # scoring cast end their rays on the same cells; the scan is sound.
     rng = np.random.default_rng(seed)
     gt = OccupancyGrid((rng.random((height, width)) < density).astype(float), 0.1)
     free_ys, free_xs = np.nonzero(gt.cells == FREE)
@@ -243,19 +251,15 @@ def test_scan_shares_the_scoring_ray_end_rule(seed, width, height, density, pick
     pose = GridPose(int(free_xs[pick % len(free_xs)]), int(free_ys[pick % len(free_xs)]))
     scan = simulate_scan(gt, pose, SensorSpec(range_lambda=range_dm / 10, n_rays=n_rays))
     cfg = RaycastConfig(n_rays=n_rays, range_lambda=range_dm / 10)
-    assert np.array_equal(scan.endpoints, deterministic_raycast(pose, gt, cfg))
+    assert_cast_agrees_with_scan(deterministic_raycast(pose, gt, cfg), scan, gt)
     assert (gt.cells.ravel()[scan.free_cells] == FREE).all()
-    hx, hy = scan.endpoints[scan.hits, 0], scan.endpoints[scan.hits, 1]
-    assert (gt.cells[hy, hx] == OCCUPIED).all()
+    assert (gt.cells.ravel()[scan.hit_cells] == OCCUPIED).all()
 
 
 def test_integrate_single_ray():
     observed = new_grid(11, 11, 0.1)
-    scan = Scan(
-        endpoints=np.array([[7, 5]]),
-        hits=np.array([True]),
-        free_cells=np.array([5 * 11 + x for x in range(2, 7)]),
-    )
+    scan = Scan(free_cells=np.array([5 * 11 + x for x in range(2, 7)]),
+                hit_cells=np.array([5 * 11 + 7]), shape=(11, 11))
     new = integrate_scan(observed, scan)
     assert sorted(new.tolist()) == [5 * 11 + x for x in range(2, 8)]
     assert (observed.cells[5, 2:7] == FREE).all()
@@ -264,13 +268,12 @@ def test_integrate_single_ray():
 
 
 def test_integrate_returns_each_newly_known_cell_once():
-    # Two rays hit (7, 5); (2, 5) is known already; (3, 5) is listed as both
-    # passed and hit, so it ends occupied and counts once.
+    # (2, 5) is known already; (3, 5) is listed as both passed and hit, so
+    # it ends occupied and counts once.
     observed = new_grid(11, 11, 0.1)
     observed.cells[5, 2] = FREE
-    scan = Scan(endpoints=np.array([[7, 5], [7, 5], [3, 5], [2, 5]]),
-                hits=np.array([True, True, True, False]),
-                free_cells=np.array([5 * 11 + x for x in range(2, 7)]))
+    scan = Scan(free_cells=np.array([5 * 11 + x for x in range(2, 7)]),
+                hit_cells=np.array([5 * 11 + 3, 5 * 11 + 7]), shape=(11, 11))
     new = integrate_scan(observed, scan)
     assert sorted(new.tolist()) == [5 * 11 + x for x in range(3, 8)]
     assert observed.cells[5, 3] == observed.cells[5, 7] == OCCUPIED
@@ -448,3 +451,16 @@ def test_sensor_spec_validation():
         SensorSpec(range_lambda=0.0)
     with pytest.raises(ValueError):
         SensorSpec(n_rays=3)
+
+
+def test_integrate_rejects_a_scan_taken_on_a_grid_of_another_shape():
+    # A scan with no hits from a 30x30 plan lists only flat indices below
+    # 900, which also fit a 20x45 map, in other rows.
+    scan = simulate_scan(OccupancyGrid(np.zeros((30, 30)), 0.1), GridPose(15, 15),
+                         SensorSpec(range_lambda=1.0, n_rays=16))
+    for width, height in ((45, 20), (20, 45), (31, 30)):
+        observed = new_grid(width, height, 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            integrate_scan(observed, scan)
+        assert (observed.cells == UNKNOWN).all()
+    assert len(integrate_scan(new_grid(30, 30, 0.1), scan)) > 0
